@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -20,7 +21,7 @@ from pathlib import Path
 from . import curves as curves_mod
 from . import datamodel, design, metrics, report, robustness, scle, synth
 from .errors import EvaluationError, InfeasibleError, InputError
-from .provenance import config_hash, derive_seed
+from .provenance import canonical_json, config_hash, derive_seed
 
 
 class _JsonErrorParser(argparse.ArgumentParser):
@@ -50,8 +51,24 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
+def _write_json(path: Path, obj) -> Path:
+    return _write(path, canonical_json(obj))
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    """One strict-JSON line on stdout (the last line is the machine-read result)."""
+    print(json.dumps(obj, sort_keys=True, allow_nan=False))
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of real-valued flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _load_config_file(path: str) -> dict:
@@ -163,7 +180,7 @@ def _cmd_evaluate(args) -> int:
             point = curves_mod.select_operating_point(sweep, costs, args.assumed_prevalence)
             operating_point = point.to_json_dict()
             outputs.costs = {"cost_fp": args.cost_fp, "cost_fn": args.cost_fn}
-            outputs.threshold = point.threshold
+            outputs.threshold = operating_point["threshold"]  # null when nothing is predicted positive
             ds = datamodel.apply_threshold(ds, point.threshold)
         elif any(c.predicted is None for c in ds.cases if c.evaluable):
             raise InputError("scored dataset without predictions: give --threshold, --k, or costs")
@@ -213,25 +230,15 @@ def _cmd_evaluate(args) -> int:
     )
 
     out_dir = Path(args.out_dir)
-    written = [
-        _write(out_dir / "report.json", json_text),
-        _write(out_dir / "report.md", md_text),
-        _write(out_dir / "metrics.json", json.dumps(metric_entries, sort_keys=True, indent=2) + "\n"),
-        _write(
-            out_dir / "outputs.json",
-            json.dumps(outputs.to_json_dict(), sort_keys=True, indent=2) + "\n",
-        ),
-    ]
+    _write(out_dir / "report.json", json_text)
+    _write(out_dir / "report.md", md_text)
+    _write_json(out_dir / "metrics.json", metric_entries)
+    _write_json(out_dir / "outputs.json", outputs.to_json_dict())
     if scored and sweep is not None:
         csv_text = curves_mod.curve_to_csv(sweep)
-        written.append(_write(out_dir / "pr_curve.csv", csv_text))
-        written.append(_write(out_dir / "roc_curve.csv", csv_text))
-        written.append(
-            _write(
-                out_dir / "warnings.json",
-                json.dumps(outputs.warnings, sort_keys=True, indent=2) + "\n",
-            )
-        )
+        _write(out_dir / "pr_curve.csv", csv_text)
+        _write(out_dir / "roc_curve.csv", csv_text)
+        _write_json(out_dir / "warnings.json", outputs.warnings)
 
     print(_metrics_table(metric_entries))
     for w in outputs.warnings:
@@ -324,10 +331,7 @@ def _cmd_scle_sample(args) -> int:
     )
     sample = scle.draw_sample(ds, config)
     out_dir = Path(args.out_dir)
-    sample_path = _write(
-        out_dir / "scle_sample.json",
-        json.dumps(sample.to_json_dict(), sort_keys=True, indent=2) + "\n",
-    )
+    sample_path = _write_json(out_dir / "scle_sample.json", sample.to_json_dict())
     context = tuple(args.context_fields.split(",")) if args.context_fields else ()
     sheet_path = scle.emit_review_sheet(
         sample,
@@ -357,7 +361,7 @@ def _cmd_scle_ingest(args) -> int:
     sample = _read_sample(args.sample)
     annotations = scle.ingest_annotations(args.sheet, sample)
     payload = scle.annotations_to_json_dict(annotations)
-    _write(Path(args.out), json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(Path(args.out), payload)
     _print_json({"annotations": len(annotations), "out": str(args.out)})
     return 0
 
@@ -369,10 +373,7 @@ def _cmd_scle_aggregate(args) -> int:
     )
     summary = scle.aggregate(annotations, sample, seed=args.seed)
     out_dir = Path(args.out_dir)
-    _write(
-        out_dir / "scle_summary.json",
-        json.dumps(summary.to_json_dict(), sort_keys=True, indent=2) + "\n",
-    )
+    _write_json(out_dir / "scle_summary.json", summary.to_json_dict())
     _write(out_dir / "scle_summary.md", summary.to_markdown())
     _print_json(summary.to_json_dict())
     return 0
@@ -400,10 +401,7 @@ def _cmd_subsets(args) -> int:
     result = robustness.subset_metrics(ds, args.attribute, metrics=names, seed=args.seed)
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        _write(
-            out_dir / f"subsets_{args.attribute}.json",
-            json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n",
-        )
+        _write_json(out_dir / f"subsets_{args.attribute}.json", result.to_json_dict())
         _write(out_dir / f"subsets_{args.attribute}.md", result.to_markdown())
     _print_json(result.to_json_dict())
     return 0
@@ -413,7 +411,7 @@ def _cmd_stability(args) -> int:
     ds = _load_dataset(args)
     result = robustness.stability(ds)
     if args.out:
-        _write(Path(args.out), json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        _write_json(Path(args.out), result.to_json_dict())
     _print_json(result.to_json_dict())
     return 0
 
@@ -426,7 +424,7 @@ def _cmd_resample(args) -> int:
         ds, args.metric, scheme=args.scheme, n=args.n, seed=args.seed
     )
     if args.out:
-        _write(Path(args.out), json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        _write_json(Path(args.out), result.to_json_dict())
     _print_json(result.to_json_dict())
     return 0
 
@@ -488,11 +486,12 @@ def _cmd_checklist(args) -> int:
     checklist = report.prefill_checklist(outputs)
     payload = [item.to_json_dict() for item in checklist]
     out_dir = Path(args.out_dir)
-    _write(out_dir / "checklist.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    md = ["# Evaluation checklist", "", "| consideration | status | rationale |", "|---|---|---|"]
-    for item in payload:
-        md.append(f"| {item['consideration']} | {item['status']} | {item['rationale'] or '-'} |")
-    _write(out_dir / "checklist.md", "\n".join(md) + "\n")
+    _write_json(out_dir / "checklist.json", payload)
+    md = report.markdown_table(
+        ("consideration", "status", "rationale"),
+        ((item["consideration"], item["status"], item["rationale"] or "-") for item in payload),
+    )
+    _write(out_dir / "checklist.md", "\n".join(["# Evaluation checklist", "", *md]) + "\n")
     _print_json({"rows": len(payload), "out": str(out_dir / "checklist.json")})
     return 0
 
@@ -514,11 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="full evaluation run: metrics, curves, warnings, report")
     _add_dataset_args(p)
-    p.add_argument("--threshold", type=float, help="decision threshold (predicted = score >= threshold)")
+    p.add_argument("--threshold", type=_finite_float, help="decision threshold (predicted = score >= threshold)")
     p.add_argument("--k", type=int, help="review budget: predict positive for the top-k scores")
-    p.add_argument("--cost-fp", type=float, help="relative cost of a false positive")
-    p.add_argument("--cost-fn", type=float, help="relative cost of a false negative")
-    p.add_argument("--assumed-prevalence", type=float, help="assumed deployment prevalence")
+    p.add_argument("--cost-fp", type=_finite_float, help="relative cost of a false positive")
+    p.add_argument("--cost-fn", type=_finite_float, help="relative cost of a false negative")
+    p.add_argument("--assumed-prevalence", type=_finite_float, help="assumed deployment prevalence")
     p.add_argument("--seed", type=int, default=0, help="run seed; fans out to module substreams")
     p.add_argument("--out-dir", default=_default_out_dir(), help="output directory")
     p.add_argument("--reproducible", action="store_true", help="omit timestamps for byte-identical output")
@@ -527,28 +526,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("adjust-precision", help="project precision to an assumed prevalence")
-    p.add_argument("--sensitivity", type=float, required=True)
-    p.add_argument("--specificity", type=float, required=True)
-    p.add_argument("--prevalence", type=float, required=True)
+    p.add_argument("--sensitivity", type=_finite_float, required=True)
+    p.add_argument("--specificity", type=_finite_float, required=True)
+    p.add_argument("--prevalence", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_adjust_precision)
 
     p = sub.add_parser("size-study", help="power simulation / sample-size solving")
     p.add_argument("--sample-size", type=int)
-    p.add_argument("--flag-rate-a", type=float)
-    p.add_argument("--flag-rate-b", type=float)
-    p.add_argument("--overlap-rate", type=float)
-    p.add_argument("--precision-a", type=float)
-    p.add_argument("--precision-b", type=float)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--flag-rate-a", type=_finite_float)
+    p.add_argument("--flag-rate-b", type=_finite_float)
+    p.add_argument("--overlap-rate", type=_finite_float)
+    p.add_argument("--precision-a", type=_finite_float)
+    p.add_argument("--precision-b", type=_finite_float)
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
     p.add_argument("--replicates", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-power", type=float, help="solve for the smallest adequate sample size")
+    p.add_argument("--target-power", type=_finite_float, help="solve for the smallest adequate sample size")
     p.add_argument("--config", help="JSON or key=value assumptions file; overrides flags")
     p.set_defaults(func=_cmd_size_study)
 
     p = sub.add_parser("pair-prevalence", help="duplicate prevalence among ordered record pairs")
     p.add_argument("--n", type=int, required=True, help="number of records")
-    p.add_argument("--duplicate-fraction", type=float, required=True)
+    p.add_argument("--duplicate-fraction", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_pair_prevalence)
 
     p_scle = sub.add_parser("scle", help="structured case-level examination")
@@ -556,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = scle_sub.add_parser("sample", help="draw a review sample and emit the annotation sheet")
     _add_dataset_args(p)
-    p.add_argument("--threshold", type=float, help="apply this threshold before sampling")
+    p.add_argument("--threshold", type=_finite_float, help="apply this threshold before sampling")
     p.add_argument("--n-fp", type=int, default=0)
     p.add_argument("--n-fn", type=int, default=0)
     p.add_argument("--n-tp", type=int, default=0)
@@ -564,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--substratify-by", help="comma-separated subgroup attributes")
     p.add_argument("--boundary-bins", type=int)
     p.add_argument("--benchmark-mode", action="store_true")
-    p.add_argument("--oversample-factor", type=float, default=1.0)
+    p.add_argument("--oversample-factor", type=_finite_float, default=1.0)
     p.add_argument("--context-fields", help="comma-separated sheet context columns")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=_default_out_dir())
@@ -595,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--attribute", required=True)
     p.add_argument("--metrics", help="comma-separated metric names")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_finite_float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_subsets)
@@ -610,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True)
     p.add_argument("--scheme", choices=("bootstrap", "k_fold"), default="bootstrap")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_finite_float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the summary JSON here")
     p.set_defaults(func=_cmd_resample)
@@ -620,12 +619,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--spec", help="population spec file (JSON or key=value)")
     p.add_argument("--n", type=int)
-    p.add_argument("--prevalence", type=float)
-    p.add_argument("--separation", type=float, default=2.0)
-    p.add_argument("--spread", type=float, default=1.0)
-    p.add_argument("--label-noise", type=float, default=0.0)
+    p.add_argument("--prevalence", type=_finite_float)
+    p.add_argument("--separation", type=_finite_float, default=2.0)
+    p.add_argument("--spread", type=_finite_float, default=1.0)
+    p.add_argument("--label-noise", type=_finite_float, default=0.0)
     p.add_argument("--n-runs", type=int)
-    p.add_argument("--flip-probability", type=float, default=0.0)
+    p.add_argument("--flip-probability", type=_finite_float, default=0.0)
     p.add_argument("--exact-positive-count", action="store_true")
     p.add_argument("--enrich", action="append", metavar="SELECT:PROB", help="e.g. negative:0.01")
     p.add_argument("--truth-out", help="truth sidecar path (default <out>.truth.json)")

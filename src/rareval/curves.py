@@ -22,6 +22,7 @@ import numpy as np
 
 from .datamodel import Dataset, ReferenceLabel
 from .errors import InputError
+from .provenance import slot_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,8 +65,7 @@ class RareEventWarning:
     message: str
     details: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {"code": self.code, "message": self.message, "details": dict(self.details)}
+    to_json_dict = slot_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +76,12 @@ class WarningConfig:
     enrichment_ratio_threshold: float = 10.0
 
 
-def _sweep(dataset: Dataset) -> list[CurvePoint]:
+def pr_curve(dataset: Dataset) -> list[CurvePoint]:
+    """Threshold sweep over all distinct scores plus the all-negative extreme.
+
+    One sweep serves both curves: precision against recall, and (as
+    ``roc_curve``) recall against fpr = 1 - specificity.
+    """
     labeled = [c for c in dataset.cases if c.evaluable]
     if any(c.score is None for c in labeled):
         missing = next(c.case_id for c in labeled if c.score is None)
@@ -133,14 +138,7 @@ def _sweep(dataset: Dataset) -> list[CurvePoint]:
     return points
 
 
-def pr_curve(dataset: Dataset) -> list[CurvePoint]:
-    """Precision-recall sweep over all distinct scores plus both extremes."""
-    return _sweep(dataset)
-
-
-def roc_curve(dataset: Dataset) -> list[CurvePoint]:
-    """ROC sweep (recall against 1 - specificity); same points as pr_curve."""
-    return _sweep(dataset)
+roc_curve = pr_curve
 
 
 def auc(curve: list[CurvePoint]) -> float:

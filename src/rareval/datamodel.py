@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import IngestError, InputError
+from .provenance import canonical_json
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
 
@@ -84,6 +85,21 @@ class EvaluationCase:
     def evaluable(self) -> bool:
         """True when the case contributes to confusion counts."""
         return self.reference in (ReferenceLabel.POSITIVE, ReferenceLabel.NEGATIVE)
+
+
+def confusion_cell(case: EvaluationCase) -> str:
+    """Confusion cell of an evaluable case: "tp", "fp", "fn" or "tn".
+
+    The one place that cross-classifies a prediction against the reference;
+    counts, bootstrap classes, subset error screens and review samples all
+    call it.
+    """
+    if case.predicted is None:
+        raise InputError(f"case {case.case_id!r} has no predicted label")
+    positive = case.reference is ReferenceLabel.POSITIVE
+    if case.predicted:
+        return "tp" if positive else "fp"
+    return "fn" if positive else "tn"
 
 
 @dataclass(frozen=True, slots=True)
@@ -384,7 +400,7 @@ def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
             ],
             "metadata": dataset.metadata,
         }
-        sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        sidecar.write_text(canonical_json(payload), encoding="utf-8")
         written.append(sidecar)
     return written
 

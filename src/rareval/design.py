@@ -10,8 +10,9 @@ one model) and is the conditional exact test of the resulting 2x2 table
 nominal where a plain exact test would be far too conservative.
 
 Monte Carlo replicates follow a counter-based seeding contract: replicate
-i's stream depends only on (seed, stream, i), so results are independent of
-scheduling or parallelism.
+i's stream depends only on (seed, i), so results are independent of
+scheduling or parallelism, and every sample size sees the same replicate
+streams (common random numbers).
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import hypergeom
 
 from .errors import InfeasibleError, InputError
-from .provenance import replicate_rng
+from .provenance import replicate_rng, slot_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,13 +102,7 @@ class PowerResult:
     n_replicates: int
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "power": self.power,
-            "mc_stderr": self.mc_stderr,
-            "n_replicates": self.n_replicates,
-            "seed": self.seed,
-        }
+    to_json_dict = slot_fields
 
 
 def disagreement_test_pvalue(x_a: int, n_a: int, x_b: int, n_b: int) -> float:
@@ -118,6 +112,8 @@ def disagreement_test_pvalue(x_a: int, n_a: int, x_b: int, n_b: int) -> float:
     disagreement flags; under equal precisions the split over the two arms is
     hypergeometric.
     """
+    from scipy.stats import hypergeom  # here, so importing rareval does not load scipy
+
     t = x_a + x_b
     if t == 0 or n_a == 0 or n_b == 0:
         return 1.0
@@ -129,6 +125,8 @@ def disagreement_test_pvalue(x_a: int, n_a: int, x_b: int, n_b: int) -> float:
 
 
 def _pvalues_vectorized(xa: np.ndarray, na: np.ndarray, xb: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    from scipy.stats import hypergeom  # here, so importing rareval does not load scipy
+
     t = xa + xb
     m = na + nb
     with np.errstate(invalid="ignore"):
@@ -140,7 +138,8 @@ def _pvalues_vectorized(xa: np.ndarray, na: np.ndarray, xb: np.ndarray, nb: np.n
     return np.where(degenerate, 1.0, p)
 
 
-def _simulate(assumptions: PrecisionStudyAssumptions, stream: int) -> PowerResult:
+def simulate_precision_power(assumptions: PrecisionStudyAssumptions) -> PowerResult:
+    """Monte Carlo probability that the precision comparison rejects at alpha."""
     probs = np.array(assumptions.cell_probabilities())
     n = assumptions.sample_size
     reps = assumptions.n_replicates
@@ -150,7 +149,7 @@ def _simulate(assumptions: PrecisionStudyAssumptions, stream: int) -> PowerResul
     xa = np.empty(reps, dtype=np.int64)
     xb = np.empty(reps, dtype=np.int64)
     for i in range(reps):
-        rng = replicate_rng(assumptions.seed, stream, i)
+        rng = replicate_rng(assumptions.seed, 0, i)
         _, a_only, b_only, _ = rng.multinomial(n, probs)
         na[i] = a_only
         nb[i] = b_only
@@ -163,11 +162,6 @@ def _simulate(assumptions: PrecisionStudyAssumptions, stream: int) -> PowerResul
     return PowerResult(power=power, mc_stderr=stderr, n_replicates=reps, seed=assumptions.seed)
 
 
-def simulate_precision_power(assumptions: PrecisionStudyAssumptions) -> PowerResult:
-    """Monte Carlo probability that the precision comparison rejects at alpha."""
-    return _simulate(assumptions, stream=0)
-
-
 def solve_sample_size(
     assumptions: PrecisionStudyAssumptions,
     target_power: float,
@@ -176,18 +170,16 @@ def solve_sample_size(
 ) -> int:
     """Smallest sample size on a geometric-then-bisection grid reaching the target.
 
-    Each probe uses a fresh seed-derived substream, so reruns with the same
-    seed return the same answer. ``assumptions.sample_size`` is ignored.
+    Every probe reuses the replicate streams of :func:`simulate_precision_power`
+    (common random numbers), so the search walks one fixed power curve, reruns
+    return the same answer, and simulating at the answer reproduces the power
+    the search accepted. ``assumptions.sample_size`` is ignored.
     """
     if not (assumptions.alpha < target_power < 1.0):
         raise InputError(f"target_power must be in (alpha, 1), got {target_power}")
 
-    stream = 0
-
     def power_at(size: int) -> float:
-        nonlocal stream
-        stream += 1
-        return _simulate(replace(assumptions, sample_size=size), stream=stream).power
+        return simulate_precision_power(replace(assumptions, sample_size=size)).power
 
     size = min_size
     if power_at(size) >= target_power:

@@ -16,16 +16,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import norm
 
-from .datamodel import Dataset, EvaluationCase, ReferenceLabel
+from .datamodel import Dataset, EvaluationCase, ReferenceLabel, confusion_cell
 from .errors import InputError
-from .provenance import derive_seed
+from .provenance import derive_seed, slot_fields
 
-PROPORTION_METRICS = ("recall", "precision", "specificity", "npv")
+# metric -> (numerator cell, other denominator cell): the denominator is the
+# numerator cell plus the other cell. Drives the public estimators, the
+# bootstrap vectors and their n_effective.
+_METRIC_CELLS = {
+    "recall": ("tp", "fn"),
+    "precision": ("tp", "fp"),
+    "specificity": ("tn", "fp"),
+    "npv": ("tn", "fn"),
+}
+PROPORTION_METRICS = tuple(_METRIC_CELLS)
 
 DEFAULT_BOOTSTRAP_RESAMPLES = 2000
 
@@ -75,22 +84,14 @@ class MetricEstimate:
         return self.value is not None
 
     def to_json_dict(self, metric: str) -> dict:
-        return {
-            "metric": metric,
-            "value": self.value,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "ci_level": self.ci_level,
-            "n_effective": self.n_effective,
-            "weighted": self.weighted,
-        }
+        return {"metric": metric, **slot_fields(self)}
 
 
 def wilson_interval(successes: float, total: float, ci_level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a proportion; behaves well near 0 and 1."""
     if total <= 0:
         return 0.0, 1.0
-    z = norm.ppf(0.5 + ci_level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + ci_level / 2.0)
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2.0 * total)) / denom
@@ -120,61 +121,44 @@ def confusion(dataset: Dataset) -> ConfusionCounts:
     adds its inverse-probability weight to its cell and the result is flagged
     weighted.
     """
-    tp = fp = fn = tn = 0.0
+    cells = {"tp": 0.0, "fp": 0.0, "fn": 0.0, "tn": 0.0}
     for case in dataset.cases:
-        if not case.evaluable:
-            continue
-        if case.predicted is None:
-            raise InputError(f"case {case.case_id!r} has no predicted label")
-        w = dataset.case_weight(case)
-        positive = case.reference is ReferenceLabel.POSITIVE
-        if case.predicted:
-            if positive:
-                tp += w
-            else:
-                fp += w
-        else:
-            if positive:
-                fn += w
-            else:
-                tn += w
-    return ConfusionCounts(tp, fp, fn, tn, weighted=dataset.weighted)
+        if case.evaluable:
+            cells[confusion_cell(case)] += dataset.case_weight(case)
+    return ConfusionCounts(**cells, weighted=dataset.weighted)
+
+
+def _metric_cells(metric: str) -> tuple[str, str]:
+    try:
+        return _METRIC_CELLS[metric]
+    except KeyError:
+        raise InputError(f"unknown metric {metric!r} (expected one of {PROPORTION_METRICS})") from None
+
+
+def metric_from_counts(counts: ConfusionCounts, metric: str, ci_level: float = 0.95) -> MetricEstimate:
+    num_cell, other_cell = _metric_cells(metric)
+    num = getattr(counts, num_cell)
+    return _proportion(num, num + getattr(counts, other_cell), ci_level, counts.weighted)
 
 
 def recall(counts: ConfusionCounts, ci_level: float = 0.95) -> MetricEstimate:
     """Proportion of positive controls predicted positive: tp / (tp + fn)."""
-    return _proportion(counts.tp, counts.tp + counts.fn, ci_level, counts.weighted)
+    return metric_from_counts(counts, "recall", ci_level)
 
 
 def precision(counts: ConfusionCounts, ci_level: float = 0.95) -> MetricEstimate:
     """Proportion of predicted positives that are positive controls: tp / (tp + fp)."""
-    return _proportion(counts.tp, counts.tp + counts.fp, ci_level, counts.weighted)
+    return metric_from_counts(counts, "precision", ci_level)
 
 
 def specificity(counts: ConfusionCounts, ci_level: float = 0.95) -> MetricEstimate:
     """Proportion of negative controls predicted negative: tn / (tn + fp)."""
-    return _proportion(counts.tn, counts.tn + counts.fp, ci_level, counts.weighted)
+    return metric_from_counts(counts, "specificity", ci_level)
 
 
 def npv(counts: ConfusionCounts, ci_level: float = 0.95) -> MetricEstimate:
     """Proportion of predicted negatives that are negative controls: tn / (tn + fn)."""
-    return _proportion(counts.tn, counts.tn + counts.fn, ci_level, counts.weighted)
-
-
-_METRIC_FUNCS = {
-    "recall": recall,
-    "precision": precision,
-    "specificity": specificity,
-    "npv": npv,
-}
-
-
-def metric_from_counts(counts: ConfusionCounts, metric: str, ci_level: float = 0.95) -> MetricEstimate:
-    try:
-        fn = _METRIC_FUNCS[metric]
-    except KeyError:
-        raise InputError(f"unknown metric {metric!r} (expected one of {PROPORTION_METRICS})") from None
-    return fn(counts, ci_level)
+    return metric_from_counts(counts, "npv", ci_level)
 
 
 def f_beta(precision: float, recall: float, beta: float = 1.0) -> float | None:
@@ -302,14 +286,7 @@ def concordance_and_override(
 # --- case bootstrap ---------------------------------------------------------
 
 
-def _cell_of(case: EvaluationCase) -> str:
-    positive = case.reference is ReferenceLabel.POSITIVE
-    if case.predicted:
-        return "tp" if positive else "fp"
-    return "fn" if positive else "tn"
-
-
-def _class_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _class_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse evaluable cases into (cell, weight) classes.
 
     Resampling n cases with replacement and retallying depends only on the
@@ -320,42 +297,26 @@ def _class_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     for case in dataset.cases:
         if not case.evaluable:
             continue
-        if case.predicted is None:
-            raise InputError(f"case {case.case_id!r} has no predicted label")
-        key = (_cell_of(case), dataset.case_weight(case))
+        key = (confusion_cell(case), dataset.case_weight(case))
         classes[key] = classes.get(key, 0) + 1
     if not classes:
         raise InputError("dataset has no evaluable cases")
-    cells = np.array([k[0] for k in classes], dtype=object)
+    cells = np.array([k[0] for k in classes])
     weights = np.array([k[1] for k in classes], dtype=float)
     counts = np.array(list(classes.values()), dtype=float)
-    is_tp = cells == "tp"
-    is_fp = cells == "fp"
-    is_fn = cells == "fn"
-    return counts, weights, is_tp, is_fp, is_fn
+    return counts, weights, cells
 
 
 def _metric_vector(
-    metric: str, draws: np.ndarray, weights: np.ndarray, is_tp: np.ndarray, is_fp: np.ndarray, is_fn: np.ndarray
-) -> np.ndarray:
+    metric: str, draws: np.ndarray, weights: np.ndarray, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (metric value, denominator) of class-count rows ``draws``."""
+    num_cell, other_cell = _metric_cells(metric)
     weighted = draws * weights
-    tp = weighted[:, is_tp].sum(axis=1)
-    fp = weighted[:, is_fp].sum(axis=1)
-    fn = weighted[:, is_fn].sum(axis=1)
-    tn = weighted.sum(axis=1) - tp - fp - fn
-    if metric == "recall":
-        num, den = tp, tp + fn
-    elif metric == "precision":
-        num, den = tp, tp + fp
-    elif metric == "specificity":
-        num, den = tn, tn + fp
-    elif metric == "npv":
-        num, den = tn, tn + fn
-    else:
-        raise InputError(f"unknown metric {metric!r} (expected one of {PROPORTION_METRICS})")
+    num = weighted[:, cells == num_cell].sum(axis=1)
+    den = num + weighted[:, cells == other_cell].sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        values = num / den
-    return values
+        return num / den, den
 
 
 def bootstrap_metric(
@@ -367,18 +328,20 @@ def bootstrap_metric(
 ) -> MetricEstimate:
     """Seeded nonparametric case-bootstrap percentile interval.
 
-    The point estimate comes from the full (weighted) tallies; resamples with
+    The point estimate and ``n_effective`` come from the full (weighted)
+    class tallies that the resamples are drawn from; resamples with
     an undefined metric are dropped from the percentile computation.
     """
-    counts, weights, is_tp, is_fp, is_fn = _class_table(dataset)
+    counts, weights, cells = _class_table(dataset)
     n = int(counts.sum())
-    point = _metric_vector(metric, counts[None, :], weights, is_tp, is_fp, is_fn)[0]
-    if not np.isfinite(point):
+    points, dens = _metric_vector(metric, counts[None, :], weights, cells)
+    point, n_effective = float(points[0]), float(dens[0])
+    if not math.isfinite(point):
         return MetricEstimate(None, None, None, ci_level=ci_level, n_effective=0.0, weighted=dataset.weighted)
 
     rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{metric}"))
     draws = rng.multinomial(n, counts / n, size=n_resamples).astype(float)
-    values = _metric_vector(metric, draws, weights, is_tp, is_fp, is_fn)
+    values, _ = _metric_vector(metric, draws, weights, cells)
     values = values[np.isfinite(values)]
     if values.size == 0:
         lo, hi = 0.0, 1.0
@@ -386,20 +349,12 @@ def bootstrap_metric(
         alpha = (1.0 - ci_level) / 2.0
         lo = float(np.quantile(values, alpha))
         hi = float(np.quantile(values, 1.0 - alpha))
-
-    full = confusion(dataset)
-    denominators = {
-        "recall": full.tp + full.fn,
-        "precision": full.tp + full.fp,
-        "specificity": full.tn + full.fp,
-        "npv": full.tn + full.fn,
-    }
     return MetricEstimate(
-        value=float(point),
-        ci_low=min(lo, float(point)),
-        ci_high=max(hi, float(point)),
+        value=point,
+        ci_low=min(lo, point),
+        ci_high=max(hi, point),
         ci_level=ci_level,
-        n_effective=denominators[metric],
+        n_effective=n_effective,
         weighted=dataset.weighted,
     )
 

@@ -29,8 +29,23 @@ def replicate_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def canonical_json(obj) -> str:
-    """Stable, human-readable JSON: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Stable, human-readable, strict JSON: sorted keys, fixed layout, trailing newline.
+
+    NaN and infinities raise ``ValueError``: strict parsers reject them, so an
+    undefined or unbounded value must be written as null by its owner.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def slot_fields(obj) -> dict:
+    """Shallow ``{field: value}`` dump of a slotted dataclass, in field order.
+
+    Values are neither copied nor converted (``dataclasses.asdict`` would
+    deep-copy every nested list and dict); JSON writes tuples as arrays.
+    Classes whose JSON form is exactly their fields bind it as
+    ``to_json_dict = slot_fields``.
+    """
+    return {name: getattr(obj, name) for name in type(obj).__slots__}
 
 
 def config_hash(obj) -> str:

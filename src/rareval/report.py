@@ -14,10 +14,11 @@ from __future__ import annotations
 import importlib.resources
 import json
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from .datamodel import Dataset
 from .errors import InputError
-from .provenance import canonical_json
+from .provenance import canonical_json, slot_fields
 
 SCHEMA_VERSION = "1"
 
@@ -122,14 +123,7 @@ class ChecklistItem:
                 f"checklist row {self.consideration!r}: status {self.status!r} requires a rationale"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "consideration": self.consideration,
-            "key_questions": self.key_questions,
-            "status": self.status,
-            "evidence": list(self.evidence),
-            "rationale": self.rationale,
-        }
+    to_json_dict = slot_fields
 
 
 @dataclass(slots=True)
@@ -161,32 +155,7 @@ class EvaluationOutputs:
     config_hash: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "evaluation_outputs",
-            "dataset_summary": self.dataset_summary,
-            "metrics": self.metrics,
-            "test_set_prevalence": self.test_set_prevalence,
-            "assumed_deployment_prevalence": self.assumed_deployment_prevalence,
-            "enrichment_accounted": self.enrichment_accounted,
-            "enrichment_justification": self.enrichment_justification,
-            "curve_points": self.curve_points,
-            "auc_value": self.auc_value,
-            "f1_value": self.f1_value,
-            "costs": self.costs,
-            "operating_point": self.operating_point,
-            "threshold": self.threshold,
-            "warnings": self.warnings,
-            "scle_summary": self.scle_summary,
-            "subset_reports": self.subset_reports,
-            "stability_report": self.stability_report,
-            "resampling_reports": self.resampling_reports,
-            "benchmark_present": self.benchmark_present,
-            "concordance": self.concordance,
-            "power_results": self.power_results,
-            "attestations": self.attestations,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
+        return {"kind": "evaluation_outputs", **slot_fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EvaluationOutputs":
@@ -564,6 +533,13 @@ def load_report_schema() -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+def markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    """Lines of a Markdown pipe table; cells are rendered with ``str``."""
+    lines = ["| " + " | ".join(header) + " |", "|---" * len(header) + "|"]
+    lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+    return lines
+
+
 def _fmt(value) -> str:
     """Format a number exactly as json.dumps will, so Markdown matches JSON."""
     if value is None:
@@ -633,10 +609,13 @@ def _render_markdown(doc: dict) -> str:
     ds = doc.get("dataset")
     if ds:
         lines += ["## Dataset", ""]
-        lines.append("| quantity | value |")
-        lines.append("|---|---|")
-        for key in ("n_cases", "n_positive", "n_negative", "n_ambiguous", "n_excluded", "prevalence"):
-            lines.append(f"| {key} | {_fmt(ds.get(key))} |")
+        lines += markdown_table(
+            ("quantity", "value"),
+            (
+                (key, _fmt(ds.get(key)))
+                for key in ("n_cases", "n_positive", "n_negative", "n_ambiguous", "n_excluded", "prevalence")
+            ),
+        )
         if ds.get("strata"):
             lines.append("")
             lines.append("Strata (stratum_id, inclusion_probability, n):")
@@ -648,13 +627,10 @@ def _render_markdown(doc: dict) -> str:
 
     if doc.get("metrics"):
         lines += ["## Metrics", ""]
-        lines.append("| metric | value | ci_low | ci_high | ci_level | n_effective | weighted |")
-        lines.append("|---|---|---|---|---|---|---|")
-        for m in doc["metrics"]:
-            lines.append(
-                f"| {m['metric']} | {_fmt(m['value'])} | {_fmt(m['ci_low'])} | {_fmt(m['ci_high'])} "
-                f"| {_fmt(m['ci_level'])} | {_fmt(m['n_effective'])} | {_fmt(m['weighted'])} |"
-            )
+        columns = ("value", "ci_low", "ci_high", "ci_level", "n_effective", "weighted")
+        lines += markdown_table(
+            ("metric", *columns), ((m["metric"], *(_fmt(m[c]) for c in columns)) for m in doc["metrics"])
+        )
         lines.append("")
 
     curves = doc.get("curves") or {}
@@ -733,11 +709,17 @@ def _render_markdown(doc: dict) -> str:
         lines.append("")
 
     lines += ["## Checklist", ""]
-    lines.append("| consideration | status | evidence | rationale |")
-    lines.append("|---|---|---|---|")
-    for item in doc["checklist"]:
-        evidence = "; ".join(item["evidence"]) if item["evidence"] else "-"
-        rationale = item["rationale"] or "-"
-        lines.append(f"| {item['consideration']} | {item['status']} | {evidence} | {rationale} |")
+    lines += markdown_table(
+        ("consideration", "status", "evidence", "rationale"),
+        (
+            (
+                item["consideration"],
+                item["status"],
+                "; ".join(item["evidence"]) if item["evidence"] else "-",
+                item["rationale"] or "-",
+            )
+            for item in doc["checklist"]
+        ),
+    )
     lines.append("")
     return "\n".join(lines)

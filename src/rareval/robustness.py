@@ -13,16 +13,17 @@ model-fitting variability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2_contingency
 
-from .datamodel import Dataset, ReferenceLabel
+from .datamodel import Dataset, ReferenceLabel, confusion_cell
 from .errors import InfeasibleError, InputError
 from .metrics import PROPORTION_METRICS, confusion, estimate_metric, metric_from_counts
-from .provenance import derive_seed, replicate_rng
+from .provenance import derive_seed, replicate_rng, slot_fields
+from .report import markdown_table
 
 UNKNOWN_CATEGORY = "unknown"
 
@@ -77,15 +78,15 @@ class SubsetReport:
         )
         lines.append("")
         metric_names = sorted({m for e in self.categories.values() for m in e["metrics"]})
-        lines.append("| category | n | " + " | ".join(metric_names) + " |")
-        lines.append("|---" * (2 + len(metric_names)) + "|")
+        rows = []
         for category in sorted(self.categories):
             entry = self.categories[category]
             cells = []
             for name in metric_names:
                 est = entry["metrics"].get(name)
                 cells.append("-" if est is None or est.value is None else repr(est.value))
-            lines.append(f"| {category} | {entry['n']} | " + " | ".join(cells) + " |")
+            rows.append((category, entry["n"], *cells))
+        lines += markdown_table(("category", "n", *metric_names), rows)
         return "\n".join(lines) + "\n"
 
 
@@ -112,6 +113,8 @@ def _heterogeneity_screen(
     table = table[:, table.sum(axis=0) > 0]
     if table.shape[1] < 2 or table.sum(axis=1).min() == 0:
         return HeterogeneityResult(False, 1.0, "degenerate (single category or no variation)", alpha)
+
+    from scipy.stats import chi2_contingency  # here, so importing rareval does not load scipy
 
     chi2, p_value, _, expected = chi2_contingency(table, correction=False)
     test_name = "chi-squared"
@@ -177,11 +180,7 @@ def subset_metrics(
             for m in metrics
         }
         categories[category] = {"n": len(cases), "counts": counts, "metrics": ests}
-        errors = sum(
-            1
-            for c in cases
-            if c.predicted != (c.reference is ReferenceLabel.POSITIVE)
-        )
+        errors = sum(1 for c in cases if confusion_cell(c) in ("fp", "fn"))
         table[1, j] = errors
         table[0, j] = len(cases) - errors
 
@@ -204,14 +203,7 @@ class StabilityReport:
     pairwise_agreement: float
     flip_counts: Mapping[str, int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "n_cases": self.n_cases,
-            "unanimity_rate": self.unanimity_rate,
-            "pairwise_agreement": self.pairwise_agreement,
-            "flip_counts": dict(self.flip_counts),
-        }
+    to_json_dict = slot_fields
 
 
 def stability(dataset: Dataset) -> StabilityReport:
@@ -275,19 +267,8 @@ class ResamplingSummary:
     n_undefined: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "scheme": self.scheme,
-            "n": self.n,
-            "seed": self.seed,
-            "mean": self.mean,
-            "std": self.std,
-            "percentile_low": self.percentile_low,
-            "percentile_high": self.percentile_high,
-            "ci_level": self.ci_level,
-            "n_undefined": self.n_undefined,
-            "values": list(self.values),
-        }
+        # a resample with an undefined metric is NaN here and null in JSON
+        return {**slot_fields(self), "values": [v if math.isfinite(v) else None for v in self.values]}
 
 
 def resampling_variability(

@@ -24,10 +24,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, EvaluationCase, ReferenceLabel
+from .datamodel import Dataset, EvaluationCase, ReferenceLabel, confusion_cell
 from .errors import InputError
 from .metrics import wilson_interval
-from .provenance import config_hash, derive_seed, replicate_rng
+from .provenance import config_hash, derive_seed, replicate_rng, slot_fields
+from .report import markdown_table
 
 CELLS = ("FP", "FN", "TP", "TN")
 BENCHMARK_CELLS = (
@@ -92,18 +93,7 @@ class ScleConfig:
     def total_requested(self) -> int:
         return self.n_fp + self.n_fn + self.n_tp + self.n_tn
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_fp": self.n_fp,
-            "n_fn": self.n_fn,
-            "n_tp": self.n_tp,
-            "n_tn": self.n_tn,
-            "substratify_by": list(self.substratify_by),
-            "boundary_bins": self.boundary_bins,
-            "benchmark_mode": self.benchmark_mode,
-            "disagreement_oversample_factor": self.disagreement_oversample_factor,
-            "seed": self.seed,
-        }
+    to_json_dict = slot_fields
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScleConfig":
@@ -128,14 +118,7 @@ class ScleRow:
     strata: Mapping[str, str]
     sampling_weight: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "cell": self.cell,
-            "benchmark_cell": self.benchmark_cell,
-            "strata": dict(self.strata),
-            "sampling_weight": self.sampling_weight,
-        }
+    to_json_dict = slot_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,37 +190,27 @@ class ScleAnnotation:
     verdict: ReferenceLabel | None = None
 
 
-def _cell_of(case: EvaluationCase) -> str:
-    positive = case.reference is ReferenceLabel.POSITIVE
-    if case.predicted:
-        return "TP" if positive else "FP"
-    return "FN" if positive else "TN"
-
-
 def _benchmark_cell_of(case: EvaluationCase) -> str:
     m = "+" if case.predicted else "-"
     b = "+" if case.benchmark_predicted else "-"
     return f"model{m}/benchmark{b}"
 
 
-def _largest_remainder(total: int, sizes: Sequence[int], keys: Sequence) -> list[int]:
-    """Proportional integer allocation over strata; sums exactly to total."""
+def _largest_remainder(total: int, sizes: Sequence[float], keys: Sequence) -> list[int]:
+    """Integer allocation of ``total`` proportional to ``sizes``; sums exactly to total.
+
+    Leftover units go to the largest fractional parts, ties broken by key.
+    No share exceeds its size when total < sum(sizes): each quota
+    total * s / sum(sizes) is then below s, so its floor plus one is at most s.
+    """
     n = sum(sizes)
     if n == 0 or total == 0:
         return [0] * len(sizes)
     quotas = [total * s / n for s in sizes]
     base = [math.floor(q) for q in quotas]
-    leftover = total - sum(base)
-    order = sorted(
-        range(len(sizes)),
-        key=lambda i: (-(quotas[i] - base[i]), keys[i]),
-    )
-    for i in order:
-        if leftover == 0:
-            break
-        if base[i] < sizes[i]:
-            base[i] += 1
-            leftover -= 1
+    order = sorted(range(len(sizes)), key=lambda i: (-(quotas[i] - base[i]), keys[i]))
+    for i in order[: total - sum(base)]:
+        base[i] += 1
     return base
 
 
@@ -254,21 +227,8 @@ def _boundary_bin(rank: int, n: int, bins: int) -> int:
 def _benchmark_targets(config: ScleConfig) -> dict[str, int]:
     """Oversampled disagreement-cell targets, normalized to the requested total."""
     factor = config.disagreement_oversample_factor
-    raw = {
-        cell: (factor if cell in DISAGREEMENT_CELLS else 1.0) for cell in BENCHMARK_CELLS
-    }
-    total = config.total_requested
-    weights = [raw[c] for c in BENCHMARK_CELLS]
-    quotas = [total * w / sum(weights) for w in weights]
-    base = [math.floor(q) for q in quotas]
-    leftover = total - sum(base)
-    order = sorted(range(4), key=lambda i: (-(quotas[i] - base[i]), BENCHMARK_CELLS[i]))
-    for i in order:
-        if leftover == 0:
-            break
-        base[i] += 1
-        leftover -= 1
-    return dict(zip(BENCHMARK_CELLS, base))
+    weights = [factor if cell in DISAGREEMENT_CELLS else 1.0 for cell in BENCHMARK_CELLS]
+    return dict(zip(BENCHMARK_CELLS, _largest_remainder(config.total_requested, weights, BENCHMARK_CELLS)))
 
 
 def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
@@ -297,15 +257,14 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
     if config.benchmark_mode:
         cell_names: tuple[str, ...] = BENCHMARK_CELLS
         targets = _benchmark_targets(config)
-        cell_key = _benchmark_cell_of
     else:
         cell_names = CELLS
         targets = {"FP": config.n_fp, "FN": config.n_fn, "TP": config.n_tp, "TN": config.n_tn}
-        cell_key = _cell_of
 
     populations: dict[str, list[EvaluationCase]] = {name: [] for name in cell_names}
     for case in evaluable:
-        populations[cell_key(case)].append(case)
+        key = _benchmark_cell_of(case) if config.benchmark_mode else confusion_cell(case).upper()
+        populations[key].append(case)
 
     threshold = _effective_threshold(dataset) if config.boundary_bins is not None else None
 
@@ -346,7 +305,7 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
             rows.append(
                 ScleRow(
                     case_id=case.case_id,
-                    cell=cell if not config.benchmark_mode else _cell_of(case),
+                    cell=confusion_cell(case).upper() if config.benchmark_mode else cell,
                     benchmark_cell=_benchmark_cell_of(case) if config.benchmark_mode else None,
                     strata=strata,
                     sampling_weight=weight,
@@ -481,32 +440,36 @@ def ingest_annotations(sheet: str | Path, sample: ScleSample) -> list[ScleAnnota
     a true-positive row that was annotated without a triviality judgment is
     flagged with a warning.
     """
-    sheet = Path(sheet)
-    lines = sheet.read_text(encoding="utf-8").splitlines()
-    header_meta: dict[str, str] = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("#"):
+    # utf-8-sig and newline="" accept sheets re-saved by spreadsheets (BOM,
+    # CRLF); csv reads the file itself so quoted notes keep their newlines
+    with open(sheet, newline="", encoding="utf-8-sig") as fh:
+        header_meta: dict[str, str] = {}
+        comment_lines = 0
+        while True:
+            start = fh.tell()
+            line = fh.readline()
+            if not line.startswith("#"):
+                fh.seek(start)
+                break
+            comment_lines += 1
             if ":" in line:
                 key, _, value = line[1:].partition(":")
                 header_meta[key.strip()] = value.strip()
-            body_start = i + 1
-        else:
-            break
-    sheet_hash = header_meta.get("config_hash", "")
-    if sheet_hash != sample.config_hash:
-        raise InputError(
-            f"sheet config_hash {sheet_hash!r} does not match sample config_hash "
-            f"{sample.config_hash!r}"
-        )
+        sheet_hash = header_meta.get("config_hash", "")
+        if sheet_hash != sample.config_hash:
+            raise InputError(
+                f"sheet config_hash {sheet_hash!r} does not match sample config_hash "
+                f"{sample.config_hash!r}"
+            )
+        reader = csv.DictReader(fh)
+        # file line on which each row ends
+        numbered_rows = [(comment_lines + reader.line_num, raw) for raw in reader]
 
     cells_by_id = {r.case_id: r.cell for r in sample.rows}
-    reader = csv.DictReader(lines[body_start:])
     annotations: list[ScleAnnotation] = []
     seen: set[str] = set()
     problems: list[str] = []
-    for offset, raw in enumerate(reader):
-        row_number = body_start + 2 + offset  # header line + 1-based
+    for row_number, raw in numbered_rows:
         case_id = (raw.get("case_id") or "").strip()
         if case_id not in cells_by_id:
             problems.append(f"row {row_number}: case_id {case_id!r} is not part of the sample")
@@ -588,13 +551,7 @@ class TagProjection:
     ci_low: float
     ci_high: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "raw_count": self.raw_count,
-            "projected": self.projected,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
+    to_json_dict = slot_fields
 
 
 @dataclass(slots=True)
@@ -653,14 +610,14 @@ class ScleSummary:
         if self.per_cell_tags:
             lines.append("")
             lines.append("### Tag frequencies by cell")
-            lines.append("| cell | tag | raw | projected | ci_low | ci_high |")
-            lines.append("|---|---|---|---|---|---|")
-            for cell in sorted(self.per_cell_tags):
-                for tag, proj in sorted(self.per_cell_tags[cell].items()):
-                    lines.append(
-                        f"| {cell} | {tag} | {proj.raw_count} | {proj.projected!r} "
-                        f"| {proj.ci_low!r} | {proj.ci_high!r} |"
-                    )
+            lines += markdown_table(
+                ("cell", "tag", "raw", "projected", "ci_low", "ci_high"),
+                (
+                    (cell, tag, proj.raw_count, repr(proj.projected), repr(proj.ci_low), repr(proj.ci_high))
+                    for cell in sorted(self.per_cell_tags)
+                    for tag, proj in sorted(self.per_cell_tags[cell].items())
+                ),
+            )
         if self.remedial_actions:
             lines.append("")
             lines.append("### Suggested remedial actions (advisory)")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .datamodel import Dataset, EvaluationCase, ReferenceLabel, StratumSpec
 from .errors import InfeasibleError, InputError
+from .provenance import canonical_json
 
 REST_STRATUM_ID = "rest"
 
@@ -150,7 +151,8 @@ class TruthSidecar:
             "scores": self.scores.tolist(),
             "truth": [bool(t) for t in self.truth.tolist()],
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        # sorted keys put "kind" first, inside the window ingest's leakage guard reads
+        path.write_text(canonical_json(payload), encoding="utf-8")
         return path
 
     @classmethod

@@ -326,3 +326,77 @@ def test_main_returns_zero_in_process(capsys):
     assert main(["adjust-precision", "--sensitivity", "0.9", "--specificity", "0.99", "--prevalence", "0.01"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert 0 < payload["adjusted_precision"] < 1
+
+
+def _strict_json(text):
+    """Parse JSON the way strict parsers do: NaN and +-Infinity are errors."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.fixture
+    def sited_csv(self, tmp_path):
+        """200 scored cases over two sites; the single highest score is a negative."""
+        rows = ["case_id,reference,score,sg_site"]
+        for i in range(200):
+            reference = "positive" if i % 10 == 0 else "negative"
+            score = (0.5 if reference == "positive" else 0.0) + (i * 37 % 199) / 500
+            rows.append(f"c{i:03d},{reference},{score!r},{'north' if i % 3 else 'south'}")
+        rows.append("top,negative,0.999,north")
+        path = tmp_path / "sited.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    def test_every_emitted_json_file_is_strict(self, sited_csv, tmp_path):
+        out = tmp_path / "out"
+        stdouts = [
+            run_cli("evaluate", "--input", sited_csv, "--threshold", 0.5, "--seed", 1,
+                    "--out-dir", out / "threshold", "--reproducible")[1],
+            # a false positive costs so much that predicting nothing is cheapest
+            run_cli("evaluate", "--input", sited_csv, "--cost-fp", 1000, "--cost-fn", 1,
+                    "--assumed-prevalence", 0.001, "--out-dir", out / "inf", "--reproducible")[1],
+            run_cli("scle", "sample", "--input", sited_csv, "--threshold", 0.5, "--n-fp", 3,
+                    "--n-fn", 3, "--n-tp", 3, "--out-dir", out / "scle", "--reproducible")[1],
+            run_cli("subsets", "--input", sited_csv, "--threshold", 0.5, "--attribute", "site",
+                    "--out-dir", out / "subsets")[1],
+            # only the top case is predicted positive: precision is undefined in 4 of 5 folds
+            run_cli("resample", "--input", sited_csv, "--threshold", 0.99, "--metric", "precision",
+                    "--scheme", "k_fold", "--n", 5, "--out", out / "resample.json")[1],
+        ]
+        files = sorted(out.rglob("*.json"))
+        assert len(files) == 4 + 4 + 1 + 1 + 1
+        docs = {p.relative_to(out).as_posix(): _strict_json(p.read_text(encoding="utf-8")) for p in files}
+        for stdout in stdouts[2:]:
+            _strict_json(stdout.strip().splitlines()[-1])
+
+        assert docs["inf/report.json"]["curves"]["threshold"] is None
+        assert docs["inf/report.json"]["curves"]["operating_point"]["threshold"] is None
+        assert docs["inf/outputs.json"]["threshold"] is None
+        assert "Threshold:" not in (out / "inf" / "report.md").read_text()
+        assert docs["threshold/report.json"]["curves"]["threshold"] == 0.5
+        resample = docs["resample.json"]
+        assert resample["n_undefined"] == 4
+        assert resample["values"].count(None) == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_float_flags_are_usage_errors(self, value, capsys):
+        for argv in (
+            ["evaluate", "--input", "missing.csv", f"--threshold={value}"],
+            ["adjust-precision", "--sensitivity", "0.9", "--specificity", "0.9", f"--prevalence={value}"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["type"] == "usage"
+            assert "not a finite number" in error["message"]
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, rareval.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,25 @@ class TestSolveSampleSize:
     def test_target_power_validation(self):
         with pytest.raises(InputError):
             solve_sample_size(base_assumptions(), 0.01)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_printed_power_is_the_accepted_power(self, seed, capsys):
+        # every probe shares the replicate streams of the final simulation,
+        # so the power printed for the answer is the one the search accepted
+        from rareval.cli import main
+
+        argv = [
+            "size-study", "--flag-rate-a", "0.05", "--flag-rate-b", "0.06", "--overlap-rate", "0.5",
+            "--precision-a", "0.7", "--precision-b", "0.85", "--replicates", "200",
+            "--target-power", "0.8", "--seed", str(seed),
+        ]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        first, rerun = outputs
+        assert first["power"] >= 0.8
+        assert rerun == first
 
 
 class UniverseCase:

@@ -119,6 +119,20 @@ class TestWilson:
     def test_degenerate_total(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
+    def test_matches_scipy_normal_quantile_reference(self):
+        from scipy.stats import norm
+
+        for ci_level in np.linspace(0.01, 0.999, 60):
+            z = norm.ppf(0.5 + ci_level / 2.0)
+            for successes, total in ((0, 5), (3, 10), (130, 200), (9_999, 10_000)):
+                phat = successes / total
+                denom = 1.0 + z * z / total
+                center = (phat + z * z / (2.0 * total)) / denom
+                half = z * math.sqrt((phat * (1.0 - phat) + z * z / (4.0 * total)) / total) / denom
+                lo, hi = wilson_interval(successes, total, ci_level)
+                assert lo == pytest.approx(max(0.0, center - half), abs=1e-12)
+                assert hi == pytest.approx(min(1.0, center + half), abs=1e-12)
+
 
 class TestFBeta:
     def test_equal_inputs(self):
@@ -335,6 +349,23 @@ class TestWeightedEstimation:
         truth = result.truth.precision_at(0.5)
         est = bootstrap_metric(ds, "precision", seed=seed)
         assert est.ci_low <= truth <= est.ci_high
+
+    @pytest.mark.parametrize("metric", ["recall", "precision", "specificity", "npv"])
+    def test_bootstrap_point_and_n_effective_match_confusion(self, metric):
+        # inclusion probability 0.3: 1/p is not exactly representable, so the
+        # class-table sums may differ from the per-case sums in the last ulp
+        cases = [
+            make_case(f"c{i}", "positive" if i % 7 == 0 else "negative", predicted=i % 3 == 0,
+                      stratum_id="neg" if i % 2 else "all")
+            for i in range(300)
+        ]
+        ds = Dataset(cases, (StratumSpec("neg", 0.3), StratumSpec("all", 1.0)))
+        reference = {"recall": recall, "precision": precision, "specificity": specificity, "npv": npv}
+        expected = reference[metric](confusion(ds))
+        est = bootstrap_metric(ds, metric, n_resamples=50, seed=3)
+        assert est.weighted is True
+        assert est.value == pytest.approx(expected.value, rel=1e-12)
+        assert est.n_effective == pytest.approx(expected.n_effective, rel=1e-12)
 
     def test_bootstrap_deterministic_per_seed(self):
         ds = dataset_from_counts(tp=130, fp=70, fn=40, tn=760)

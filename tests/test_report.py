@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from rareval.report import (
     EvaluationOutputs,
     KEY_QUESTIONS,
     load_report_schema,
+    markdown_table,
     prefill_checklist,
     render_report,
     summarize_dataset,
@@ -172,7 +174,13 @@ class TestRender:
         assert canonical_json(json.loads(json_text)) == json_text
 
     def test_markdown_metric_values_verbatim_in_json(self):
-        outputs = full_run_outputs()
+        self._assert_metric_cells_in_json(full_run_outputs())
+
+    def test_computed_wilson_bounds_verbatim_in_json(self):
+        self._assert_metric_cells_in_json(build_outputs_from_dataset(1, True, True))
+
+    @staticmethod
+    def _assert_metric_cells_in_json(outputs):
         json_text, md_text = render_report(outputs, prefill_checklist(outputs), reproducible=True)
         section = md_text.split("## Metrics", 1)[1].split("##", 1)[0]
         metric_rows = [
@@ -185,6 +193,21 @@ class TestRender:
                 if cell in ("undefined", ""):
                     continue
                 assert cell in json_text, cell
+
+    def test_markdown_table(self):
+        assert markdown_table(("a", "b"), [(1, "x"), (0.5, None)]) == [
+            "| a | b |",
+            "|---|---|",
+            "| 1 | x |",
+            "| 0.5 | None |",
+        ]
+
+    def test_outputs_json_dict_is_a_shallow_field_dump(self):
+        outputs = build_outputs_from_dataset(2, True, True)
+        doc = outputs.to_json_dict()
+        assert list(doc) == ["kind", *(f.name for f in dataclasses.fields(EvaluationOutputs))]
+        assert doc["curve_points"] is outputs.curve_points  # no deep copy of the sweep
+        assert EvaluationOutputs.from_json_dict(doc) == outputs
 
     def test_checklist_length_enforced(self):
         outputs = EvaluationOutputs()

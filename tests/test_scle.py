@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rareval.datamodel import Dataset, ReferenceLabel
 from rareval.errors import InputError
@@ -22,6 +25,7 @@ from rareval.scle import (
     emit_review_sheet,
     ingest_annotations,
 )
+from rareval.scle import _largest_remainder
 
 from conftest import make_case
 
@@ -141,6 +145,20 @@ def benchmark_dataset(per_cell=60, seed=0):
     return Dataset(cases)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=12),
+    fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_largest_remainder_stays_within_strata_below_population(sizes, fraction):
+    # draw_sample allocates over strata only when the cell's population exceeds
+    # the request, so no stratum can be asked for more cases than it holds
+    total = int(fraction * sum(sizes))
+    alloc = _largest_remainder(total, sizes, list(range(len(sizes))))
+    assert sum(alloc) == total
+    assert all(0 <= a <= s for a, s in zip(alloc, sizes))
+
+
 class TestBenchmarkMode:
     def test_requires_benchmark_labels(self):
         ds = labeled_dataset()
@@ -246,6 +264,45 @@ class TestSheetRoundTrip:
         with pytest.warns(UserWarning, match="triviality"):
             annotations = ingest_annotations(sheet, sample)
         assert len(annotations) == 1
+
+    @staticmethod
+    def _edit_rows(sheet, edit, encoding="utf-8", newline="\n"):
+        """Rewrite the sheet's CSV rows through ``edit(rows)``, keeping the comment block."""
+        *comments, body = sheet.read_text(encoding="utf-8").split("\n", 3)
+        rows = list(csv.reader(io.StringIO(body, newline="")))
+        edit(rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=newline).writerows(rows)
+        sheet.write_text(newline.join(comments) + newline + buf.getvalue(), encoding=encoding, newline="")
+
+    def test_spreadsheet_saved_sheet_with_bom_and_crlf(self, tmp_path):
+        _, sample, sheet = self._sample_and_sheet(tmp_path)
+
+        def annotate(rows):
+            tp = next(r for r in rows if r[1] == "TP")
+            tp[-3] = "trivial"
+
+        self._edit_rows(sheet, annotate, encoding="utf-8-sig", newline="\r\n")
+        assert sheet.read_bytes().startswith(b"\xef\xbb\xbf# seed")
+        annotations = ingest_annotations(sheet, sample)
+        assert [a.triviality for a in annotations] == [Triviality.TRIVIAL]
+
+    def test_multiline_note_keeps_newline_and_later_row_numbers(self, tmp_path):
+        _, sample, sheet = self._sample_and_sheet(tmp_path)
+
+        def note(rows):
+            rows[1][-2] = "line one\nline two"  # file lines 5-6
+
+        self._edit_rows(sheet, note)
+        (annotation,) = ingest_annotations(sheet, sample)
+        assert annotation.note == "line one\nline two"
+
+        def bad_tag(rows):
+            rows[2][-6] = "sometimes"  # file line 7, after the two-line note
+
+        self._edit_rows(sheet, bad_tag)
+        with pytest.raises(InputError, match="row 7: .*sometimes"):
+            ingest_annotations(sheet, sample)
 
     def test_unknown_context_field_rejected(self, tmp_path):
         ds = labeled_dataset()

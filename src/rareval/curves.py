@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, ReferenceLabel
+from .datamodel import POSITIVE, Dataset
 from .errors import InputError
 from .provenance import slot_fields
 
@@ -82,23 +82,16 @@ def pr_curve(dataset: Dataset) -> list[CurvePoint]:
     One sweep serves both curves: precision against recall, and (as
     ``roc_curve``) recall against fpr = 1 - specificity.
     """
-    labeled = [c for c in dataset.cases if c.evaluable]
-    if any(c.score is None for c in labeled):
-        missing = next(c.case_id for c in labeled if c.score is None)
+    cols = dataset.columns
+    labeled = np.flatnonzero(cols.evaluable)
+    unscored = np.flatnonzero(np.isnan(cols.score[labeled]))
+    if unscored.size:
+        missing = dataset.cases[labeled[unscored[0]]].case_id
         raise InputError(f"case {missing!r} has no score; curves need a fully scored dataset")
-    has_pos = any(c.reference is ReferenceLabel.POSITIVE for c in labeled)
-    has_neg = any(c.reference is ReferenceLabel.NEGATIVE for c in labeled)
-    if not has_pos or not has_neg:
+    labeled = labeled[np.argsort(-cols.score[labeled], kind="stable")]  # descending score
+    scores, positive, weights = cols.score[labeled], cols.reference[labeled] == POSITIVE, cols.weight[labeled]
+    if positive.all() or not positive.any():
         raise InputError("curves need at least one positive and one negative control")
-
-    scores = np.array([c.score for c in labeled], dtype=float)
-    positive = np.array([c.reference is ReferenceLabel.POSITIVE for c in labeled], dtype=bool)
-    weights = np.array([dataset.case_weight(c) for c in labeled], dtype=float)
-
-    order = np.argsort(-scores, kind="stable")
-    scores = scores[order]
-    positive = positive[order]
-    weights = weights[order]
 
     total_pos = float(weights[positive].sum())
     total_neg = float(weights[~positive].sum())

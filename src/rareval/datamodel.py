@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import IngestError, InputError
-from .provenance import canonical_json
+from .provenance import canonical_json, slot_fields
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
 
@@ -87,19 +89,49 @@ class EvaluationCase:
         return self.reference in (ReferenceLabel.POSITIVE, ReferenceLabel.NEGATIVE)
 
 
-def confusion_cell(case: EvaluationCase) -> str:
-    """Confusion cell of an evaluable case: "tp", "fp", "fn" or "tn".
+# Column codes. A reference code indexes ``tuple(ReferenceLabel)``; codes up
+# to NEGATIVE are evaluable. A confusion-cell code indexes CELLS.
+POSITIVE, NEGATIVE, AMBIGUOUS, EXCLUDED = range(4)
+CELLS = ("tp", "fp", "fn", "tn")
+TP, FP, FN, TN = range(4)
+_REFERENCE_CODE = {label: code for code, label in enumerate(ReferenceLabel)}
 
-    The one place that cross-classifies a prediction against the reference;
-    counts, bootstrap classes, subset error screens and review samples all
-    call it.
+
+@dataclass(frozen=True, slots=True)
+class CaseColumns:
+    """Read-only per-case arrays of a :class:`Dataset`, in case order.
+
+    ``score`` is NaN and ``predicted`` -1 where missing; ``weight`` is the
+    inverse inclusion probability (1.0 without a design); ``stratum`` indexes
+    the design (-1 without one).
     """
-    if case.predicted is None:
-        raise InputError(f"case {case.case_id!r} has no predicted label")
-    positive = case.reference is ReferenceLabel.POSITIVE
-    if case.predicted:
-        return "tp" if positive else "fp"
-    return "fn" if positive else "tn"
+
+    score: np.ndarray
+    reference: np.ndarray
+    predicted: np.ndarray
+    weight: np.ndarray
+    stratum: np.ndarray
+
+    def __post_init__(self):
+        for array in slot_fields(self).values():
+            array.flags.writeable = False
+
+    @property
+    def evaluable(self) -> np.ndarray:
+        return self.reference <= NEGATIVE
+
+
+def confusion_cells(dataset: "Dataset") -> np.ndarray:
+    """Confusion-cell code (TP, FP, FN, TN) of every case; -1 when not evaluable.
+
+    The one place that cross-classifies predictions against the reference.
+    """
+    cols = dataset.columns
+    unpredicted = np.flatnonzero(cols.evaluable & (cols.predicted < 0))
+    if unpredicted.size:
+        raise InputError(f"case {dataset.cases[unpredicted[0]].case_id!r} has no predicted label")
+    # 2 * (not predicted) + (reference is negative) orders the codes TP, FP, FN, TN
+    return np.where(cols.evaluable, 2 * (1 - cols.predicted) + cols.reference, -1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +153,7 @@ class StratumSpec:
 class Dataset:
     """Immutable evaluation dataset: cases, optional design, metadata."""
 
-    __slots__ = ("_cases", "_design", "_metadata")
+    __slots__ = ("_cases", "_design", "_metadata", "_columns")
 
     def __init__(
         self,
@@ -158,6 +190,7 @@ class Dataset:
         self._cases = cases
         self._design = design
         self._metadata = dict(metadata or {})
+        self._columns: CaseColumns | None = None
 
     @property
     def cases(self) -> tuple[EvaluationCase, ...]:
@@ -191,25 +224,27 @@ class Dataset:
     def __repr__(self) -> str:
         return f"Dataset(n={len(self._cases)}, strata={len(self._design)})"
 
-    def inclusion_probability(self, stratum_id: str | None) -> float:
-        if stratum_id is None:
-            return 1.0
-        for spec in self._design:
-            if spec.stratum_id == stratum_id:
-                return spec.inclusion_probability
-        raise InputError(f"unknown stratum_id {stratum_id!r}")
-
-    def case_weight(self, case: EvaluationCase) -> float:
-        """Inverse-probability weight of one case (1.0 without a design)."""
-        if not self._design:
-            return 1.0
-        return 1.0 / self.inclusion_probability(case.stratum_id)
+    @property
+    def columns(self) -> CaseColumns:
+        """The cases as read-only arrays, built on first use and cached."""
+        if self._columns is None:
+            cases = self._cases
+            stratum_of = {s.stratum_id: i for i, s in enumerate(self._design)}
+            stratum = np.array([stratum_of.get(c.stratum_id, -1) for c in cases], dtype=np.intp)
+            # 1/p by stratum; stratum -1 (no design) picks the trailing 1.0
+            inverse_p = np.array([1.0 / s.inclusion_probability for s in self._design] + [1.0])
+            self._columns = CaseColumns(
+                score=np.array([math.nan if c.score is None else c.score for c in cases], dtype=float),
+                reference=np.array([_REFERENCE_CODE[c.reference] for c in cases], dtype=np.int8),
+                predicted=np.array([-1 if c.predicted is None else c.predicted for c in cases], dtype=np.int8),
+                weight=inverse_p[stratum],
+                stratum=stratum,
+            )
+        return self._columns
 
     def label_counts(self) -> dict[str, int]:
-        counts = {label.value: 0 for label in ReferenceLabel}
-        for case in self._cases:
-            counts[case.reference.value] += 1
-        return counts
+        counts = np.bincount(self.columns.reference, minlength=len(_REFERENCE_CODE))
+        return {label.value: int(k) for label, k in zip(ReferenceLabel, counts)}
 
     def replace_cases(self, cases: Iterable[EvaluationCase]) -> "Dataset":
         return Dataset(cases, self._design, self._metadata)

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .datamodel import Dataset, EvaluationCase, ReferenceLabel, confusion_cell
+from .datamodel import AMBIGUOUS, CELLS, EXCLUDED, NEGATIVE, POSITIVE, Dataset, EvaluationCase, confusion_cells
 from .errors import InputError
 from .provenance import derive_seed, slot_fields
 
@@ -121,11 +121,11 @@ def confusion(dataset: Dataset) -> ConfusionCounts:
     adds its inverse-probability weight to its cell and the result is flagged
     weighted.
     """
-    cells = {"tp": 0.0, "fp": 0.0, "fn": 0.0, "tn": 0.0}
-    for case in dataset.cases:
-        if case.evaluable:
-            cells[confusion_cell(case)] += dataset.case_weight(case)
-    return ConfusionCounts(**cells, weighted=dataset.weighted)
+    cells = confusion_cells(dataset)
+    evaluable = cells >= 0
+    # bincount adds the weights in case order, like a running sum
+    sums = np.bincount(cells[evaluable], weights=dataset.columns.weight[evaluable], minlength=len(CELLS))
+    return ConfusionCounts(*(float(x) for x in sums), weighted=dataset.weighted)
 
 
 def _metric_cells(metric: str) -> tuple[str, str]:
@@ -227,29 +227,26 @@ def precision_at_k(dataset: Dataset, k: int, ci_level: float = 0.95) -> Precisio
     """
     if k <= 0:
         raise InputError("k must be a positive integer")
-    scored = [c for c in dataset.cases if c.reference is not ReferenceLabel.EXCLUDED]
-    if any(c.score is None for c in scored):
-        missing = next(c.case_id for c in scored if c.score is None)
+    cols = dataset.columns
+    scored = np.flatnonzero(cols.reference != EXCLUDED)
+    scores = cols.score[scored]
+    unscored = np.flatnonzero(np.isnan(scores))
+    if unscored.size:
+        missing = dataset.cases[scored[unscored[0]]].case_id
         raise InputError(f"case {missing!r} has no score; precision@k needs a fully scored dataset")
     if k > len(scored):
         raise InputError(f"k={k} exceeds the {len(scored)} scorable cases")
 
-    ranked = sorted(scored, key=lambda c: (-c.score, c.case_id))
+    case_ids = np.array([dataset.cases[i].case_id for i in scored], dtype=object)
+    ranked = scored[np.lexsort((case_ids, -scores))]
     top = ranked[:k]
-    cut_score = top[-1].score
-    ties_straddle = k < len(ranked) and ranked[k].score == cut_score
+    cut_score = float(cols.score[top[-1]])
+    ties_straddle = k < len(ranked) and bool(cols.score[ranked[k]] == cut_score)
 
-    tp = fp = 0.0
-    unlabeled = 0
-    for case in top:
-        if not case.evaluable:
-            unlabeled += 1
-            continue
-        w = dataset.case_weight(case)
-        if case.reference is ReferenceLabel.POSITIVE:
-            tp += w
-        else:
-            fp += w
+    reference = cols.reference[top]
+    sums = np.bincount(reference, weights=cols.weight[top], minlength=NEGATIVE + 1)
+    tp, fp = float(sums[POSITIVE]), float(sums[NEGATIVE])
+    unlabeled = int(np.count_nonzero(reference == AMBIGUOUS))
     estimate = _proportion(tp, tp + fp, ci_level, dataset.weighted)
     return PrecisionAtK(
         estimate=estimate,
@@ -293,25 +290,24 @@ def _class_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     class counts, so a multinomial draw over classes is exactly the
     nonparametric case bootstrap, at a fraction of the cost.
     """
-    classes: dict[tuple[str, float], int] = {}
-    for case in dataset.cases:
-        if not case.evaluable:
-            continue
-        key = (confusion_cell(case), dataset.case_weight(case))
-        classes[key] = classes.get(key, 0) + 1
-    if not classes:
+    cells = confusion_cells(dataset)
+    evaluable = cells >= 0
+    if not evaluable.any():
         raise InputError("dataset has no evaluable cases")
-    cells = np.array([k[0] for k in classes])
-    weights = np.array([k[1] for k in classes], dtype=float)
-    counts = np.array(list(classes.values()), dtype=float)
-    return counts, weights, cells
+    cells = cells[evaluable]
+    weights = dataset.columns.weight[evaluable]
+    _, weight_code = np.unique(weights, return_inverse=True)
+    _, first, counts = np.unique(weight_code * len(CELLS) + cells, return_index=True, return_counts=True)
+    # classes in order of first appearance: the order fixes what each seeded multinomial draw means
+    order = np.argsort(first)
+    return counts[order].astype(float), weights[first[order]], cells[first[order]]
 
 
 def _metric_vector(
     metric: str, draws: np.ndarray, weights: np.ndarray, cells: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (metric value, denominator) of class-count rows ``draws``."""
-    num_cell, other_cell = _metric_cells(metric)
+    num_cell, other_cell = (CELLS.index(c) for c in _metric_cells(metric))
     weighted = draws * weights
     num = weighted[:, cells == num_cell].sum(axis=1)
     den = num + weighted[:, cells == other_cell].sum(axis=1)

@@ -17,9 +17,14 @@ _MASK63 = (1 << 63) - 1
 
 
 def derive_seed(seed: int, label: str) -> int:
-    """Derive a module-level substream seed from a run seed and a stable tag."""
+    """Derive a module-level substream seed from a run seed and a stable tag.
+
+    The tag is a ``SeedSequence`` spawn key, not XORed in: nested derivations
+    do not commute and distinct (seed, label) pairs do not collide.
+    """
     tag = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
-    return (int(seed) ^ tag) & _MASK63
+    ss = np.random.SeedSequence(entropy=int(seed) & _MASK63, spawn_key=(tag,))
+    return int(ss.generate_state(1, np.uint64)[0]) & _MASK63
 
 
 def replicate_rng(seed: int, *path: int) -> np.random.Generator:

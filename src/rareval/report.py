@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .datamodel import Dataset
 from .errors import InputError
 from .provenance import canonical_json, slot_fields
@@ -172,6 +174,7 @@ class EvaluationOutputs:
 
 def summarize_dataset(dataset: Dataset) -> dict:
     counts = dataset.label_counts()
+    per_stratum = np.bincount(dataset.columns.stratum, minlength=len(dataset.design)) if dataset.weighted else ()
     labeled = counts["positive"] + counts["negative"]
     return {
         "n_cases": len(dataset),
@@ -182,12 +185,8 @@ def summarize_dataset(dataset: Dataset) -> dict:
         "prevalence": counts["positive"] / labeled if labeled else None,
         "weighted": dataset.weighted,
         "strata": [
-            {
-                "stratum_id": s.stratum_id,
-                "inclusion_probability": s.inclusion_probability,
-                "n_cases": sum(1 for c in dataset.cases if c.stratum_id == s.stratum_id),
-            }
-            for s in dataset.design
+            {"stratum_id": s.stratum_id, "inclusion_probability": s.inclusion_probability, "n_cases": int(k)}
+            for s, k in zip(dataset.design, per_stratum)
         ],
         "metadata": dataset.metadata,
     }

@@ -14,14 +14,14 @@ model-fitting variability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, ReferenceLabel, confusion_cell
+from .datamodel import CELLS, FN, FP, Dataset, ReferenceLabel, confusion_cells
 from .errors import InfeasibleError, InputError
-from .metrics import PROPORTION_METRICS, confusion, estimate_metric, metric_from_counts
+from .metrics import PROPORTION_METRICS, _class_table, _metric_vector, confusion, estimate_metric
 from .provenance import derive_seed, replicate_rng, slot_fields
 from .report import markdown_table
 
@@ -90,16 +90,14 @@ class SubsetReport:
         return "\n".join(lines) + "\n"
 
 
-def _chi2_from_error_counts(err_by_cat: np.ndarray, nj: np.ndarray, total_err: float, n: int) -> float:
-    stat = 0.0
-    ok_by_cat = nj - err_by_cat
-    total_ok = n - total_err
-    for total, observed in ((total_err, err_by_cat), (total_ok, ok_by_cat)):
-        if total == 0:
-            continue
-        expected = nj * total / n
-        stat += float(((observed - expected) ** 2 / expected).sum())
-    return stat
+def _chi2_from_error_counts(err_by_cat: np.ndarray, nj: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """Pearson statistic of each row of per-category error counts.
+
+    ``expected`` is the (not-error, error) x category table of expected
+    counts, the same for every row because the margins are fixed.
+    """
+    observed = np.stack([nj - err_by_cat, err_by_cat], axis=-2)
+    return ((observed - expected) ** 2 / expected).sum(axis=(-2, -1))
 
 
 def _heterogeneity_screen(
@@ -109,36 +107,30 @@ def _heterogeneity_screen(
 
     Falls back to a seeded Monte Carlo permutation p-value whenever any
     expected cell drops below 5, which is the norm for rare-event errors.
+    With the category sizes and the error total fixed, permuting the error
+    indicators over the cases gives multivariate hypergeometric error counts
+    per category, so those counts are drawn directly.
     """
     table = table[:, table.sum(axis=0) > 0]
     if table.shape[1] < 2 or table.sum(axis=1).min() == 0:
         return HeterogeneityResult(False, 1.0, "degenerate (single category or no variation)", alpha)
 
-    from scipy.stats import chi2_contingency  # here, so importing rareval does not load scipy
-
-    chi2, p_value, _, expected = chi2_contingency(table, correction=False)
-    test_name = "chi-squared"
+    nj = table.sum(axis=0)
+    expected = np.outer(table.sum(axis=1), nj) / nj.sum()
+    chi2 = _chi2_from_error_counts(table[1], nj, expected)
     if expected.min() < 5:
         test_name = "permutation (Monte Carlo)"
         rng = replicate_rng(derive_seed(seed, "heterogeneity"), 0)
-        nj = table.sum(axis=0)
-        n = int(nj.sum())
-        categories = np.repeat(np.arange(table.shape[1]), nj.astype(int))
-        errors = np.concatenate(
-            [
-                np.concatenate([np.ones(int(table[1, j])), np.zeros(int(table[0, j]))])
-                for j in range(table.shape[1])
-            ]
-        )
-        total_err = float(errors.sum())
-        count_ge = 0
-        for _ in range(n_permutations):
-            perm = rng.permutation(errors)
-            err_by_cat = np.bincount(categories, weights=perm, minlength=table.shape[1])
-            stat = _chi2_from_error_counts(err_by_cat, nj, total_err, n)
-            if stat >= chi2 - 1e-12:
-                count_ge += 1
+        draws = rng.multivariate_hypergeometric(nj.astype(np.int64), int(table[1].sum()), size=n_permutations)
+        stats = _chi2_from_error_counts(draws, nj, expected)
+        # permutations that tie the observed table up to summation order count as "at least as extreme"
+        count_ge = int(np.count_nonzero(stats >= chi2 * (1.0 - 1e-12)))
         p_value = (1 + count_ge) / (1 + n_permutations)
+    else:
+        from scipy.stats import chi2 as chi2_dist  # here, so importing rareval does not load scipy
+
+        test_name = "chi-squared"
+        p_value = chi2_dist.sf(chi2, table.shape[1] - 1)
     return HeterogeneityResult(bool(p_value < alpha), float(p_value), test_name, alpha)
 
 
@@ -180,9 +172,8 @@ def subset_metrics(
             for m in metrics
         }
         categories[category] = {"n": len(cases), "counts": counts, "metrics": ests}
-        errors = sum(1 for c in cases if confusion_cell(c) in ("fp", "fn"))
-        table[1, j] = errors
-        table[0, j] = len(cases) - errors
+        errors = np.count_nonzero(np.isin(confusion_cells(sub), (FP, FN)))
+        table[:, j] = len(cases) - errors, errors
 
     heterogeneity = _heterogeneity_screen(table, alpha, n_permutations, seed)
     return SubsetReport(
@@ -286,34 +277,29 @@ def resampling_variability(
     """
     if metric not in PROPORTION_METRICS:
         raise InputError(f"unknown metric {metric!r} (expected one of {PROPORTION_METRICS})")
-    evaluable = [c for c in dataset.cases if c.evaluable]
-    if not evaluable:
-        raise InputError("dataset has no evaluable cases")
-
-    values: list[float] = []
+    counts, weights, cells = _class_table(dataset)
     if scheme == "bootstrap":
+        if n < 1:
+            raise InputError("bootstrap needs n >= 1")
         rng = replicate_rng(derive_seed(seed, "resample-bootstrap"), 0)
-        for _ in range(n):
-            idx = rng.integers(0, len(evaluable), size=len(evaluable))
-            sub = dataset.replace_cases([_reid(evaluable[i], pos) for pos, i in enumerate(idx)])
-            est = metric_from_counts(confusion(sub), metric)
-            values.append(float("nan") if est.value is None else est.value)
+        draws = rng.multinomial(int(counts.sum()), counts / counts.sum(), size=n)
     elif scheme == "k_fold":
-        if n > len(evaluable):
-            raise InfeasibleError(f"k_fold with k={n} exceeds the {len(evaluable)} evaluable cases")
+        case_cells = confusion_cells(dataset)
+        evaluable = np.flatnonzero(case_cells >= 0)
+        if n > evaluable.size:
+            raise InfeasibleError(f"k_fold with k={n} exceeds the {evaluable.size} evaluable cases")
         if n < 2:
             raise InputError("k_fold needs k >= 2")
         rng = replicate_rng(derive_seed(seed, "resample-kfold"), 0)
-        order = rng.permutation(len(evaluable))
-        folds = np.array_split(order, n)
-        for fold in folds:
-            sub = dataset.replace_cases([evaluable[int(i)] for i in fold])
-            est = metric_from_counts(confusion(sub), metric)
-            values.append(float("nan") if est.value is None else est.value)
+        folds = np.array_split(evaluable[rng.permutation(evaluable.size)], n)
+        weight = dataset.columns.weight
+        # one row per fold; bincount adds the fold's weights in fold order
+        draws = np.array([np.bincount(case_cells[f], weights=weight[f], minlength=len(CELLS)) for f in folds])
+        weights, cells = np.ones(len(CELLS)), np.arange(len(CELLS))
     else:
         raise InputError(f"unknown scheme {scheme!r} (expected 'bootstrap' or 'k_fold')")
 
-    arr = np.array(values, dtype=float)
+    arr, _ = _metric_vector(metric, draws, weights, cells)
     defined = arr[np.isfinite(arr)]
     n_undefined = int(arr.size - defined.size)
     if defined.size == 0:
@@ -333,7 +319,3 @@ def resampling_variability(
         n_undefined=n_undefined,
     )
 
-
-def _reid(case, position: int):
-    """Bootstrap resamples repeat cases; give copies unique ids."""
-    return replace(case, case_id=f"{case.case_id}#{position}")

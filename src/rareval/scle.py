@@ -24,7 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, EvaluationCase, ReferenceLabel, confusion_cell
+from .datamodel import CELLS as CONFUSION_CELLS
+from .datamodel import Dataset, EvaluationCase, ReferenceLabel, confusion_cells
 from .errors import InputError
 from .metrics import wilson_interval
 from .provenance import config_hash, derive_seed, replicate_rng, slot_fields
@@ -38,6 +39,7 @@ BENCHMARK_CELLS = (
     "model-/benchmark-",
 )
 DISAGREEMENT_CELLS = ("model+/benchmark-", "model-/benchmark+")
+_CELL_NAMES = tuple(c.upper() for c in CONFUSION_CELLS)  # by confusion-cell code
 
 TAG_COLUMNS = ("never_event", "unexpected_error", "input_data_issue", "test_set_issue")
 SHEET_COLUMNS_FIXED = ("reviewer",) + TAG_COLUMNS + ("triviality", "note", "verdict")
@@ -240,10 +242,9 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
     boundary-distant ("confident") bin always contributes at least one case
     when it is nonempty. Cell shortfalls are reported, never padded.
     """
-    evaluable = [c for c in dataset.cases if c.evaluable]
-    for case in evaluable:
-        if case.predicted is None:
-            raise InputError(f"case {case.case_id!r} has no predicted label")
+    cells = confusion_cells(dataset)
+    evaluable = [dataset.cases[i] for i in np.flatnonzero(cells >= 0)]
+    cell_of = {c.case_id: _CELL_NAMES[k] for c, k in zip(evaluable, cells[cells >= 0])}
     if config.benchmark_mode:
         for case in evaluable:
             if case.benchmark_predicted is None:
@@ -263,8 +264,7 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
 
     populations: dict[str, list[EvaluationCase]] = {name: [] for name in cell_names}
     for case in evaluable:
-        key = _benchmark_cell_of(case) if config.benchmark_mode else confusion_cell(case).upper()
-        populations[key].append(case)
+        populations[_benchmark_cell_of(case) if config.benchmark_mode else cell_of[case.case_id]].append(case)
 
     threshold = _effective_threshold(dataset) if config.boundary_bins is not None else None
 
@@ -305,7 +305,7 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
             rows.append(
                 ScleRow(
                     case_id=case.case_id,
-                    cell=confusion_cell(case).upper() if config.benchmark_mode else cell,
+                    cell=cell_of[case.case_id],
                     benchmark_cell=_benchmark_cell_of(case) if config.benchmark_mode else None,
                     strata=strata,
                     sampling_weight=weight,
@@ -408,7 +408,7 @@ def emit_review_sheet(
         fh.write(f"# seed: {sample.seed}\n")
         fh.write(f"# config_hash: {sample.config_hash}\n")
         fh.write(f"# generated_at: {generated_at or 'unspecified'}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")  # LF, like the # lines
         header = ["case_id", "cell", "benchmark_cell", *context_fields, *SHEET_COLUMNS_FIXED]
         writer.writerow(header)
         for row in sample.rows:

@@ -236,6 +236,11 @@ class TestResamplingVariability:
         with pytest.raises(InfeasibleError):
             resampling_variability(ds, "recall", scheme="k_fold", n=10_000)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bootstrap_needs_a_resample(self, n):
+        with pytest.raises(InputError, match="n >= 1"):
+            resampling_variability(self._threshold_dataset(n=40), "recall", n=n)
+
     def test_kfold_runs_and_is_deterministic(self):
         ds = self._threshold_dataset()
         a = resampling_variability(ds, "recall", scheme="k_fold", n=5, seed=3)

@@ -216,6 +216,20 @@ class TestSheetRoundTrip:
         assert len(text.splitlines()) == 3 + 1 + 9  # header block, csv header, 9 rows
         assert ingest_annotations(sheet, sample) == []
 
+    def test_sheet_ends_every_line_in_lf(self, tmp_path):
+        _, sample, sheet = self._sample_and_sheet(tmp_path, context=("score",))
+        data = sheet.read_bytes()
+        assert b"\r" not in data
+        assert data.count(b"\n") == 3 + 1 + 9
+        assert ingest_annotations(sheet, sample) == []
+
+        def annotate(rows):
+            next(r for r in rows if r[1] == "TP")[-3] = "trivial"
+
+        self._edit_rows(sheet, annotate)
+        assert b"\r" not in sheet.read_bytes()
+        assert [a.triviality for a in ingest_annotations(sheet, sample)] == [Triviality.TRIVIAL]
+
     def test_single_edit_returns_one_annotation(self, tmp_path):
         _, sample, sheet = self._sample_and_sheet(tmp_path)
         lines = sheet.read_text().splitlines()

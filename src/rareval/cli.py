@@ -11,6 +11,9 @@ the ``RAREVAL_OUT_DIR`` environment variable, then the current directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -20,8 +23,12 @@ from pathlib import Path
 
 from . import curves as curves_mod
 from . import datamodel, design, metrics, report, robustness, scle, synth
-from .errors import EvaluationError, InfeasibleError, InputError
+from .errors import PARSE_ERRORS, EvaluationError, InfeasibleError, InputError
 from .provenance import canonical_json, config_hash, derive_seed
+
+
+# The full threshold sweep; reports name it with its sha256 and embed a bounded part.
+CURVE_FILE = "pr_curve.csv"
 
 
 class _JsonErrorParser(argparse.ArgumentParser):
@@ -45,9 +52,23 @@ def _default_out_dir() -> str:
     return os.environ.get("RAREVAL_OUT_DIR", ".")
 
 
+@contextlib.contextmanager
+def _user_file(path, errors=PARSE_ERRORS):
+    """Report a user-named file that cannot be read, parsed or written as bad input (exit 2).
+
+    Only the statements that touch the file go inside.
+    """
+    try:
+        yield
+    except errors as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
 def _write(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    """Write ``text`` as UTF-8 bytes, untranslated, so a recorded digest of them holds."""
+    with _user_file(path, OSError):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
     return path
 
 
@@ -71,12 +92,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _read_json(path: str, parse):
+    """A user-named JSON file, passed through ``parse`` (e.g. a ``from_json_dict``)."""
+    with _user_file(path):
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
 def _load_config_file(path: str) -> dict:
     """JSON config, or simple ``key = value`` lines with JSON-typed values."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
+    with _user_file(path):
+        text = Path(path).read_text(encoding="utf-8")
+        if text.lstrip().startswith("{"):
+            return json.loads(text)
     config: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -159,12 +186,15 @@ def _cmd_evaluate(args) -> int:
     pak_entry = None
     sweep = None
     operating_point = None
+    decision_threshold = None  # None when the predictions came with the data
     if scored:
         if args.threshold is not None:
+            decision_threshold = args.threshold
             ds = datamodel.apply_threshold(ds, args.threshold)
             outputs.threshold = args.threshold
         elif args.k is not None:
             pak = metrics.precision_at_k(ds, args.k)
+            decision_threshold = pak.threshold
             ds = datamodel.apply_threshold(ds, pak.threshold)
             outputs.threshold = pak.threshold
             pak_entry = pak.estimate.to_json_dict(f"precision_at_{args.k}")
@@ -178,6 +208,7 @@ def _cmd_evaluate(args) -> int:
             costs = curves_mod.CostSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
             sweep = curves_mod.pr_curve(ds)
             point = curves_mod.select_operating_point(sweep, costs, args.assumed_prevalence)
+            decision_threshold = point.threshold
             operating_point = point.to_json_dict()
             outputs.costs = {"cost_fp": args.cost_fp, "cost_fn": args.cost_fn}
             outputs.threshold = operating_point["threshold"]  # null when nothing is predicted positive
@@ -208,9 +239,16 @@ def _cmd_evaluate(args) -> int:
     if p_value is not None and r_value is not None:
         outputs.f1_value = metrics.f_beta(p_value, r_value, 1.0)
 
+    curve_csv = None
     if scored:
         sweep = sweep if sweep is not None else curves_mod.pr_curve(ds)
-        outputs.curve_points = [p.to_json_dict() for p in sweep]
+        curve_csv = curves_mod.curve_to_csv(sweep)
+        outputs.curve_n_points = len(sweep)
+        outputs.curve_file = {
+            "path": CURVE_FILE,
+            "sha256": hashlib.sha256(curve_csv.encode("utf-8")).hexdigest(),
+        }
+        outputs.curve_points = [p.to_json_dict() for p in curves_mod.report_points(sweep, decision_threshold)]
         outputs.auc_value = curves_mod.auc(sweep)
         warning_list = curves_mod.rare_event_warnings(
             sweep,
@@ -234,10 +272,8 @@ def _cmd_evaluate(args) -> int:
     _write(out_dir / "report.md", md_text)
     _write_json(out_dir / "metrics.json", metric_entries)
     _write_json(out_dir / "outputs.json", outputs.to_json_dict())
-    if scored and sweep is not None:
-        csv_text = curves_mod.curve_to_csv(sweep)
-        _write(out_dir / "pr_curve.csv", csv_text)
-        _write(out_dir / "roc_curve.csv", csv_text)
+    if curve_csv is not None:
+        _write(out_dir / CURVE_FILE, curve_csv)
         _write_json(out_dir / "warnings.json", outputs.warnings)
 
     print(_metrics_table(metric_entries))
@@ -292,17 +328,18 @@ def _cmd_size_study(args) -> int:
     missing = [k for k, v in values.items() if v is None and k != "sample_size"]
     if missing:
         raise InputError(f"missing study assumptions: {missing}")
-    if args.target_power is not None:
-        assumptions = design.PrecisionStudyAssumptions.from_dict({**values, "sample_size": 1})
-        size = design.solve_sample_size(assumptions, args.target_power)
-        result = design.simulate_precision_power(
-            design.PrecisionStudyAssumptions.from_dict({**values, "sample_size": size})
+    if args.target_power is None and values.get("sample_size") is None:
+        raise InputError("give --sample-size to simulate power, or --target-power to solve")
+    with _user_file(args.config or "size-study"):  # config values are still untyped here
+        # the sample-size search ignores sample_size
+        assumptions = design.PrecisionStudyAssumptions.from_dict(
+            values if args.target_power is None else {**values, "sample_size": 1}
         )
+    if args.target_power is not None:
+        size = design.solve_sample_size(assumptions, args.target_power)
+        result = design.simulate_precision_power(dataclasses.replace(assumptions, sample_size=size))
         _print_json({"required_sample_size": size, **result.to_json_dict()})
     else:
-        if values.get("sample_size") is None:
-            raise InputError("give --sample-size to simulate power, or --target-power to solve")
-        assumptions = design.PrecisionStudyAssumptions.from_dict(values)
         _print_json(design.simulate_precision_power(assumptions).to_json_dict())
     return 0
 
@@ -333,13 +370,14 @@ def _cmd_scle_sample(args) -> int:
     out_dir = Path(args.out_dir)
     sample_path = _write_json(out_dir / "scle_sample.json", sample.to_json_dict())
     context = tuple(args.context_fields.split(",")) if args.context_fields else ()
-    sheet_path = scle.emit_review_sheet(
-        sample,
-        ds,
-        context_fields=context,
-        path=out_dir / "review_sheet.csv",
-        generated_at="reproducible" if args.reproducible else _now(),
-    )
+    with _user_file(out_dir / "review_sheet.csv", OSError):
+        sheet_path = scle.emit_review_sheet(
+            sample,
+            ds,
+            context_fields=context,
+            path=out_dir / "review_sheet.csv",
+            generated_at="reproducible" if args.reproducible else _now(),
+        )
     _print_json(
         {
             "sample": str(sample_path),
@@ -353,13 +391,10 @@ def _cmd_scle_sample(args) -> int:
     return 0
 
 
-def _read_sample(path: str) -> scle.ScleSample:
-    return scle.ScleSample.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
 def _cmd_scle_ingest(args) -> int:
-    sample = _read_sample(args.sample)
-    annotations = scle.ingest_annotations(args.sheet, sample)
+    sample = _read_json(args.sample, scle.ScleSample.from_json_dict)
+    with _user_file(args.sheet):
+        annotations = scle.ingest_annotations(args.sheet, sample)
     payload = scle.annotations_to_json_dict(annotations)
     _write_json(Path(args.out), payload)
     _print_json({"annotations": len(annotations), "out": str(args.out)})
@@ -367,10 +402,8 @@ def _cmd_scle_ingest(args) -> int:
 
 
 def _cmd_scle_aggregate(args) -> int:
-    sample = _read_sample(args.sample)
-    annotations = scle.annotations_from_json_dict(
-        json.loads(Path(args.annotations).read_text(encoding="utf-8"))
-    )
+    sample = _read_json(args.sample, scle.ScleSample.from_json_dict)
+    annotations = _read_json(args.annotations, scle.annotations_from_json_dict)
     summary = scle.aggregate(annotations, sample, seed=args.seed)
     out_dir = Path(args.out_dir)
     _write_json(out_dir / "scle_summary.json", summary.to_json_dict())
@@ -381,11 +414,10 @@ def _cmd_scle_aggregate(args) -> int:
 
 def _cmd_scle_apply(args) -> int:
     ds = _load_dataset(args)
-    annotations = scle.annotations_from_json_dict(
-        json.loads(Path(args.annotations).read_text(encoding="utf-8"))
-    )
+    annotations = _read_json(args.annotations, scle.annotations_from_json_dict)
     revised = scle.apply_verdicts(ds, annotations)
-    written = datamodel.emit(revised, args.out, args.out_format)
+    with _user_file(args.out, OSError):
+        written = datamodel.emit(revised, args.out, args.out_format)
     _print_json({"written": [str(p) for p in written], "verdicts": sum(1 for a in annotations if a.verdict)})
     return 0
 
@@ -435,17 +467,20 @@ def _cmd_resample(args) -> int:
 def _cmd_synth(args) -> int:
     if args.spec:
         spec_dict = _load_config_file(args.spec)
-        spec_dict.setdefault("seed", args.seed)
-        spec = synth.PopulationSpec.from_dict(spec_dict)
+        with _user_file(args.spec):
+            spec_dict.setdefault("seed", args.seed)
+            spec = synth.PopulationSpec.from_dict(spec_dict)
     else:
         if args.n is None or args.prevalence is None:
             raise InputError("give --spec FILE or both --n and --prevalence")
         rules = []
         for rule in args.enrich or []:
             select, _, prob = rule.partition(":")
-            if not prob:
-                raise InputError(f"--enrich expects select:probability, got {rule!r}")
-            rules.append(synth.EnrichmentRule(select=select, inclusion_probability=float(prob)))
+            try:
+                probability = float(prob)
+            except ValueError:
+                raise InputError(f"--enrich expects select:probability, got {rule!r}") from None
+            rules.append(synth.EnrichmentRule(select=select, inclusion_probability=probability))
         spec = synth.PopulationSpec(
             n=args.n,
             prevalence=args.prevalence,
@@ -459,9 +494,11 @@ def _cmd_synth(args) -> int:
             seed=args.seed,
         )
     result = synth.generate(spec)
-    written = [str(p) for p in datamodel.emit(result.dataset, args.out, args.format)]
     truth_path = args.truth_out or f"{args.out}.truth.json"
-    result.truth.write(truth_path)
+    with _user_file(args.out, OSError):
+        written = [str(p) for p in datamodel.emit(result.dataset, args.out, args.format)]
+    with _user_file(truth_path, OSError):
+        result.truth.write(truth_path)
     _print_json(
         {
             "written": written,
@@ -477,9 +514,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_checklist(args) -> int:
     if args.outputs:
-        outputs = report.EvaluationOutputs.from_json_dict(
-            json.loads(Path(args.outputs).read_text(encoding="utf-8"))
-        )
+        outputs = _read_json(args.outputs, report.EvaluationOutputs.from_json_dict)
     else:
         outputs = report.EvaluationOutputs()
     outputs.attestations = {**outputs.attestations, **_parse_attestations(args.attest)}
@@ -670,9 +705,7 @@ def main(argv: list[str] | None = None) -> int:
         _fail(2, "input", str(exc))
     except EvaluationError as exc:
         _fail(4, "internal", str(exc))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(2, "input", f"{type(exc).__name__}: {exc}")
-    except Exception as exc:  # pragma: no cover - invariant violations
+    except Exception as exc:  # anything not converted at a parse site is a defect
         _fail(4, "internal", f"{type(exc).__name__}: {exc}")
     return 0
 

@@ -4,7 +4,9 @@ Curves enumerate only the distinct observed scores (descending) plus the
 all-negative extreme; no interpolation is performed, and precision at the
 all-negative extreme is undefined rather than interpolated. PR and ROC
 points come from the same sweep, so they share recall sequences. Weighted
-tallies are used when the dataset has an enrichment design.
+tallies are used when the dataset has an enrichment design. Reports embed
+only a bounded part of a sweep (:func:`report_points`): the vertices of its
+upper ROC convex hull plus the run's operating point.
 
 The module also emits structured rare-event suitability warnings: composite
 summaries like AUC and F1 integrate over operating regions that carry no
@@ -132,6 +134,52 @@ def pr_curve(dataset: Dataset) -> list[CurvePoint]:
 
 
 roc_curve = pr_curve
+
+
+def hull_indices(fpr: np.ndarray, recall: np.ndarray) -> np.ndarray:
+    """Sweep indices of the vertices of the upper ROC convex hull, in sweep order.
+
+    ``fpr`` and ``recall`` are the coordinates of a sweep (both non-decreasing).
+    The hull holds every operating point that minimises expected cost for some
+    cost ratio and prevalence (Fawcett 2006); the first and last points are
+    always vertices. Any other vertex is a top-left corner of the staircase:
+    recall rose into it and fpr rises out of it. The monotone-chain scan runs
+    over those corners only, at most one per distinct score held by a positive.
+    """
+    corner = np.ones(fpr.size, dtype=bool)
+    corner[1:-1] = (recall[1:-1] > recall[:-2]) & (fpr[2:] > fpr[1:-1])
+    candidates = np.flatnonzero(corner)
+    xs, ys = fpr[candidates].tolist(), recall[candidates].tolist()
+    hull: list[int] = []
+    for i in range(len(candidates)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            # keep a only if it lies strictly above the chord from o to i
+            if (xs[a] - xs[o]) * (ys[i] - ys[o]) < (ys[a] - ys[o]) * (xs[i] - xs[o]):
+                break
+            hull.pop()
+        hull.append(i)
+    return candidates[hull]
+
+
+def report_points(curve: list[CurvePoint], threshold: float | None) -> list[CurvePoint]:
+    """The bounded part of a sweep that reports embed, in sweep order.
+
+    The vertices of the upper ROC convex hull plus the run's operating point:
+    the point at the smallest observed score >= ``threshold`` (``inf`` selects
+    the all-negative point, as does a threshold no score reaches); None when
+    the run's predictions came with the data. Every point is observed; PR
+    points are never interpolated (Davis & Goadrich 2006).
+    """
+    n = len(curve)
+    fpr = np.fromiter((p.fpr for p in curve), float, n)
+    recall = np.fromiter((p.recall for p in curve), float, n)
+    keep = hull_indices(fpr, recall)
+    if threshold is not None:
+        # thresholds descend from inf, so those >= threshold are a prefix
+        thresholds = np.fromiter((p.threshold for p in curve), float, n)
+        keep = np.union1d(keep, [np.count_nonzero(thresholds >= threshold) - 1])
+    return [curve[i] for i in keep.tolist()]
 
 
 def auc(curve: list[CurvePoint]) -> float:

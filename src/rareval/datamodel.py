@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import IngestError, InputError
+from .errors import PARSE_ERRORS, IngestError, InputError
 from .provenance import canonical_json, slot_fields
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
@@ -444,18 +444,21 @@ def _load_sidecar(path: Path) -> tuple[tuple[StratumSpec, ...], dict]:
     sidecar = path.with_name(path.name + DESIGN_SIDECAR_SUFFIX)
     if not sidecar.exists():
         return (), {}
-    payload = json.loads(sidecar.read_text(encoding="utf-8"))
-    if payload.get("kind") != "dataset_design":
-        raise InputError(f"{sidecar}: not a dataset design sidecar")
-    design = tuple(
-        StratumSpec(
-            stratum_id=s["stratum_id"],
-            inclusion_probability=float(s["inclusion_probability"]),
-            description=s.get("description", ""),
+    try:
+        payload = json.loads(sidecar.read_text(encoding="utf-8"))
+        if payload.get("kind") != "dataset_design":
+            raise InputError(f"{sidecar}: not a dataset design sidecar")
+        design = tuple(
+            StratumSpec(
+                stratum_id=s["stratum_id"],
+                inclusion_probability=float(s["inclusion_probability"]),
+                description=s.get("description", ""),
+            )
+            for s in payload.get("design", [])
         )
-        for s in payload.get("design", [])
-    )
-    return design, dict(payload.get("metadata", {}))
+        return design, dict(payload.get("metadata", {}))
+    except PARSE_ERRORS as exc:
+        raise InputError(f"{sidecar}: malformed design sidecar: {type(exc).__name__}: {exc}") from None
 
 
 def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, EvaluationCase]]:
@@ -470,6 +473,14 @@ def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, Evaluat
         missing = required - set(header)
         if missing:
             raise IngestError([f"{path}: header missing required column(s): {sorted(missing)}"])
+        run_cols = [c for c in header if c.startswith("run_")]
+        try:
+            run_cols.sort(key=lambda c: int(c[4:]))
+        except ValueError:
+            raise IngestError(
+                [f"{path}: repeated-run columns need a run number after 'run_': {run_cols}"]
+            ) from None
+        sg_cols = [c for c in header if c.startswith("sg_")]
         for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 problems.append(f"row {row_number}: expected {len(header)} fields, got {len(row)}")
@@ -484,9 +495,6 @@ def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, Evaluat
                     if raw.get(fieldname, "") != "":
                         record[fieldname] = _parse_bool(raw[fieldname], row=row_number, fieldname=fieldname)
                 runs = []
-                run_cols = sorted(
-                    (c for c in header if c.startswith("run_")), key=lambda c: int(c[4:])
-                )
                 for col in run_cols:
                     if raw.get(col, "") != "":
                         runs.append(_parse_bool(raw[col], row=row_number, fieldname=col))
@@ -497,7 +505,7 @@ def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, Evaluat
                 continue
             if raw.get("stratum_id", "") != "":
                 record["stratum_id"] = raw["stratum_id"]
-            subgroups = {c[3:]: raw[c] for c in header if c.startswith("sg_") and raw.get(c, "") != ""}
+            subgroups = {c[3:]: raw[c] for c in sg_cols if raw[c] != ""}
             if subgroups:
                 record["subgroups"] = subgroups
             case = _case_from_record(record, row=row_number, problems=problems)
@@ -541,19 +549,22 @@ def ingest(path: str | Path, format: str = "csv") -> Dataset:
     if not path.exists():
         raise InputError(f"no such file: {path}")
 
-    # oracle-leakage guard: truth sidecars are never evaluation inputs
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        head = fh.read(256)
-    if '"kind"' in head and "truth_sidecar" in head:
-        raise InputError(f"{path}: this is a truth sidecar (oracle data), not an evaluation input")
-
     problems: list[str] = []
-    if format == "csv":
-        numbered = _ingest_csv_rows(path, problems)
-    elif format == "jsonl":
-        numbered = _ingest_jsonl_rows(path, problems)
-    else:
-        raise InputError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
+    try:
+        # oracle-leakage guard: truth sidecars are never evaluation inputs
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            head = fh.read(256)
+        if '"kind"' in head and "truth_sidecar" in head:
+            raise InputError(f"{path}: this is a truth sidecar (oracle data), not an evaluation input")
+
+        if format == "csv":
+            numbered = _ingest_csv_rows(path, problems)
+        elif format == "jsonl":
+            numbered = _ingest_jsonl_rows(path, problems)
+        else:
+            raise InputError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: cannot read: {type(exc).__name__}: {exc}") from None
 
     seen: dict[str, int] = {}
     for row_number, case in numbered:

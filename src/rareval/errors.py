@@ -2,8 +2,14 @@
 
 The CLI maps these onto process exit codes: bad or inconsistent input data
 exits 2, requests that cannot be satisfied (e.g. an unreachable power target)
-exit 3, and anything else exits 4.
+exit 3, and anything else exits 4. Code that reads or parses a user file
+converts the built-in exceptions a faulty file raises (``PARSE_ERRORS``)
+into :class:`InputError` on the spot, so the same types raised anywhere else
+still exit 4.
 """
+
+# What reading and parsing a user file can raise when the file is at fault.
+PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
 
 
 class EvaluationError(Exception):

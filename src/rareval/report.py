@@ -22,7 +22,7 @@ from .datamodel import Dataset
 from .errors import InputError
 from .provenance import canonical_json, slot_fields
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 CONSIDERATIONS = (
     "test_sets",
@@ -138,7 +138,9 @@ class EvaluationOutputs:
     assumed_deployment_prevalence: float | None = None
     enrichment_accounted: bool = False
     enrichment_justification: str | None = None
-    curve_points: list | None = None
+    curve_points: list | None = None  # bounded: ROC hull vertices plus the operating point
+    curve_n_points: int = 0  # the full sweep, written to curve_file
+    curve_file: dict | None = None  # {"path": ..., "sha256": ...}
     auc_value: float | None = None
     f1_value: float | None = None
     costs: dict | None = None
@@ -528,7 +530,7 @@ def prefill_checklist(outputs: EvaluationOutputs) -> list[ChecklistItem]:
 
 def load_report_schema() -> dict:
     """The published, versioned JSON schema for report documents."""
-    ref = importlib.resources.files("rareval").joinpath("schemas/report-v1.json")
+    ref = importlib.resources.files("rareval").joinpath(f"schemas/report-v{SCHEMA_VERSION}.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
@@ -570,7 +572,8 @@ def render_report(
         "curves": {
             "auc": outputs.auc_value,
             "f1": outputs.f1_value,
-            "n_points": len(outputs.curve_points) if outputs.curve_points else 0,
+            "n_points": outputs.curve_n_points,
+            "file": outputs.curve_file,
             "points": outputs.curve_points or [],
             "operating_point": outputs.operating_point,
             "threshold": outputs.threshold,
@@ -636,6 +639,8 @@ def _render_markdown(doc: dict) -> str:
     if curves.get("n_points"):
         lines += ["## Threshold sweep", ""]
         lines.append(f"Curve points: {curves['n_points']}")
+        if curves.get("file"):
+            lines.append(f"Curve file: `{curves['file']['path']}` (sha256 `{curves['file']['sha256']}`)")
         if curves.get("auc") is not None:
             lines.append(f"ROC AUC: {_fmt(curves['auc'])}")
         if curves.get("f1") is not None:

@@ -107,6 +107,84 @@ class TestErrorContract:
         assert json.loads(stderr)["error"]["type"] == "infeasible"
 
 
+class TestExitCodes:
+    """Unreadable or malformed user files exit 2; any other exception is a defect (exit 4)."""
+
+    @staticmethod
+    def _exit(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        return exc.value.code, json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("exc_type", [ValueError, KeyError, OSError])
+    def test_internal_error_exits_4(self, exc_type, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise exc_type("internal slip")
+
+        monkeypatch.setattr("rareval.metrics.bayes_adjusted_precision", broken)
+        code, error = self._exit(
+            ["adjust-precision", "--sensitivity", 0.9, "--specificity", 0.9, "--prevalence", 0.1], capsys
+        )
+        assert (code, error["type"]) == (4, "internal")
+        assert "internal slip" in error["message"]
+
+    def test_internal_error_after_ingest_exits_4(self, monkeypatch, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("case_id,reference,score\np,positive,0.9\nn,negative,0.1\n")
+        monkeypatch.setattr("rareval.curves.pr_curve", lambda ds: {}["missing"])
+        code, error = self._exit(["evaluate", "--input", data, "--threshold", 0.5, "--out-dir", tmp_path], capsys)
+        assert (code, error["type"]) == (4, "internal")
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "input_is_directory",
+            "input_not_utf8",
+            "malformed_design_sidecar",
+            "out_dir_is_a_file",
+            "config_not_json",
+            "config_value_not_a_number",
+            "outputs_not_json",
+            "outputs_not_an_object",
+            "missing_sample",
+        ],
+    )
+    def test_unreadable_or_malformed_user_file_exits_2(self, case, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("case_id,reference,score\np,positive,0.9\nn,negative,0.1\n")
+        bad = tmp_path / "bad.json"
+        evaluate = ["evaluate", "--input", data, "--threshold", 0.5, "--out-dir", tmp_path / "out"]
+        study = ["size-study", "--config", bad, "--sample-size", 100]
+        if case == "input_is_directory":
+            argv = ["evaluate", "--input", tmp_path, "--threshold", 0.5]
+        elif case == "input_not_utf8":
+            data.write_bytes("case_id,reference,score\n\xe9,positive,0.9\n".encode("latin-1"))
+            argv = evaluate
+        elif case == "malformed_design_sidecar":
+            Path(f"{data}.design.json").write_text('{"kind": "dataset_design", "design": [{}]}')
+            argv = evaluate
+        elif case == "out_dir_is_a_file":
+            (tmp_path / "out").write_text("")
+            argv = evaluate
+        elif case == "config_not_json":
+            bad.write_text("{flag_rate_a: 0.1")
+            argv = study
+        elif case == "config_value_not_a_number":
+            bad.write_text('{"flag_rate_a": "often", "flag_rate_b": 0.1, "overlap_rate": 0.5, '
+                           '"precision_a": 0.9, "precision_b": 0.8}')
+            argv = study
+        elif case == "outputs_not_json":
+            bad.write_text("{")
+            argv = ["checklist", "--outputs", bad, "--out-dir", tmp_path]
+        elif case == "outputs_not_an_object":
+            bad.write_text("[]")
+            argv = ["checklist", "--outputs", bad, "--out-dir", tmp_path]
+        else:
+            argv = ["scle", "aggregate", "--annotations", bad, "--sample", tmp_path / "nope.json"]
+        code, error = self._exit(argv, capsys)
+        assert (code, error["type"]) == (2, "input"), error
+
+
 class TestHelpGolden:
     def test_every_flag_enumerated(self):
         golden = json.loads((GOLDEN / "cli_flags.json").read_text())
@@ -153,8 +231,9 @@ class TestEvaluate:
             "--reproducible",
         )
         assert code == 0
-        for name in ("report.json", "report.md", "metrics.json", "outputs.json", "pr_curve.csv", "roc_curve.csv", "warnings.json"):
+        for name in ("report.json", "report.md", "metrics.json", "outputs.json", "pr_curve.csv", "warnings.json"):
             assert (out_dir / name).exists(), name
+        assert not (out_dir / "roc_curve.csv").exists()
         assert "recall" in stdout
         warnings = json.loads((out_dir / "warnings.json").read_text())
         codes = {w["code"] for w in warnings}

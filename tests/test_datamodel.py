@@ -104,6 +104,29 @@ class TestIngest:
             ingest(path, "csv")
         assert len(excinfo.value.problems) == 2
 
+    def test_run_columns_order_by_run_number(self, tmp_path):
+        # header order and string order both put run_10 before run_2
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "case_id,reference,predicted,run_10,run_2,run_1,sg_site\n"
+            "c1,positive,1,1,0,0,north\n"
+            "c2,negative,0,0,,1,\n"
+            "c3,negative,0,,bad,1,south\n"
+        )
+        with pytest.raises(IngestError) as excinfo:
+            ingest(path, "csv")
+        assert excinfo.value.problems == ["row 4: field 'run_2': expected a binary label, got 'bad'"]
+        path.write_text(path.read_text().replace(",bad,", ",1,"))
+        ds = ingest(path, "csv")
+        assert [c.repeated_labels for c in ds.cases] == [(False, False, True), (True, False), (True, True)]
+        assert [c.subgroups for c in ds.cases] == [{"site": "north"}, {}, {"site": "south"}]
+
+    def test_run_column_without_number_is_input_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("case_id,reference,predicted,run_1,run_x\nc1,positive,1,1,0\n")
+        with pytest.raises(IngestError, match="run_x"):
+            ingest(path, "csv")
+
     def test_truth_sidecar_rejected(self, tmp_path):
         path = tmp_path / "truth.jsonl"
         path.write_text(json.dumps({"kind": "truth_sidecar", "scores": []}) + "\n")

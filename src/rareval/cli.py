@@ -21,6 +21,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import curves as curves_mod
 from . import datamodel, design, metrics, report, robustness, scle, synth
 from .errors import PARSE_ERRORS, EvaluationError, InfeasibleError, InputError
@@ -150,6 +152,8 @@ def _metrics_table(entries: list[dict]) -> str:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.assumed_prevalence is not None and not 0.0 < args.assumed_prevalence < 1.0:
+        raise InputError(f"--assumed-prevalence must be in (0, 1), got {args.assumed_prevalence}")
     ds = datamodel.ingest(args.input, args.format)
     seed = args.seed
     costs_given = args.cost_fp is not None or args.cost_fn is not None
@@ -162,7 +166,8 @@ def _cmd_evaluate(args) -> int:
         )
         if given
     ]
-    scored = all(c.score is not None for c in ds.cases if c.evaluable)
+    cols = ds.columns
+    scored = not np.isnan(cols.score[cols.evaluable]).any()
     if scored and len(drivers) > 1:
         raise InputError(f"exactly one of threshold/k/cost selection may be given, got {drivers}")
 
@@ -213,7 +218,7 @@ def _cmd_evaluate(args) -> int:
             outputs.costs = {"cost_fp": args.cost_fp, "cost_fn": args.cost_fn}
             outputs.threshold = operating_point["threshold"]  # null when nothing is predicted positive
             ds = datamodel.apply_threshold(ds, point.threshold)
-        elif any(c.predicted is None for c in ds.cases if c.evaluable):
+        elif (cols.predicted[cols.evaluable] < 0).any():
             raise InputError("scored dataset without predictions: give --threshold, --k, or costs")
 
     outputs.dataset_summary = report.summarize_dataset(ds)

@@ -1,12 +1,14 @@
 """Threshold sweeps: precision-recall and ROC curves, AUC, operating points.
 
-Curves enumerate only the distinct observed scores (descending) plus the
+A sweep enumerates only the distinct observed scores (descending) plus the
 all-negative extreme; no interpolation is performed, and precision at the
-all-negative extreme is undefined rather than interpolated. PR and ROC
-points come from the same sweep, so they share recall sequences. Weighted
-tallies are used when the dataset has an enrichment design. Reports embed
-only a bounded part of a sweep (:func:`report_points`): the vertices of its
-upper ROC convex hull plus the run's operating point.
+all-negative extreme is undefined rather than interpolated. One sweep serves
+both the PR and the ROC curve. Weighted tallies are used when the dataset has
+an enrichment design. A sweep is one :class:`Curve` of numpy columns; the
+hull, AUC, operating point, warnings and CSV read those columns, and
+``curve[i]`` builds a :class:`CurvePoint` only where a single point is
+wanted. Reports embed only a bounded part of a sweep (:func:`report_points`):
+the vertices of its upper ROC convex hull plus the run's operating point.
 
 The module also emits structured rare-event suitability warnings: composite
 summaries like AUC and F1 integrate over operating regions that carry no
@@ -16,8 +18,7 @@ precision optimistic.
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,14 +40,37 @@ class CurvePoint:
     predicted_positive_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "threshold": None if self.threshold == float("inf") else self.threshold,
-            "recall": self.recall,
-            "precision": self.precision,
-            "specificity": self.specificity,
-            "fpr": self.fpr,
-            "predicted_positive_count": self.predicted_positive_count,
-        }
+        return slot_fields(self) | {"threshold": None if self.threshold == float("inf") else self.threshold}
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Curve:
+    """A threshold sweep as read-only columns, in sweep order.
+
+    The all-negative point (threshold ``inf``) comes first, then thresholds
+    descend. ``precision`` is NaN where it is undefined. ``curve[i]`` is the
+    i-th :class:`CurvePoint`, with ``precision=None`` there.
+    """
+
+    threshold: np.ndarray
+    recall: np.ndarray
+    precision: np.ndarray
+    specificity: np.ndarray
+    fpr: np.ndarray
+    predicted_positive_count: np.ndarray
+
+    def __post_init__(self):
+        for array in slot_fields(self).values():
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.threshold.size
+
+    def __getitem__(self, i: int) -> CurvePoint:
+        row = {name: column[i].item() for name, column in slot_fields(self).items()}
+        if math.isnan(row["precision"]):
+            row["precision"] = None
+        return CurvePoint(**row)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +102,7 @@ class WarningConfig:
     enrichment_ratio_threshold: float = 10.0
 
 
-def pr_curve(dataset: Dataset) -> list[CurvePoint]:
+def pr_curve(dataset: Dataset) -> Curve:
     """Threshold sweep over all distinct scores plus the all-negative extreme.
 
     One sweep serves both curves: precision against recall, and (as
@@ -98,39 +122,22 @@ def pr_curve(dataset: Dataset) -> list[CurvePoint]:
     total_pos = float(weights[positive].sum())
     total_neg = float(weights[~positive].sum())
 
-    cum_tp = np.cumsum(np.where(positive, weights, 0.0))
-    cum_fp = np.cumsum(np.where(positive, 0.0, weights))
-
     # index of the last case at each distinct score (cumulative counts there
-    # are the tallies for threshold == that score under the >= convention)
+    # are the tallies for threshold == that score under the >= convention);
+    # the leading zero tallies are the all-negative point
     last_of_score = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
-
-    points = [
-        CurvePoint(
-            threshold=float("inf"),
-            recall=0.0,
-            precision=None,
-            specificity=1.0,
-            fpr=0.0,
-            predicted_positive_count=0,
-        )
-    ]
-    for idx in last_of_score:
-        tp = float(cum_tp[idx])
-        fp = float(cum_fp[idx])
-        fn = total_pos - tp
-        tn = total_neg - fp
-        points.append(
-            CurvePoint(
-                threshold=float(scores[idx]),
-                recall=tp / total_pos,
-                precision=tp / (tp + fp) if tp + fp > 0 else None,
-                specificity=tn / total_neg,
-                fpr=fp / total_neg,
-                predicted_positive_count=int(idx) + 1,
-            )
-        )
-    return points
+    tp = np.concatenate(([0.0], np.cumsum(np.where(positive, weights, 0.0))[last_of_score]))
+    fp = np.concatenate(([0.0], np.cumsum(np.where(positive, 0.0, weights))[last_of_score]))
+    with np.errstate(invalid="ignore"):  # 0/0 at the all-negative point
+        precision = tp / (tp + fp)
+    return Curve(
+        threshold=np.concatenate(([np.inf], scores[last_of_score])),
+        recall=tp / total_pos,
+        precision=precision,
+        specificity=(total_neg - fp) / total_neg,
+        fpr=fp / total_neg,
+        predicted_positive_count=np.concatenate(([0], last_of_score + 1)),
+    )
 
 
 roc_curve = pr_curve
@@ -162,7 +169,7 @@ def hull_indices(fpr: np.ndarray, recall: np.ndarray) -> np.ndarray:
     return candidates[hull]
 
 
-def report_points(curve: list[CurvePoint], threshold: float | None) -> list[CurvePoint]:
+def report_points(curve: Curve, threshold: float | None) -> list[CurvePoint]:
     """The bounded part of a sweep that reports embed, in sweep order.
 
     The vertices of the upper ROC convex hull plus the run's operating point:
@@ -171,45 +178,35 @@ def report_points(curve: list[CurvePoint], threshold: float | None) -> list[Curv
     the run's predictions came with the data. Every point is observed; PR
     points are never interpolated (Davis & Goadrich 2006).
     """
-    n = len(curve)
-    fpr = np.fromiter((p.fpr for p in curve), float, n)
-    recall = np.fromiter((p.recall for p in curve), float, n)
-    keep = hull_indices(fpr, recall)
+    keep = hull_indices(curve.fpr, curve.recall)
     if threshold is not None:
         # thresholds descend from inf, so those >= threshold are a prefix
-        thresholds = np.fromiter((p.threshold for p in curve), float, n)
-        keep = np.union1d(keep, [np.count_nonzero(thresholds >= threshold) - 1])
+        keep = np.union1d(keep, [np.count_nonzero(curve.threshold >= threshold) - 1])
     return [curve[i] for i in keep.tolist()]
 
 
-def auc(curve: list[CurvePoint]) -> float:
+def auc(curve: Curve) -> float:
     """Trapezoidal area under the ROC curve.
 
     Equals the probability that a random positive control outranks a random
-    negative control, counting ties as one half.
+    negative control, counting ties as one half. fpr never falls along a
+    sweep, so the points are already in fpr order.
     """
     if len(curve) < 2:
         raise InputError("AUC needs a curve with at least 2 points")
-    fpr = np.array([p.fpr for p in curve], dtype=float)
-    rec = np.array([p.recall for p in curve], dtype=float)
-    order = np.argsort(fpr, kind="stable")
-    fpr = fpr[order]
-    rec = rec[order]
-    return float(np.trapezoid(rec, fpr))
+    return float(np.trapezoid(curve.recall, curve.fpr))
 
 
-def expected_cost(point: CurvePoint, costs: CostSpec, assumed_prevalence: float) -> float:
-    """Expected per-case cost at the assumed deployment prevalence."""
+def expected_cost(point: CurvePoint | Curve, costs: CostSpec, assumed_prevalence: float) -> float | np.ndarray:
+    """Expected per-case cost at the assumed deployment prevalence: a float, or an array for a Curve."""
     return (
         costs.cost_fn * assumed_prevalence * (1.0 - point.recall)
         + costs.cost_fp * (1.0 - assumed_prevalence) * point.fpr
     )
 
 
-def select_operating_point(
-    curve: list[CurvePoint], costs: CostSpec, assumed_prevalence: float
-) -> CurvePoint:
-    """Curve point minimizing expected cost; ties resolve to the lower fpr.
+def select_operating_point(curve: Curve, costs: CostSpec, assumed_prevalence: float) -> CurvePoint:
+    """Curve point minimizing expected cost; ties resolve to the lower fpr, then the earlier point.
 
     The objective uses the assumed deployment prevalence, not the test-set
     prevalence, so the chosen threshold reflects real-world error costs.
@@ -218,19 +215,17 @@ def select_operating_point(
         raise InputError("cannot select an operating point on an empty curve")
     if not (0.0 < assumed_prevalence < 1.0):
         raise InputError("assumed_prevalence must be in (0, 1)")
-    return min(curve, key=lambda p: (expected_cost(p, costs, assumed_prevalence), p.fpr))
+    # lexsort is stable and sorts by its last key first
+    return curve[np.lexsort((curve.fpr, expected_cost(curve, costs, assumed_prevalence)))[0]]
 
 
-def test_set_prevalence_from_curve(curve: list[CurvePoint]) -> float | None:
-    """Prevalence among labeled cases (precision of the all-positive point)."""
-    full = max(curve, key=lambda p: p.predicted_positive_count)
-    if full.recall < 1.0:
-        return None
-    return full.precision
+def test_set_prevalence_from_curve(curve: Curve) -> float | None:
+    """Prevalence among labeled cases (precision of the all-positive, last point)."""
+    return float(curve.precision[-1]) if curve.recall[-1] >= 1.0 else None
 
 
 def rare_event_warnings(
-    curve: list[CurvePoint],
+    curve: Curve,
     assumed_prevalence: float | None,
     auc_requested: bool = False,
     f1_requested: bool = False,
@@ -294,20 +289,13 @@ def rare_event_warnings(
     return warnings
 
 
-def curve_to_csv(curve: list[CurvePoint]) -> str:
-    """Plot-ready CSV: threshold, recall, precision, specificity, fpr, count."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["threshold", "recall", "precision", "specificity", "fpr", "predicted_positive_count"])
-    for p in curve:
-        writer.writerow(
-            [
-                "inf" if p.threshold == float("inf") else repr(p.threshold),
-                repr(p.recall),
-                "" if p.precision is None else repr(p.precision),
-                repr(p.specificity),
-                repr(p.fpr),
-                p.predicted_positive_count,
-            ]
-        )
-    return buf.getvalue()
+def curve_to_csv(curve: Curve) -> str:
+    """Plot-ready CSV: threshold, recall, precision, specificity, fpr, count.
+
+    Values are ``repr`` strings (``inf`` for the all-negative threshold, an
+    empty field for undefined precision); lines end in CRLF.
+    """
+    columns = {name: map(repr, column.tolist()) for name, column in slot_fields(curve).items()}
+    columns["precision"] = ("" if math.isnan(p) else repr(p) for p in curve.precision.tolist())
+    rows = map(",".join, zip(*columns.values()))
+    return "\r\n".join([",".join(columns), *rows]) + "\r\n"

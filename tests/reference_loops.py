@@ -2,15 +2,20 @@
 
 These are the case-by-case loops that the column view of ``Dataset``
 replaced: each walks ``dataset.cases`` and looks weights up in the design.
+The point-by-point sweep readers (``curve_to_csv``, ``auc``,
+``select_operating_point``) walk a list of ``CurvePoint`` the same way.
 They stay here, outside the package, as the oracle the vectorised paths are
 compared against.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
-from rareval.curves import CurvePoint
+from rareval.curves import CostSpec, CurvePoint
 from rareval.datamodel import Dataset, EvaluationCase, ReferenceLabel
 from rareval.errors import InputError
 from rareval.provenance import replicate_rng
@@ -96,6 +101,45 @@ def pr_curve(dataset: Dataset) -> list[CurvePoint]:
             )
         )
     return points
+
+
+def curve_to_csv(points: list[CurvePoint]) -> str:
+    """One ``csv.writer`` row per sweep point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["threshold", "recall", "precision", "specificity", "fpr", "predicted_positive_count"])
+    for p in points:
+        writer.writerow(
+            [
+                "inf" if p.threshold == float("inf") else repr(p.threshold),
+                repr(p.recall),
+                "" if p.precision is None else repr(p.precision),
+                repr(p.specificity),
+                repr(p.fpr),
+                p.predicted_positive_count,
+            ]
+        )
+    return buf.getvalue()
+
+
+def auc(points: list[CurvePoint]) -> float:
+    """Trapezoid over the points sorted (stably) by fpr."""
+    fpr = np.array([p.fpr for p in points], dtype=float)
+    rec = np.array([p.recall for p in points], dtype=float)
+    order = np.argsort(fpr, kind="stable")
+    return float(np.trapezoid(rec[order], fpr[order]))
+
+
+def expected_cost(point: CurvePoint, costs: CostSpec, assumed_prevalence: float) -> float:
+    return (
+        costs.cost_fn * assumed_prevalence * (1.0 - point.recall)
+        + costs.cost_fp * (1.0 - assumed_prevalence) * point.fpr
+    )
+
+
+def select_operating_point(points: list[CurvePoint], costs: CostSpec, assumed_prevalence: float) -> CurvePoint:
+    """The first point of least (expected cost, fpr)."""
+    return min(points, key=lambda p: (expected_cost(p, costs, assumed_prevalence), p.fpr))
 
 
 def precision_at_k_tally(dataset: Dataset, k: int) -> tuple[float, float, int, bool, float]:

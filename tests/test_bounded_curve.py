@@ -207,7 +207,7 @@ class TestHullIndices:
         dataset = generate(PopulationSpec(n=400, prevalence=0.1, seed=7)).dataset
         sweep = pr_curve(dataset)
         points = report_points(sweep, None)
-        assert points[0] is sweep[0] and points[-1] is sweep[-1]
+        assert points[0] == sweep[0] and points[-1] == sweep[-1]
         hull = [(p.fpr, p.recall) for p in points]
         for p in sweep:
             assert p.recall <= _envelope(hull, p.fpr) + TOL

@@ -184,6 +184,23 @@ class TestExitCodes:
         code, error = self._exit(argv, capsys)
         assert (code, error["type"]) == (2, "input"), error
 
+    @pytest.mark.parametrize("prevalence", [-3, 0, 1, 1.5])
+    @pytest.mark.parametrize("selection", ["threshold", "k", "costs", "predictions"])
+    def test_assumed_prevalence_outside_unit_interval_exits_2(self, selection, prevalence, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        if selection == "predictions":
+            data.write_text("case_id,reference,predicted\np,positive,1\nn,negative,0\n")
+        else:
+            data.write_text("case_id,reference,score\np,positive,0.9\nn,negative,0.1\n")
+        flags = {"threshold": ["--threshold", 0.5], "k": ["--k", 1], "costs": ["--cost-fp", 1, "--cost-fn", 5]}
+        out = tmp_path / "out"
+        argv = ["evaluate", "--input", data, *flags.get(selection, []), "--assumed-prevalence", prevalence,
+                "--out-dir", out]
+        code, error = self._exit(argv, capsys)
+        assert (code, error["type"]) == (2, "input"), error
+        assert "--assumed-prevalence must be in (0, 1)" in error["message"]
+        assert not out.exists()
+
 
 class TestHelpGolden:
     def test_every_flag_enumerated(self):

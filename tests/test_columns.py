@@ -14,12 +14,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_loops as ref
 from rareval import robustness
-from rareval.curves import pr_curve
-from rareval.errors import InfeasibleError
+from rareval.curves import CostSpec, auc, curve_to_csv, expected_cost, pr_curve, select_operating_point
+from rareval.errors import InfeasibleError, InputError
 from rareval.datamodel import CELLS, Dataset, ReferenceLabel, StratumSpec, confusion_cells
 from rareval.metrics import _class_table, _proportion, confusion, precision_at_k
 from rareval.provenance import derive_seed
@@ -103,7 +103,7 @@ class TestColumnView:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(datasets(), datasets(scored=True)))
     def test_pr_curve_points_exact(self, ds):
-        assert outcome(pr_curve, ds) == outcome(ref.pr_curve, ds)
+        assert outcome(lambda d: list(pr_curve(d)), ds) == outcome(ref.pr_curve, ds)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(datasets(), datasets(scored=True)), st.integers(1, 12))
@@ -180,6 +180,90 @@ class TestColumnView:
         sampled = outcome(draw_sample, ds, ScleConfig(n_fp=1, n_fn=1, n_tp=1, seed=0))
         if "InputError" in (sampled[0], want[0]):
             assert sampled == want
+
+
+# Ties, and scores below 1e-4 where repr switches to exponent form. A stratum
+# with p = 1e-17 has weight 1e17, which absorbs a later weight-1 case: two
+# sweep points then share recall and fpr, so their costs tie exactly.
+_SWEEP_SCORES = st.sampled_from([0.9, 0.5, 0.5, 0.25, 0.1, 5e-05, 5e-05, 1.2345e-07, 3e-300])
+_SWEEP_PROBABILITIES = (1.0, 0.3, 1e-17, 0.7, 0.25)
+_COSTS = st.sampled_from([CostSpec(1.0, 1.0), CostSpec(1.0, 100.0), CostSpec(100.0, 1.0), CostSpec(3, 7)])
+_PREVALENCES = st.sampled_from([0.5, 0.002, 0.1, 0.9])
+
+
+@st.composite
+def sweeps(draw):
+    """The sweep of a scored dataset that holds both classes."""
+    design = ()
+    if draw(st.booleans()):
+        design = tuple(
+            StratumSpec(f"s{i}", p) for i, p in enumerate(_SWEEP_PROBABILITIES[: draw(st.integers(1, 5))])
+        )
+    cases = [
+        make_case(
+            f"c{i}",
+            draw(_REFERENCES),
+            score=draw(_SWEEP_SCORES),
+            stratum_id=draw(st.sampled_from(design)).stratum_id if design else None,
+        )
+        for i in range(draw(st.integers(2, 40)))
+    ]
+    try:
+        return pr_curve(Dataset(cases, design))
+    except InputError:
+        assume(False)
+
+
+class TestSweepColumns:
+    """The column readers of a sweep against the point-by-point oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweeps())
+    def test_csv_bytes_exact(self, curve):
+        assert curve_to_csv(curve).encode("utf-8") == ref.curve_to_csv(list(curve)).encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweeps())
+    def test_auc_exact(self, curve):
+        got = auc(curve)
+        assert type(got) is float
+        assert got == ref.auc(list(curve))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweeps(), _COSTS, _PREVALENCES)
+    def test_operating_point_exact(self, curve, costs, prevalence):
+        points = list(curve)
+        assert expected_cost(curve, costs, prevalence).tolist() == [
+            ref.expected_cost(p, costs, prevalence) for p in points
+        ]
+        assert select_operating_point(curve, costs, prevalence) == ref.select_operating_point(
+            points, costs, prevalence
+        )
+
+    def test_cost_tie_resolves_to_lower_fpr(self):
+        cases = [("a", "positive", 0.9), ("b", "negative", 0.8), ("c", "positive", 0.7), ("d", "negative", 0.6)]
+        curve = pr_curve(Dataset(make_case(i, r, score=s) for i, r, s in cases))
+        costs = expected_cost(curve, CostSpec(1.0, 1.0), 0.5)
+        assert costs[1] == costs[3] == costs.min() and curve.fpr[1] < curve.fpr[3]
+        point = select_operating_point(curve, CostSpec(1.0, 1.0), 0.5)
+        assert point == curve[1] == ref.select_operating_point(list(curve), CostSpec(1.0, 1.0), 0.5)
+
+    def test_cost_tie_at_equal_fpr_resolves_to_earlier_point(self):
+        cases = [("a", "positive", 0.9, "heavy"), ("b", "positive", 0.8, "light"), ("c", "negative", 0.1, "light")]
+        design = (StratumSpec("heavy", 1e-17), StratumSpec("light", 1.0))
+        curve = pr_curve(Dataset((make_case(i, r, score=s, stratum_id=d) for i, r, s, d in cases), design))
+        assert (curve.recall[1], curve.fpr[1]) == (curve.recall[2], curve.fpr[2])
+        point = select_operating_point(curve, CostSpec(1.0, 1.0), 0.5)
+        assert point == curve[1] == ref.select_operating_point(list(curve), CostSpec(1.0, 1.0), 0.5)
+
+    def test_rows_are_points(self):
+        curve = pr_curve(Dataset([make_case("p", "positive", score=5e-05), make_case("n", "negative", score=0.1)]))
+        assert len(curve) == 3 and curve[0].precision is None and curve[-1] == curve[2]
+        assert curve[1].threshold == 0.1 and type(curve[1].predicted_positive_count) is int
+        with pytest.raises(IndexError):
+            curve[3]
+        with pytest.raises(ValueError):
+            curve.recall[0] = 1.0
 
 
 class TestChangedStreams:

@@ -224,7 +224,7 @@ def _cmd_evaluate(args) -> int:
     outputs.dataset_summary = report.summarize_dataset(ds)
     outputs.test_set_prevalence = outputs.dataset_summary["prevalence"]
     outputs.enrichment_accounted = ds.weighted
-    outputs.benchmark_present = any(c.benchmark_predicted is not None for c in ds.cases)
+    outputs.benchmark_present = bool((ds.columns.benchmark_predicted >= 0).any())
     outputs.operating_point = operating_point
 
     metric_entries = []

@@ -112,22 +112,21 @@ def pr_curve(dataset: Dataset) -> Curve:
     labeled = np.flatnonzero(cols.evaluable)
     unscored = np.flatnonzero(np.isnan(cols.score[labeled]))
     if unscored.size:
-        missing = dataset.cases[labeled[unscored[0]]].case_id
+        missing = cols.case_id[labeled[unscored[0]]]
         raise InputError(f"case {missing!r} has no score; curves need a fully scored dataset")
     labeled = labeled[np.argsort(-cols.score[labeled], kind="stable")]  # descending score
     scores, positive, weights = cols.score[labeled], cols.reference[labeled] == POSITIVE, cols.weight[labeled]
     if positive.all() or not positive.any():
         raise InputError("curves need at least one positive and one negative control")
 
-    total_pos = float(weights[positive].sum())
-    total_neg = float(weights[~positive].sum())
-
     # index of the last case at each distinct score (cumulative counts there
     # are the tallies for threshold == that score under the >= convention);
-    # the leading zero tallies are the all-negative point
+    # the leading zero tallies are the all-negative point. The totals are the
+    # last running sums, so the all-positive point is exactly recall 1, fpr 1.
     last_of_score = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
     tp = np.concatenate(([0.0], np.cumsum(np.where(positive, weights, 0.0))[last_of_score]))
     fp = np.concatenate(([0.0], np.cumsum(np.where(positive, 0.0, weights))[last_of_score]))
+    total_pos, total_neg = tp[-1], fp[-1]
     with np.errstate(invalid="ignore"):  # 0/0 at the all-negative point
         precision = tp / (tp + fp)
     return Curve(

@@ -1,9 +1,10 @@
 """Core types, dataset container, and file ingestion for evaluation cases.
 
-A :class:`Dataset` is an immutable collection of :class:`EvaluationCase`
-records plus an optional enrichment design (per-stratum inclusion
-probabilities) and free-form metadata. Datasets are read from and written to
-CSV (RFC-4180) or JSONL; the design and metadata travel in a
+A :class:`Dataset` is an immutable table of per-case columns
+(:class:`CaseColumns`) plus an optional enrichment design (per-stratum
+inclusion probabilities) and free-form metadata; its :class:`EvaluationCase`
+rows are built only when read. Datasets are read from and written to CSV
+(RFC-4180) or JSONL; the design and metadata travel in a
 ``<path>.design.json`` sidecar so that a dataset round-trips through either
 format without loss.
 
@@ -11,7 +12,8 @@ CSV column conventions: ``case_id, reference, score, predicted,
 benchmark_predicted, stratum_id`` followed by subgroup columns prefixed
 ``sg_`` and repeated-run columns prefixed ``run_``. Booleans serialize as
 ``1``/``0``; missing values as the empty string; reals in full-precision
-decimal.
+decimal. A header that names a column twice (or two ``run_`` columns with
+the same run number) is rejected.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import csv
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -95,26 +98,46 @@ POSITIVE, NEGATIVE, AMBIGUOUS, EXCLUDED = range(4)
 CELLS = ("tp", "fp", "fn", "tn")
 TP, FP, FN, TN = range(4)
 _REFERENCE_CODE = {label: code for code, label in enumerate(ReferenceLabel)}
+_FLAG = (False, True, None)  # a binary code as a case field: 0, 1, or -1 (missing)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CaseColumns:
-    """Read-only per-case arrays of a :class:`Dataset`, in case order.
+    """The cases of a :class:`Dataset` as read-only arrays, in case order.
 
-    ``score`` is NaN and ``predicted`` -1 where missing; ``weight`` is the
-    inverse inclusion probability (1.0 without a design); ``stratum`` indexes
-    the design (-1 without one).
+    ``score`` is NaN and ``predicted``/``benchmark_predicted`` -1 where
+    missing; ``weight`` is the inverse inclusion probability (1.0 without a
+    design); ``stratum`` indexes the design (-1 without one). Subgroup
+    attribute ``subgroup_names[j]`` of case i is
+    ``subgroup_categories[j][subgroups[i, j]]``, absent where the code is -1;
+    names and categories are sorted. Row i of ``runs`` holds case i's
+    repeated-run labels left-aligned, -1 after its last one.
     """
 
+    case_id: np.ndarray
     score: np.ndarray
     reference: np.ndarray
     predicted: np.ndarray
+    benchmark_predicted: np.ndarray
     weight: np.ndarray
     stratum: np.ndarray
+    subgroup_names: tuple[str, ...]
+    subgroup_categories: tuple[tuple[str, ...], ...]
+    subgroups: np.ndarray
+    runs: np.ndarray
 
     def __post_init__(self):
-        for array in slot_fields(self).values():
-            array.flags.writeable = False
+        for value in slot_fields(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CaseColumns):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b, equal_nan=a.dtype.kind == "f") if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(slot_fields(self).values(), slot_fields(other).values())
+        )
 
     @property
     def evaluable(self) -> np.ndarray:
@@ -129,7 +152,7 @@ def confusion_cells(dataset: "Dataset") -> np.ndarray:
     cols = dataset.columns
     unpredicted = np.flatnonzero(cols.evaluable & (cols.predicted < 0))
     if unpredicted.size:
-        raise InputError(f"case {dataset.cases[unpredicted[0]].case_id!r} has no predicted label")
+        raise InputError(f"case {cols.case_id[unpredicted[0]]!r} has no predicted label")
     # 2 * (not predicted) + (reference is negative) orders the codes TP, FP, FN, TN
     return np.where(cols.evaluable, 2 * (1 - cols.predicted) + cols.reference, -1)
 
@@ -150,8 +173,102 @@ class StratumSpec:
             )
 
 
+def _duplicate_ids(case_id: Sequence, rows: Sequence[int]) -> list[str]:
+    """One message per repeat of a case id, naming the rows of its first and this occurrence."""
+    first: dict = {}
+    return [
+        f"duplicate case_id {v!r} (rows {rows[first[v]]} and {rows[i]})"
+        for i, v in enumerate(case_id)
+        if first.setdefault(v, i) != i
+    ]
+
+
+def _stratum_codes(
+    case_id: Sequence, stratum_id: Sequence, missing, design: tuple[StratumSpec, ...]
+) -> np.ndarray:
+    """Design index of every case's stratum (-1 without one), after the design checks in order."""
+    n, absent = len(stratum_id), stratum_id.count(missing)
+    if 0 < absent < n:
+        missing_id = case_id[stratum_id.index(missing)]
+        raise InputError(f"mixed design: case {missing_id!r} has no stratum_id while other cases do")
+    index = {s.stratum_id: i for i, s in enumerate(design)}
+    if len(index) != len(design):
+        raise InputError("design contains duplicate stratum_id entries")
+    if absent == n and design and n:
+        raise InputError("a design is present but no case carries a stratum_id")
+    unknown = set(stratum_id) - index.keys() - {missing}
+    if unknown:
+        i = next(i for i, s in enumerate(stratum_id) if s in unknown)
+        raise InputError(f"case {case_id[i]!r} references unknown stratum_id {stratum_id[i]!r}")
+    index[missing] = -1
+    return np.fromiter(map(index.__getitem__, stratum_id), np.intp, n)
+
+
+def _build_columns(
+    design: tuple[StratumSpec, ...],
+    case_id: Sequence,
+    stratum_id: Sequence,
+    subgroups: Mapping[str, Sequence],
+    runs: np.ndarray,
+    missing,
+    **arrays: np.ndarray,
+) -> CaseColumns:
+    """The one column builder: check the strata against ``design`` and assemble the view.
+
+    ``missing`` marks an absent stratum or subgroup value (``""`` in CSV text,
+    None in cases); ``runs`` is an int8 run-label matrix with -1 where a label
+    is absent; ``arrays`` are the score, reference and prediction columns.
+    """
+    stratum = _stratum_codes(case_id, stratum_id, missing, design)
+    # 1/p by stratum; stratum -1 (no design) picks the trailing 1.0
+    inverse_p = np.array([1.0 / s.inclusion_probability for s in design] + [1.0])
+    categories = {name: sorted(set(values) - {missing}) for name, values in sorted(subgroups.items())}
+    categories = {name: present for name, present in categories.items() if present}
+    codes = []
+    for name, present in categories.items():
+        code = {missing: -1, **{value: k for k, value in enumerate(present)}}
+        codes.append(np.fromiter(map(code.__getitem__, subgroups[name]), np.int32, len(stratum)))
+    left_aligned = np.take_along_axis(runs, np.argsort(runs < 0, axis=1, kind="stable"), axis=1)
+    return CaseColumns(
+        case_id=np.array(case_id, dtype=object),
+        weight=inverse_p[stratum],
+        stratum=stratum,
+        subgroup_names=tuple(categories),
+        subgroup_categories=tuple(map(tuple, categories.values())),
+        subgroups=np.stack(codes, axis=1) if codes else np.empty((len(stratum), 0), np.int32),
+        runs=left_aligned[:, : (runs >= 0).sum(axis=1).max(initial=0)],
+        **arrays,
+    )
+
+
+def _case_fields(cases: tuple[EvaluationCase, ...]) -> dict:
+    """The cases as the keyword arguments of :func:`_build_columns` (without the design)."""
+    labels = [tuple(c.repeated_labels or ()) for c in cases]
+    width = max(map(len, labels), default=0)
+    names = {name for c in cases for name in c.subgroups}
+    return dict(
+        case_id=[c.case_id for c in cases],
+        stratum_id=[c.stratum_id for c in cases],
+        subgroups={name: [c.subgroups.get(name) for c in cases] for name in names},
+        runs=np.array([r + (-1,) * (width - len(r)) for r in labels], dtype=np.int8).reshape(len(cases), width),
+        missing=None,
+        score=np.array([math.nan if c.score is None else c.score for c in cases], dtype=float),
+        reference=np.array([_REFERENCE_CODE[c.reference] for c in cases], dtype=np.int8),
+        predicted=np.array([-1 if c.predicted is None else c.predicted for c in cases], dtype=np.int8),
+        benchmark_predicted=np.array(
+            [-1 if c.benchmark_predicted is None else c.benchmark_predicted for c in cases], dtype=np.int8
+        ),
+    )
+
+
 class Dataset:
-    """Immutable evaluation dataset: cases, optional design, metadata."""
+    """Immutable evaluation dataset: case columns, optional design, metadata.
+
+    Every computation reads :attr:`columns`. A dataset read from a file holds
+    only columns, and :attr:`cases` builds the :class:`EvaluationCase` rows
+    from them on first use; one built from cases builds its columns on first
+    use instead.
+    """
 
     __slots__ = ("_cases", "_design", "_metadata", "_columns")
 
@@ -163,38 +280,60 @@ class Dataset:
     ):
         cases = tuple(cases)
         design = tuple(design)
-
-        seen: dict[str, int] = {}
-        for i, case in enumerate(cases):
-            if case.case_id in seen:
-                raise InputError(
-                    f"duplicate case_id {case.case_id!r} (rows {seen[case.case_id] + 1} and {i + 1})"
-                )
-            seen[case.case_id] = i
-
-        with_stratum = [c for c in cases if c.stratum_id is not None]
-        if with_stratum and len(with_stratum) != len(cases):
-            missing = next(c.case_id for c in cases if c.stratum_id is None)
-            raise InputError(
-                f"mixed design: case {missing!r} has no stratum_id while other cases do"
-            )
-        design_ids = {s.stratum_id for s in design}
-        if len(design_ids) != len(design):
-            raise InputError("design contains duplicate stratum_id entries")
-        for c in with_stratum:
-            if c.stratum_id not in design_ids:
-                raise InputError(f"case {c.case_id!r} references unknown stratum_id {c.stratum_id!r}")
-        if design and not with_stratum and cases:
-            raise InputError("a design is present but no case carries a stratum_id")
-
-        self._cases = cases
+        case_id = [c.case_id for c in cases]
+        duplicates = _duplicate_ids(case_id, range(1, len(cases) + 1))
+        if duplicates:
+            raise InputError(duplicates[0])
+        _stratum_codes(case_id, [c.stratum_id for c in cases], None, design)  # the design checks
+        self._columns: CaseColumns | None = None
         self._design = design
         self._metadata = dict(metadata or {})
-        self._columns: CaseColumns | None = None
+        self._cases: tuple[EvaluationCase, ...] | None = cases
+
+    @classmethod
+    def _from_columns(cls, columns: CaseColumns, design: tuple[StratumSpec, ...], metadata: Mapping):
+        """A dataset over already checked columns; its cases are built when first read."""
+        dataset = cls.__new__(cls)
+        dataset._columns, dataset._design, dataset._metadata = columns, design, dict(metadata)
+        dataset._cases = None
+        return dataset
 
     @property
     def cases(self) -> tuple[EvaluationCase, ...]:
+        if self._cases is None:
+            c, n = self._columns, len(self)
+
+            def decode(codes: np.ndarray, values: tuple) -> list:
+                return np.array(values, dtype=object)[codes].tolist()
+
+            score = c.score.astype(object)
+            score[np.isnan(c.score)] = None
+            named = list(zip(c.subgroup_names, c.subgroup_categories))
+            subgroups = [
+                {name: values[k] for (name, values), k in zip(named, row) if k >= 0}
+                for row in c.subgroups.tolist()
+            ] if named else [{}] * n
+            runs = [None] * n if not c.runs.size else [
+                tuple(_FLAG[label] for label in row if label >= 0) or None for row in c.runs.tolist()
+            ]
+            self._cases = tuple(map(
+                EvaluationCase,
+                c.case_id.tolist(),
+                decode(c.reference, tuple(ReferenceLabel)),
+                score.tolist(),
+                decode(c.predicted, _FLAG),
+                decode(c.benchmark_predicted, _FLAG),
+                decode(c.stratum, tuple(s.stratum_id for s in self._design) + (None,)),
+                subgroups,
+                runs,
+            ))
         return self._cases
+
+    @property
+    def columns(self) -> CaseColumns:
+        if self._columns is None:
+            self._columns = _build_columns(self._design, **_case_fields(self._cases))
+        return self._columns
 
     @property
     def design(self) -> tuple[StratumSpec, ...]:
@@ -210,37 +349,19 @@ class Dataset:
         return len(self._design) > 0
 
     def __len__(self) -> int:
-        return len(self._cases)
+        return len(self._cases if self._cases is not None else self._columns.score)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
-            self._cases == other._cases
+            self.columns == other.columns
             and self._design == other._design
             and self._metadata == other._metadata
         )
 
     def __repr__(self) -> str:
-        return f"Dataset(n={len(self._cases)}, strata={len(self._design)})"
-
-    @property
-    def columns(self) -> CaseColumns:
-        """The cases as read-only arrays, built on first use and cached."""
-        if self._columns is None:
-            cases = self._cases
-            stratum_of = {s.stratum_id: i for i, s in enumerate(self._design)}
-            stratum = np.array([stratum_of.get(c.stratum_id, -1) for c in cases], dtype=np.intp)
-            # 1/p by stratum; stratum -1 (no design) picks the trailing 1.0
-            inverse_p = np.array([1.0 / s.inclusion_probability for s in self._design] + [1.0])
-            self._columns = CaseColumns(
-                score=np.array([math.nan if c.score is None else c.score for c in cases], dtype=float),
-                reference=np.array([_REFERENCE_CODE[c.reference] for c in cases], dtype=np.int8),
-                predicted=np.array([-1 if c.predicted is None else c.predicted for c in cases], dtype=np.int8),
-                weight=inverse_p[stratum],
-                stratum=stratum,
-            )
-        return self._columns
+        return f"Dataset(n={len(self)}, strata={len(self._design)})"
 
     def label_counts(self) -> dict[str, int]:
         counts = np.bincount(self.columns.reference, minlength=len(_REFERENCE_CODE))
@@ -255,40 +376,25 @@ def apply_threshold(dataset: Dataset, threshold: float) -> Dataset:
 
     Ties at the threshold are predicted positive, which keeps precision@k
     consistent under score ties. Original scores are retained; reference
-    labels (including ambiguous/excluded) are untouched.
+    labels (including ambiguous/excluded) are untouched. Every column but
+    ``predicted`` is shared with ``dataset``.
     """
-    new_cases = []
-    for case in dataset.cases:
-        if case.score is None:
-            raise InputError(f"case {case.case_id!r} has no score; cannot apply a threshold")
-        new_cases.append(
-            EvaluationCase(
-                case_id=case.case_id,
-                reference=case.reference,
-                score=case.score,
-                predicted=case.score >= threshold,
-                benchmark_predicted=case.benchmark_predicted,
-                stratum_id=case.stratum_id,
-                subgroups=case.subgroups,
-                repeated_labels=case.repeated_labels,
-            )
-        )
-    return dataset.replace_cases(new_cases)
+    cols = dataset.columns
+    unscored = np.flatnonzero(np.isnan(cols.score))
+    if unscored.size:
+        raise InputError(f"case {cols.case_id[unscored[0]]!r} has no score; cannot apply a threshold")
+    predicted = (cols.score >= threshold).astype(np.int8)
+    return Dataset._from_columns(replace(cols, predicted=predicted), dataset.design, dataset.metadata)
 
 
 # --- serialization helpers -------------------------------------------------
 
-_TRUE = {"1", "true"}
-_FALSE = {"0", "false"}
-
-
-def _parse_bool(text: str, *, row: int, fieldname: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise IngestError([f"row {row}: field {fieldname!r}: expected a binary label, got {text!r}"])
+# Text codes: a binary field or a reference label by its stripped,
+# lower-cased text; _BAD marks text that is neither.
+_BINARY = {"1": 1, "true": 1, "0": 0, "false": 0}
+_LABEL = {label.value: code for label, code in _REFERENCE_CODE.items()}
+_BAD = -2
+_OPTIONAL_COLUMNS = ("score", "predicted", "benchmark_predicted", "stratum_id")
 
 
 def _format_bool(value: bool) -> str:
@@ -461,61 +567,125 @@ def _load_sidecar(path: Path) -> tuple[tuple[StratumSpec, ...], dict]:
         raise InputError(f"{sidecar}: malformed design sidecar: {type(exc).__name__}: {exc}") from None
 
 
-def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, EvaluationCase]]:
-    cases: list[tuple[int, EvaluationCase]] = []
+def _codes(fields: Sequence[str], table: Mapping[str, int], empty: int) -> np.ndarray:
+    """int8 code of every field: ``empty`` for "", else ``table`` at its stripped, lower-cased text, or _BAD."""
+    code = {text: table.get(text.strip().lower(), _BAD) if text else empty for text in set(fields)}
+    return np.fromiter(map(code.__getitem__, fields), np.int8, len(fields))
+
+
+def _is_real(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_csv(path: Path, problems: list[str]) -> dict:
+    """The file's fields as :func:`_build_columns` arguments; row problems and repeated ids go to ``problems``.
+
+    Each column is parsed in one step (``float()`` semantics for scores, a
+    lookup of the distinct texts for labels and flags). A row's problem is
+    the first check it fails, in the order a row-by-row reader meets them.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError([f"{path}: empty file"]) from None
-        required = {"case_id", "reference"}
-        missing = required - set(header)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError([f"{path}: empty file"])
+        missing = {"case_id", "reference"} - set(header)
         if missing:
             raise IngestError([f"{path}: header missing required column(s): {sorted(missing)}"])
         run_cols = [c for c in header if c.startswith("run_")]
         try:
-            run_cols.sort(key=lambda c: int(c[4:]))
+            run_number = {c: int(c[4:]) for c in run_cols}
         except ValueError:
             raise IngestError(
                 [f"{path}: repeated-run columns need a run number after 'run_': {run_cols}"]
             ) from None
-        sg_cols = [c for c in header if c.startswith("sg_")]
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                problems.append(f"row {row_number}: expected {len(header)} fields, got {len(row)}")
-                continue
-            raw = dict(zip(header, row))
-            record: dict = {"case_id": raw.get("case_id", "")}
-            record["reference"] = raw.get("reference", "")
-            if raw.get("score", "") != "":
-                record["score"] = raw["score"]
-            try:
-                for fieldname in ("predicted", "benchmark_predicted"):
-                    if raw.get(fieldname, "") != "":
-                        record[fieldname] = _parse_bool(raw[fieldname], row=row_number, fieldname=fieldname)
-                runs = []
-                for col in run_cols:
-                    if raw.get(col, "") != "":
-                        runs.append(_parse_bool(raw[col], row=row_number, fieldname=col))
-                if runs:
-                    record["repeated_labels"] = runs
-            except IngestError as exc:
-                problems.extend(exc.problems)
-                continue
-            if raw.get("stratum_id", "") != "":
-                record["stratum_id"] = raw["stratum_id"]
-            subgroups = {c[3:]: raw[c] for c in sg_cols if raw[c] != ""}
-            if subgroups:
-                record["subgroups"] = subgroups
-            case = _case_from_record(record, row=row_number, problems=problems)
-            if case is not None:
-                cases.append((row_number, case))
-    return cases
+        run_cols.sort(key=run_number.get)
+        keys = [run_number.get(c, c) for c in header]
+        repeated = [c for c, key in zip(header, keys) if keys.count(key) > 1]
+        if repeated:
+            raise IngestError([f"{path}: header repeats column(s): {repeated}"])
+        rows = list(reader)
+
+    width = len(header)
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    numbers = np.flatnonzero(lengths == width) + 2  # file row of every kept row
+    short = np.flatnonzero(lengths != width) + 2
+    found = [(r, f"row {r}: expected {width} fields, got {lengths[r - 2]}") for r in short]
+    if found:
+        rows = [row for row in rows if len(row) == width]
+    n, present = len(numbers), dict(zip(header, zip(*rows)))
+    del rows
+    raw = {name: present.get(name, ("",) * n) for name in (*header, *_OPTIONAL_COLUMNS)}
+
+    ids = np.array(raw["case_id"], dtype=object)
+    reference = _codes(raw["reference"], _LABEL, _BAD)
+    flag_cols = ["predicted", "benchmark_predicted", *run_cols]
+    flags = {name: _codes(raw[name], _BINARY, -1) for name in flag_cols}
+    no_score = np.fromiter(map(operator.not_, raw["score"]), bool, n)
+    filled = raw["score"]
+    if no_score.any():
+        filled = ["nan" if empty else text for text, empty in zip(filled, no_score)]
+    try:
+        score, unreadable = np.array(filled, dtype=float), np.zeros(n, dtype=bool)
+    except ValueError:  # name the fields float() rejects
+        unreadable = ~np.fromiter(map(_is_real, filled), bool, n)
+        score = np.array(["nan" if bad else text for text, bad in zip(filled, unreadable)], dtype=float)
+
+    def problem(name: str, template: str):
+        """Message of row i: ``template`` with the row's ``name`` field and case id filled in."""
+        return lambda i: template.format(name=name, text=raw[name][i], id=raw["case_id"][i])
+
+    def reference_problem(i: int) -> str:
+        try:
+            ReferenceLabel.parse(raw["reference"][i])
+        except InputError as exc:
+            return f"field 'reference': {exc}"
+
+    # (rows failing, message of row i), in the order a row-by-row reader meets them
+    checks = [
+        (flags[name] == _BAD, problem(name, "field {name!r}: expected a binary label, got {text!r}"))
+        for name in flag_cols
+    ]
+    checks += [
+        (
+            (ids == "") | np.fromiter(map(str.isspace, raw["case_id"]), bool, n),
+            problem("case_id", "field 'case_id': missing"),
+        ),
+        (reference == _BAD, reference_problem),
+        (unreadable, problem("score", "field 'score': not a real number: {text!r}")),
+        (
+            no_score & (flags["predicted"] < 0),
+            problem("score", "case {id!r}: needs a score or a predicted label"),
+        ),
+        (~no_score & ~np.isfinite(score), problem("score", "case {id!r}: score must be finite")),
+    ]
+    failed = np.zeros(n, dtype=bool)
+    for rows_failing, message in checks:
+        found += [(numbers[i], f"row {numbers[i]}: {message(i)}") for i in np.flatnonzero(rows_failing & ~failed)]
+        failed |= rows_failing
+    problems += [message for _, message in sorted(found)]
+    problems += _duplicate_ids(ids[~failed].tolist() if failed.any() else raw["case_id"], numbers[~failed])
+    return dict(
+        case_id=ids,
+        stratum_id=raw["stratum_id"],
+        subgroups={c[3:]: raw[c] for c in header if c.startswith("sg_")},
+        runs=np.stack([flags[c] for c in run_cols], axis=1) if run_cols else np.empty((n, 0), np.int8),
+        missing="",
+        score=score,
+        reference=reference,
+        predicted=flags["predicted"],
+        benchmark_predicted=flags["benchmark_predicted"],
+    )
 
 
-def _ingest_jsonl_rows(path: Path, problems: list[str]) -> list[tuple[int, EvaluationCase]]:
-    cases: list[tuple[int, EvaluationCase]] = []
+def _read_jsonl(path: Path, problems: list[str]) -> dict:
+    """The file's fields as :func:`_build_columns` arguments; problems go to ``problems`` as in :func:`_read_csv`."""
+    cases: list[EvaluationCase] = []
+    numbers: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for row_number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -535,8 +705,11 @@ def _ingest_jsonl_rows(path: Path, problems: list[str]) -> list[tuple[int, Evalu
                 )
             case = _case_from_record(record, row=row_number, problems=problems)
             if case is not None:
-                cases.append((row_number, case))
-    return cases
+                cases.append(case)
+                numbers.append(row_number)
+    fields = _case_fields(tuple(cases))
+    problems += _duplicate_ids(fields["case_id"], numbers)
+    return fields
 
 
 def ingest(path: str | Path, format: str = "csv") -> Dataset:
@@ -558,27 +731,18 @@ def ingest(path: str | Path, format: str = "csv") -> Dataset:
             raise InputError(f"{path}: this is a truth sidecar (oracle data), not an evaluation input")
 
         if format == "csv":
-            numbered = _ingest_csv_rows(path, problems)
+            fields = _read_csv(path, problems)
         elif format == "jsonl":
-            numbered = _ingest_jsonl_rows(path, problems)
+            fields = _read_jsonl(path, problems)
         else:
             raise InputError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: cannot read: {type(exc).__name__}: {exc}") from None
-
-    seen: dict[str, int] = {}
-    for row_number, case in numbered:
-        if case.case_id in seen:
-            problems.append(
-                f"duplicate case_id {case.case_id!r} (rows {seen[case.case_id]} and {row_number})"
-            )
-        else:
-            seen[case.case_id] = row_number
     if problems:
         raise IngestError(problems)
 
     design, metadata = _load_sidecar(path)
     try:
-        return Dataset((case for _, case in numbered), design, metadata)
+        return Dataset._from_columns(_build_columns(design, **fields), design, metadata)
     except InputError as exc:
         raise IngestError([str(exc)]) from None

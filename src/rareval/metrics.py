@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .datamodel import AMBIGUOUS, CELLS, EXCLUDED, NEGATIVE, POSITIVE, Dataset, EvaluationCase, confusion_cells
+from .datamodel import AMBIGUOUS, CELLS, EXCLUDED, NEGATIVE, POSITIVE, Dataset, confusion_cells
 from .errors import InputError
 from .provenance import derive_seed, slot_fields
 
@@ -232,13 +232,12 @@ def precision_at_k(dataset: Dataset, k: int, ci_level: float = 0.95) -> Precisio
     scores = cols.score[scored]
     unscored = np.flatnonzero(np.isnan(scores))
     if unscored.size:
-        missing = dataset.cases[scored[unscored[0]]].case_id
+        missing = cols.case_id[scored[unscored[0]]]
         raise InputError(f"case {missing!r} has no score; precision@k needs a fully scored dataset")
     if k > len(scored):
         raise InputError(f"k={k} exceeds the {len(scored)} scorable cases")
 
-    case_ids = np.array([dataset.cases[i].case_id for i in scored], dtype=object)
-    ranked = scored[np.lexsort((case_ids, -scores))]
+    ranked = scored[np.lexsort((cols.case_id[scored], -scores))]
     top = ranked[:k]
     cut_score = float(cols.score[top[-1]])
     ties_straddle = k < len(ranked) and bool(cols.score[ranked[k]] == cut_score)
@@ -267,15 +266,15 @@ def concordance_and_override(
     """
     if not human_labels:
         raise InputError("human_labels is empty")
-    by_id: dict[str, EvaluationCase] = {c.case_id: c for c in dataset.cases}
+    predicted = dict(zip(dataset.columns.case_id.tolist(), dataset.columns.predicted.tolist()))
     agree = 0
     for case_id, decision in human_labels.items():
-        case = by_id.get(case_id)
-        if case is None:
+        model = predicted.get(case_id)
+        if model is None:
             raise InputError(f"human label for unknown case_id {case_id!r}")
-        if case.predicted is None:
+        if model < 0:
             raise InputError(f"case {case_id!r} has no model prediction")
-        agree += int(bool(decision) == case.predicted)
+        agree += int(bool(decision) == model)
     concordance = agree / len(human_labels)
     return concordance, 1.0 - concordance
 

@@ -194,8 +194,102 @@ def summarize_dataset(dataset: Dataset) -> dict:
     }
 
 
-def _metric_names(outputs: EvaluationOutputs) -> set[str]:
-    return {m.get("metric") for m in outputs.metrics}
+def _prefill_row(row: str, o: EvaluationOutputs) -> tuple[str, list[str], str]:
+    """(status, evidence, rationale) of one checklist row, from the run's outputs alone."""
+    names = {m.get("metric") for m in o.metrics}
+    scle = o.scle_summary or {}
+    if row == "test_sets":
+        if not o.dataset_summary:
+            return "unsatisfied", [], "no dataset descriptives available"
+        keys = ("n_positive", "n_negative", "n_ambiguous", "prevalence")
+        evidence = [f"dataset.{k}={o.dataset_summary.get(k)}" for k in keys]
+        return "partial", evidence, "descriptives computed; alignment with the intended use needs human judgment"
+    if row == "annotation_process":
+        return "unsatisfied", [], "annotation criteria and quality control are not derivable from run outputs"
+    if row == "metrics":
+        if not names:
+            return "unsatisfied", [], "no metrics were computed"
+        evidence = [f"metrics.{n}" for n in sorted(n for n in names if n)]
+        return "partial", evidence, "metrics computed; their relevance to the intended use needs human judgment"
+    if row in ("recall", "precision", "specificity") and row not in names:
+        return "unsatisfied", [], f"{row} was not computed"
+    if row == "recall":
+        if o.enrichment_accounted:
+            return "satisfied", ["metrics.recall", "design.weighted=true"], ""
+        if o.enrichment_justification:
+            return "satisfied", ["metrics.recall", f"enrichment_justification: {o.enrichment_justification}"], ""
+        return "partial", ["metrics.recall"], (
+            "recall computed without enrichment accounting (no weighted design or justification)"
+        )
+    if row == "precision":
+        optimism = "enrichment_optimism" in {w.get("code") for w in o.warnings}
+        evidence = ["metrics.precision", f"test_set_prevalence={o.test_set_prevalence}"]
+        if o.assumed_deployment_prevalence is not None:
+            evidence.append(f"assumed_deployment_prevalence={o.assumed_deployment_prevalence}")
+        evidence += ["curves.warnings.enrichment_optimism"] if optimism else []
+        if o.enrichment_accounted:
+            return "satisfied", evidence + ["design.weighted=true"], ""
+        if optimism:
+            return "partial", evidence, (
+                "test-set prevalence far exceeds the assumed deployment prevalence and no weighting was applied"
+            )
+        if o.assumed_deployment_prevalence is None:
+            return "partial", evidence, "no assumed deployment prevalence was provided for comparison"
+        return "satisfied", evidence, ""
+    if row == "specificity":
+        spec = next(m for m in o.metrics if m.get("metric") == "specificity")
+        return "partial", ["metrics.specificity", f"n_effective={spec.get('n_effective')}"], (
+            "specificity computed; adequacy for the operating point needs human judgment"
+        )
+    if row == "decision_thresholds":
+        if o.operating_point is not None and o.costs is not None:
+            return "satisfied", ["curves.select_operating_point", f"costs={o.costs}"], ""
+        if not o.curve_points and o.threshold is None:
+            return "unsatisfied", [], "no threshold analysis was performed"
+        evidence = ["curves.sweep"] if o.curve_points else []
+        evidence += [f"threshold={o.threshold}"] if o.threshold is not None else []
+        return "partial", evidence, "thresholds examined without an explicit error-cost specification"
+    if row == "benchmarks":
+        if not o.benchmark_present:
+            return "unsatisfied", [], "no benchmark comparison available"
+        return "partial", ["dataset.benchmark_predicted"], (
+            "benchmark labels present; benchmark adequacy needs human judgment"
+        )
+    if row == "robustness":
+        evidence = [
+            name
+            for present, name in (
+                (o.subset_reports, "robustness.subset_metrics"),
+                (o.stability_report, "robustness.stability"),
+                (o.resampling_reports, "robustness.resampling_variability"),
+            )
+            if present
+        ]
+        if not evidence:
+            return "unsatisfied", [], "no subset breakdown, stability, or resampling analysis was run"
+        return "partial", evidence + ["drift monitoring: external evidence required"], (
+            "subset/stability analyses present; drift detection needs external evidence"
+        )
+    if row == "non_triviality":
+        if scle.get("triviality_rate") is None:
+            return "unsatisfied", [], "no case-level examination of true positives available"
+        return "partial", [f"scle.triviality_rate={scle['triviality_rate']}"], (
+            "triviality rate measured; interpretation against the intended use needs human judgment"
+        )
+    if row == "types_of_errors":
+        if scle.get("no_findings", True):
+            return "unsatisfied", [], "no reviewed false positives or false negatives available"
+        never = scle.get("never_events")
+        evidence = ["scle.aggregate"] + ([f"scle.never_events={len(never)}"] if never else [])
+        return "partial", evidence, "error review findings present; acceptability needs human judgment"
+    if o.concordance is None:  # human_ai_interaction
+        return "external_evidence_required", [], (
+            "human-AI interaction cannot be assessed from a static evaluation run"
+        )
+    return "partial", [
+        f"metrics.concordance={o.concordance.get('concordance')}",
+        f"metrics.override_rate={o.concordance.get('override_rate')}",
+    ], "concordance and override rate computed; workflow integration needs external evidence"
 
 
 def _finish(
@@ -225,302 +319,8 @@ def _finish(
 
 def prefill_checklist(outputs: EvaluationOutputs) -> list[ChecklistItem]:
     """Deterministically map run outputs onto the twelve checklist rows."""
-    att = outputs.attestations or {}
-    items: list[ChecklistItem] = []
-    names = _metric_names(outputs)
-    warning_codes = {w.get("code") for w in outputs.warnings}
-
-    # test_sets
-    if outputs.dataset_summary:
-        ds = outputs.dataset_summary
-        evidence = [
-            f"dataset.n_positive={ds.get('n_positive')}",
-            f"dataset.n_negative={ds.get('n_negative')}",
-            f"dataset.n_ambiguous={ds.get('n_ambiguous')}",
-            f"dataset.prevalence={ds.get('prevalence')}",
-        ]
-        items.append(
-            _finish(
-                "test_sets",
-                "partial",
-                evidence,
-                "descriptives computed; alignment with the intended use needs human judgment",
-                att,
-            )
-        )
-    else:
-        items.append(
-            _finish("test_sets", "unsatisfied", [], "no dataset descriptives available", att)
-        )
-
-    # annotation_process
-    items.append(
-        _finish(
-            "annotation_process",
-            "unsatisfied",
-            [],
-            "annotation criteria and quality control are not derivable from run outputs",
-            att,
-        )
-    )
-
-    # metrics
-    if names:
-        items.append(
-            _finish(
-                "metrics",
-                "partial",
-                [f"metrics.{n}" for n in sorted(n for n in names if n)],
-                "metrics computed; their relevance to the intended use needs human judgment",
-                att,
-            )
-        )
-    else:
-        items.append(_finish("metrics", "unsatisfied", [], "no metrics were computed", att))
-
-    # recall
-    if "recall" in names:
-        if outputs.enrichment_accounted:
-            items.append(
-                _finish(
-                    "recall",
-                    "satisfied",
-                    ["metrics.recall", "design.weighted=true"],
-                    "",
-                    att,
-                )
-            )
-        elif outputs.enrichment_justification:
-            items.append(
-                _finish(
-                    "recall",
-                    "satisfied",
-                    ["metrics.recall", f"enrichment_justification: {outputs.enrichment_justification}"],
-                    "",
-                    att,
-                )
-            )
-        else:
-            items.append(
-                _finish(
-                    "recall",
-                    "partial",
-                    ["metrics.recall"],
-                    "recall computed without enrichment accounting (no weighted design or justification)",
-                    att,
-                )
-            )
-    else:
-        items.append(_finish("recall", "unsatisfied", [], "recall was not computed", att))
-
-    # precision
-    if "precision" in names:
-        evidence = ["metrics.precision", f"test_set_prevalence={outputs.test_set_prevalence}"]
-        if outputs.assumed_deployment_prevalence is not None:
-            evidence.append(f"assumed_deployment_prevalence={outputs.assumed_deployment_prevalence}")
-        if "enrichment_optimism" in warning_codes:
-            evidence.append("curves.warnings.enrichment_optimism")
-        if outputs.enrichment_accounted:
-            items.append(_finish("precision", "satisfied", evidence + ["design.weighted=true"], "", att))
-        elif "enrichment_optimism" in warning_codes:
-            items.append(
-                _finish(
-                    "precision",
-                    "partial",
-                    evidence,
-                    "test-set prevalence far exceeds the assumed deployment prevalence and no "
-                    "weighting was applied",
-                    att,
-                )
-            )
-        elif outputs.assumed_deployment_prevalence is None:
-            items.append(
-                _finish(
-                    "precision",
-                    "partial",
-                    evidence,
-                    "no assumed deployment prevalence was provided for comparison",
-                    att,
-                )
-            )
-        else:
-            items.append(_finish("precision", "satisfied", evidence, "", att))
-    else:
-        items.append(_finish("precision", "unsatisfied", [], "precision was not computed", att))
-
-    # specificity
-    if "specificity" in names:
-        spec = next(m for m in outputs.metrics if m.get("metric") == "specificity")
-        items.append(
-            _finish(
-                "specificity",
-                "partial",
-                ["metrics.specificity", f"n_effective={spec.get('n_effective')}"],
-                "specificity computed; adequacy for the operating point needs human judgment",
-                att,
-            )
-        )
-    else:
-        items.append(
-            _finish("specificity", "unsatisfied", [], "specificity was not computed", att)
-        )
-
-    # decision_thresholds
-    if outputs.operating_point is not None and outputs.costs is not None:
-        items.append(
-            _finish(
-                "decision_thresholds",
-                "satisfied",
-                ["curves.select_operating_point", f"costs={outputs.costs}"],
-                "",
-                att,
-            )
-        )
-    elif outputs.curve_points or outputs.threshold is not None:
-        evidence = []
-        if outputs.curve_points:
-            evidence.append("curves.sweep")
-        if outputs.threshold is not None:
-            evidence.append(f"threshold={outputs.threshold}")
-        items.append(
-            _finish(
-                "decision_thresholds",
-                "partial",
-                evidence,
-                "thresholds examined without an explicit error-cost specification",
-                att,
-            )
-        )
-    else:
-        items.append(
-            _finish(
-                "decision_thresholds",
-                "unsatisfied",
-                [],
-                "no threshold analysis was performed",
-                att,
-            )
-        )
-
-    # benchmarks
-    if outputs.benchmark_present:
-        items.append(
-            _finish(
-                "benchmarks",
-                "partial",
-                ["dataset.benchmark_predicted"],
-                "benchmark labels present; benchmark adequacy needs human judgment",
-                att,
-            )
-        )
-    else:
-        items.append(
-            _finish("benchmarks", "unsatisfied", [], "no benchmark comparison available", att)
-        )
-
-    # robustness
-    robustness_evidence = []
-    if outputs.subset_reports:
-        robustness_evidence.append("robustness.subset_metrics")
-    if outputs.stability_report:
-        robustness_evidence.append("robustness.stability")
-    if outputs.resampling_reports:
-        robustness_evidence.append("robustness.resampling_variability")
-    if robustness_evidence:
-        items.append(
-            _finish(
-                "robustness",
-                "partial",
-                robustness_evidence + ["drift monitoring: external evidence required"],
-                "subset/stability analyses present; drift detection needs external evidence",
-                att,
-            )
-        )
-    else:
-        items.append(
-            _finish(
-                "robustness",
-                "unsatisfied",
-                [],
-                "no subset breakdown, stability, or resampling analysis was run",
-                att,
-            )
-        )
-
-    # non_triviality
-    scle = outputs.scle_summary
-    if scle and scle.get("triviality_rate") is not None:
-        items.append(
-            _finish(
-                "non_triviality",
-                "partial",
-                [f"scle.triviality_rate={scle['triviality_rate']}"],
-                "triviality rate measured; interpretation against the intended use needs human judgment",
-                att,
-            )
-        )
-    else:
-        items.append(
-            _finish(
-                "non_triviality",
-                "unsatisfied",
-                [],
-                "no case-level examination of true positives available",
-                att,
-            )
-        )
-
-    # types_of_errors
-    if scle and not scle.get("no_findings", True):
-        evidence = ["scle.aggregate"]
-        if scle.get("never_events"):
-            evidence.append(f"scle.never_events={len(scle['never_events'])}")
-        items.append(
-            _finish(
-                "types_of_errors",
-                "partial",
-                evidence,
-                "error review findings present; acceptability needs human judgment",
-                att,
-            )
-        )
-    else:
-        items.append(
-            _finish(
-                "types_of_errors",
-                "unsatisfied",
-                [],
-                "no reviewed false positives or false negatives available",
-                att,
-            )
-        )
-
-    # human_ai_interaction
-    if outputs.concordance is not None:
-        items.append(
-            _finish(
-                "human_ai_interaction",
-                "partial",
-                [
-                    f"metrics.concordance={outputs.concordance.get('concordance')}",
-                    f"metrics.override_rate={outputs.concordance.get('override_rate')}",
-                ],
-                "concordance and override rate computed; workflow integration needs external evidence",
-                att,
-            )
-        )
-    else:
-        items.append(
-            _finish(
-                "human_ai_interaction",
-                "external_evidence_required",
-                [],
-                "human-AI interaction cannot be assessed from a static evaluation run",
-                att,
-            )
-        )
-
-    assert [i.consideration for i in items] == list(CONSIDERATIONS)
+    attestations = outputs.attestations or {}
+    items = [_finish(row, *_prefill_row(row, outputs), attestations) for row in CONSIDERATIONS]
     for item in items:
         # numbers alone never satisfy a qualitative row; only attestation can
         if item.consideration in QUALITATIVE_ROWS and item.status == "satisfied":

@@ -4,20 +4,24 @@ These are the case-by-case loops that the column view of ``Dataset``
 replaced: each walks ``dataset.cases`` and looks weights up in the design.
 The point-by-point sweep readers (``curve_to_csv``, ``auc``,
 ``select_operating_point``) walk a list of ``CurvePoint`` the same way.
-They stay here, outside the package, as the oracle the vectorised paths are
-compared against.
+The per-row ingest at the end (``ingest`` and the ``Dataset`` checks it
+ends with) builds one ``EvaluationCase`` per row, as ingest did before the
+columns became the dataset's storage. They stay here, outside the package,
+as the oracle the vectorised paths are compared against.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 
 from rareval.curves import CostSpec, CurvePoint
-from rareval.datamodel import Dataset, EvaluationCase, ReferenceLabel
-from rareval.errors import InputError
+from rareval.datamodel import Dataset, EvaluationCase, ReferenceLabel, StratumSpec, _load_sidecar
+from rareval.errors import IngestError, InputError
 from rareval.provenance import replicate_rng
 
 
@@ -83,10 +87,9 @@ def pr_curve(dataset: Dataset) -> list[CurvePoint]:
     weights = np.array([case_weight(dataset, c) for c in labeled], dtype=float)
     order = np.argsort(-scores, kind="stable")
     scores, positive, weights = scores[order], positive[order], weights[order]
-    total_pos = float(weights[positive].sum())
-    total_neg = float(weights[~positive].sum())
     cum_tp = np.cumsum(np.where(positive, weights, 0.0))
     cum_fp = np.cumsum(np.where(positive, 0.0, weights))
+    total_pos, total_neg = float(cum_tp[-1]), float(cum_fp[-1])  # the sweep ends at exactly (1, 1)
     points = [CurvePoint(float("inf"), 0.0, None, 1.0, 0.0, 0)]
     for idx in np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0):
         tp, fp = float(cum_tp[idx]), float(cum_fp[idx])
@@ -251,3 +254,209 @@ def permutation_p_value(table: np.ndarray, n_permutations: int, seed: int) -> fl
         if stat(err_by_cat) >= observed_stat - 1e-12:
             count_ge += 1
     return (1 + count_ge) / (1 + n_permutations)
+
+
+# --- per-row ingest ------------------------------------------------------------
+
+_TRUE = {"1", "true"}
+_FALSE = {"0", "false"}
+
+
+def _parse_bool(text: str, *, row: int, fieldname: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in _TRUE:
+        return True
+    if lowered in _FALSE:
+        return False
+    raise IngestError([f"row {row}: field {fieldname!r}: expected a binary label, got {text!r}"])
+
+
+def _case_from_record(record: dict, *, row: int, problems: list[str]) -> EvaluationCase | None:
+    def fail(msg: str) -> None:
+        problems.append(f"row {row}: {msg}")
+
+    if "case_id" not in record or not str(record["case_id"]).strip():
+        fail("field 'case_id': missing")
+        return None
+    if "reference" not in record:
+        fail("field 'reference': missing")
+        return None
+    try:
+        reference = ReferenceLabel.parse(str(record["reference"]))
+    except InputError as exc:
+        fail(f"field 'reference': {exc}")
+        return None
+
+    score = record.get("score")
+    if score is not None:
+        try:
+            score = float(score)
+        except (TypeError, ValueError):
+            fail(f"field 'score': not a real number: {record['score']!r}")
+            return None
+
+    repeated = record.get("repeated_labels")
+    if repeated is not None:
+        if not isinstance(repeated, (list, tuple)) or not all(isinstance(x, bool) for x in repeated):
+            fail("field 'repeated_labels': expected a list of booleans")
+            return None
+        repeated = tuple(repeated)
+
+    subgroups = record.get("subgroups") or {}
+    if not isinstance(subgroups, dict):
+        fail("field 'subgroups': expected an object")
+        return None
+
+    for fieldname in ("predicted", "benchmark_predicted"):
+        value = record.get(fieldname)
+        if value is not None and not isinstance(value, bool):
+            fail(f"field {fieldname!r}: expected a boolean")
+            return None
+
+    try:
+        return EvaluationCase(
+            case_id=str(record["case_id"]),
+            reference=reference,
+            score=score,
+            predicted=record.get("predicted"),
+            benchmark_predicted=record.get("benchmark_predicted"),
+            stratum_id=record.get("stratum_id"),
+            subgroups={str(k): str(v) for k, v in subgroups.items()},
+            repeated_labels=repeated,
+        )
+    except InputError as exc:
+        fail(str(exc))
+        return None
+
+
+def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, EvaluationCase]]:
+    cases: list[tuple[int, EvaluationCase]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError([f"{path}: empty file"]) from None
+        required = {"case_id", "reference"}
+        missing = required - set(header)
+        if missing:
+            raise IngestError([f"{path}: header missing required column(s): {sorted(missing)}"])
+        run_cols = [c for c in header if c.startswith("run_")]
+        try:
+            run_cols.sort(key=lambda c: int(c[4:]))
+        except ValueError:
+            raise IngestError(
+                [f"{path}: repeated-run columns need a run number after 'run_': {run_cols}"]
+            ) from None
+        sg_cols = [c for c in header if c.startswith("sg_")]
+        for row_number, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                problems.append(f"row {row_number}: expected {len(header)} fields, got {len(row)}")
+                continue
+            raw = dict(zip(header, row))
+            record: dict = {"case_id": raw.get("case_id", "")}
+            record["reference"] = raw.get("reference", "")
+            if raw.get("score", "") != "":
+                record["score"] = raw["score"]
+            try:
+                for fieldname in ("predicted", "benchmark_predicted"):
+                    if raw.get(fieldname, "") != "":
+                        record[fieldname] = _parse_bool(raw[fieldname], row=row_number, fieldname=fieldname)
+                runs = []
+                for col in run_cols:
+                    if raw.get(col, "") != "":
+                        runs.append(_parse_bool(raw[col], row=row_number, fieldname=col))
+                if runs:
+                    record["repeated_labels"] = runs
+            except IngestError as exc:
+                problems.extend(exc.problems)
+                continue
+            if raw.get("stratum_id", "") != "":
+                record["stratum_id"] = raw["stratum_id"]
+            subgroups = {c[3:]: raw[c] for c in sg_cols if raw[c] != ""}
+            if subgroups:
+                record["subgroups"] = subgroups
+            case = _case_from_record(record, row=row_number, problems=problems)
+            if case is not None:
+                cases.append((row_number, case))
+    return cases
+
+
+def _ingest_jsonl_rows(path: Path, problems: list[str]) -> list[tuple[int, EvaluationCase]]:
+    cases: list[tuple[int, EvaluationCase]] = []
+    with open(path, encoding="utf-8") as fh:
+        for row_number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                problems.append(f"row {row_number}: invalid JSON: {exc.msg}")
+                continue
+            if not isinstance(record, dict):
+                problems.append(f"row {row_number}: expected a JSON object")
+                continue
+            if record.get("kind") == "truth_sidecar":
+                raise IngestError(
+                    [f"row {row_number}: this is a truth sidecar (oracle data), not an evaluation input"]
+                )
+            case = _case_from_record(record, row=row_number, problems=problems)
+            if case is not None:
+                cases.append((row_number, case))
+    return cases
+
+
+def check_dataset(cases: tuple[EvaluationCase, ...], design: tuple[StratumSpec, ...]) -> None:
+    """The case-by-case checks ``Dataset(cases, design)`` made, in their order."""
+    seen: dict[str, int] = {}
+    for i, case in enumerate(cases):
+        if case.case_id in seen:
+            raise InputError(
+                f"duplicate case_id {case.case_id!r} (rows {seen[case.case_id] + 1} and {i + 1})"
+            )
+        seen[case.case_id] = i
+
+    with_stratum = [c for c in cases if c.stratum_id is not None]
+    if with_stratum and len(with_stratum) != len(cases):
+        missing = next(c.case_id for c in cases if c.stratum_id is None)
+        raise InputError(
+            f"mixed design: case {missing!r} has no stratum_id while other cases do"
+        )
+    design_ids = {s.stratum_id for s in design}
+    if len(design_ids) != len(design):
+        raise InputError("design contains duplicate stratum_id entries")
+    for c in with_stratum:
+        if c.stratum_id not in design_ids:
+            raise InputError(f"case {c.case_id!r} references unknown stratum_id {c.stratum_id!r}")
+    if design and not with_stratum and cases:
+        raise InputError("a design is present but no case carries a stratum_id")
+
+
+def ingest(path: str | Path, format: str = "csv") -> tuple[tuple[EvaluationCase, ...], tuple, dict]:
+    """(cases, design, metadata) of a file read row by row; raises as ``datamodel.ingest`` did."""
+    path = Path(path)
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        head = fh.read(256)
+    if '"kind"' in head and "truth_sidecar" in head:
+        raise InputError(f"{path}: this is a truth sidecar (oracle data), not an evaluation input")
+    problems: list[str] = []
+    numbered = (_ingest_csv_rows if format == "csv" else _ingest_jsonl_rows)(path, problems)
+    seen: dict[str, int] = {}
+    for row_number, case in numbered:
+        if case.case_id in seen:
+            problems.append(
+                f"duplicate case_id {case.case_id!r} (rows {seen[case.case_id]} and {row_number})"
+            )
+        else:
+            seen[case.case_id] = row_number
+    if problems:
+        raise IngestError(problems)
+
+    design, metadata = _load_sidecar(path)
+    cases = tuple(case for _, case in numbered)
+    try:
+        check_dataset(cases, design)
+    except InputError as exc:
+        raise IngestError([str(exc)]) from None
+    return cases, design, metadata

@@ -14,7 +14,7 @@ from rareval.curves import (
 )
 from rareval.datamodel import Dataset
 from rareval.errors import InputError
-from rareval.synth import PopulationSpec, generate
+from rareval.synth import EnrichmentRule, PopulationSpec, generate
 
 from conftest import make_case
 
@@ -96,6 +96,17 @@ class TestSweep:
         ]
         assert len(interior) > 100
         assert all(a.precision > b.precision for a, b in interior)
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weighted_sweep_ends_exactly_at_all_positive(self, seed):
+        # 1/0.3 is inexact: totals summed in another order than the running
+        # sums would leave the last point at fpr 1 +- 1e-14
+        spec = PopulationSpec(n=3000, prevalence=0.05, enrichment=(EnrichmentRule("negative", 0.3),), seed=seed)
+        curve = pr_curve(generate(spec).dataset)
+        assert curve.fpr[-1] == 1.0
+        assert curve.recall[-1] == 1.0
+        assert curve.specificity[-1] == 0.0
 
 
 class TestAuc:

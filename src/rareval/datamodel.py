@@ -24,6 +24,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -99,6 +100,12 @@ CELLS = ("tp", "fp", "fn", "tn")
 TP, FP, FN, TN = range(4)
 _REFERENCE_CODE = {label: code for code, label in enumerate(ReferenceLabel)}
 _FLAG = (False, True, None)  # a binary code as a case field: 0, 1, or -1 (missing)
+_FLAG_TEXT = ("0", "1", "")  # the same code as CSV text
+
+
+def _decode(codes: np.ndarray, values: Sequence) -> list:
+    """``values[code]`` of every code, as a list; a missing code (-1) picks the last value."""
+    return np.array(values, dtype=object)[codes].tolist()
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -142,6 +149,13 @@ class CaseColumns:
     @property
     def evaluable(self) -> np.ndarray:
         return self.reference <= NEGATIVE
+
+    def categories_of(self, attribute: str, missing: str) -> np.ndarray:
+        """Every case's category of subgroup ``attribute`` (object array), ``missing`` where it has none."""
+        if attribute not in self.subgroup_names:
+            return np.full(len(self.score), missing, dtype=object)
+        j = self.subgroup_names.index(attribute)
+        return np.array((*self.subgroup_categories[j], missing), dtype=object)[self.subgroups[:, j]]
 
 
 def confusion_cells(dataset: "Dataset") -> np.ndarray:
@@ -261,6 +275,39 @@ def _case_fields(cases: tuple[EvaluationCase, ...]) -> dict:
     )
 
 
+_CHUNK_ROWS = 4096  # rows decoded at a time, so that decoding's own memory does not grow with the dataset
+
+
+def _chunks(n: int) -> list[slice]:
+    return [slice(start, start + _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)]
+
+
+def _row_values(columns: CaseColumns, design: tuple[StratumSpec, ...], rows: slice) -> list[list]:
+    """The :class:`EvaluationCase` fields of ``rows`` as Python values, one list per field."""
+    c, n = columns, len(columns.score[rows])
+    score = c.score[rows].astype(object)
+    score[np.isnan(c.score[rows])] = None
+    named = list(zip(c.subgroup_names, c.subgroup_categories))
+    # one shared empty dict, and no per-row lists, when there are no subgroups or runs
+    subgroups = [
+        {name: values[k] for (name, values), k in zip(named, row) if k >= 0}
+        for row in c.subgroups[rows].tolist()
+    ] if named else [{}] * n
+    runs = [
+        tuple(_FLAG[label] for label in row if label >= 0) or None for row in c.runs[rows].tolist()
+    ] if c.runs.size else [None] * n
+    return [
+        c.case_id[rows].tolist(),
+        _decode(c.reference[rows], tuple(ReferenceLabel)),
+        score.tolist(),
+        _decode(c.predicted[rows], _FLAG),
+        _decode(c.benchmark_predicted[rows], _FLAG),
+        _decode(c.stratum[rows], (*(s.stratum_id for s in design), None)),
+        subgroups,
+        runs,
+    ]
+
+
 class Dataset:
     """Immutable evaluation dataset: case columns, optional design, metadata.
 
@@ -301,31 +348,8 @@ class Dataset:
     @property
     def cases(self) -> tuple[EvaluationCase, ...]:
         if self._cases is None:
-            c, n = self._columns, len(self)
-
-            def decode(codes: np.ndarray, values: tuple) -> list:
-                return np.array(values, dtype=object)[codes].tolist()
-
-            score = c.score.astype(object)
-            score[np.isnan(c.score)] = None
-            named = list(zip(c.subgroup_names, c.subgroup_categories))
-            subgroups = [
-                {name: values[k] for (name, values), k in zip(named, row) if k >= 0}
-                for row in c.subgroups.tolist()
-            ] if named else [{}] * n
-            runs = [None] * n if not c.runs.size else [
-                tuple(_FLAG[label] for label in row if label >= 0) or None for row in c.runs.tolist()
-            ]
-            self._cases = tuple(map(
-                EvaluationCase,
-                c.case_id.tolist(),
-                decode(c.reference, tuple(ReferenceLabel)),
-                score.tolist(),
-                decode(c.predicted, _FLAG),
-                decode(c.benchmark_predicted, _FLAG),
-                decode(c.stratum, tuple(s.stratum_id for s in self._design) + (None,)),
-                subgroups,
-                runs,
+            self._cases = tuple(chain.from_iterable(
+                map(EvaluationCase, *_row_values(self._columns, self._design, rows)) for rows in _chunks(len(self))
             ))
         return self._cases
 
@@ -397,31 +421,6 @@ _BAD = -2
 _OPTIONAL_COLUMNS = ("score", "predicted", "benchmark_predicted", "stratum_id")
 
 
-def _format_bool(value: bool) -> str:
-    return "1" if value else "0"
-
-
-def _format_score(value: float) -> str:
-    return repr(float(value))
-
-
-def _case_to_record(case: EvaluationCase) -> dict:
-    record: dict = {"case_id": case.case_id, "reference": case.reference.value}
-    if case.score is not None:
-        record["score"] = case.score
-    if case.predicted is not None:
-        record["predicted"] = case.predicted
-    if case.benchmark_predicted is not None:
-        record["benchmark_predicted"] = case.benchmark_predicted
-    if case.stratum_id is not None:
-        record["stratum_id"] = case.stratum_id
-    if case.subgroups:
-        record["subgroups"] = dict(sorted(case.subgroups.items()))
-    if case.repeated_labels is not None:
-        record["repeated_labels"] = list(case.repeated_labels)
-    return record
-
-
 def _case_from_record(record: dict, *, row: int, problems: list[str]) -> EvaluationCase | None:
     def fail(msg: str) -> None:
         problems.append(f"row {row}: {msg}")
@@ -480,49 +479,49 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
         return None
 
 
-def _csv_header(cases: tuple[EvaluationCase, ...]) -> list[str]:
-    sg_names = sorted({name for c in cases for name in c.subgroups})
-    n_runs = max((len(c.repeated_labels) for c in cases if c.repeated_labels), default=0)
-    header = ["case_id", "reference", "score", "predicted", "benchmark_predicted", "stratum_id"]
-    header += [f"sg_{name}" for name in sg_names]
-    header += [f"run_{i + 1}" for i in range(n_runs)]
-    return header
-
-
 def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
     """Write a dataset to ``path``; returns the files written.
 
-    The design and metadata, when present, go to ``<path>.design.json`` so
-    both CSV and JSONL round-trip completely.
+    Rows are formatted from the columns ``_CHUNK_ROWS`` at a time: CSV rows
+    end in CRLF and scores are written as ``repr``; a JSONL record holds the
+    fields a case has. The design and metadata, when present, go to
+    ``<path>.design.json`` so both CSV and JSONL round-trip completely.
     """
     path = Path(path)
+    cols, design = dataset.columns, dataset.design
+    chunks = _chunks(len(dataset))
     if format == "csv":
-        header = _csv_header(dataset.cases)
+        header = ["case_id", "reference", "score", "predicted", "benchmark_predicted", "stratum_id"]
+        header += [f"sg_{name}" for name in cols.subgroup_names]
+        header += [f"run_{k + 1}" for k in range(cols.runs.shape[1])]
+        labels = tuple(label.value for label in ReferenceLabel)
+        strata = (*(s.stratum_id for s in design), "")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for case in dataset.cases:
-                row = [
-                    case.case_id,
-                    case.reference.value,
-                    "" if case.score is None else _format_score(case.score),
-                    "" if case.predicted is None else _format_bool(case.predicted),
-                    "" if case.benchmark_predicted is None else _format_bool(case.benchmark_predicted),
-                    case.stratum_id or "",
-                ]
-                for col in header[6:]:
-                    if col.startswith("sg_"):
-                        row.append(case.subgroups.get(col[3:], ""))
-                    else:
-                        idx = int(col[4:]) - 1
-                        runs = case.repeated_labels or ()
-                        row.append(_format_bool(runs[idx]) if idx < len(runs) else "")
-                writer.writerow(row)
+            for rows in chunks:
+                writer.writerows(zip(
+                    cols.case_id[rows].tolist(),
+                    _decode(cols.reference[rows], labels),
+                    ["" if math.isnan(s) else repr(s) for s in cols.score[rows].tolist()],
+                    _decode(cols.predicted[rows], _FLAG_TEXT),
+                    _decode(cols.benchmark_predicted[rows], _FLAG_TEXT),
+                    _decode(cols.stratum[rows], strata),
+                    *(_decode(codes, (*categories, "")) for codes, categories in zip(
+                        cols.subgroups[rows].T, cols.subgroup_categories
+                    )),
+                    *(_decode(codes, _FLAG_TEXT) for codes in cols.runs[rows].T),
+                ))
     elif format == "jsonl":
+        optional = ("score", "predicted", "benchmark_predicted", "stratum_id", "subgroups", "repeated_labels")
         with open(path, "w", encoding="utf-8") as fh:
-            for case in dataset.cases:
-                fh.write(json.dumps(_case_to_record(case), sort_keys=True))
-                fh.write("\n")
+            for rows in chunks:
+                lines = []
+                for case_id, reference, *values in zip(*_row_values(cols, design, rows)):
+                    record = {"case_id": case_id, "reference": reference.value}
+                    record.update((key, v) for key, v in zip(optional, values) if v not in (None, {}))
+                    lines.append(json.dumps(record, sort_keys=True) + "\n")
+                fh.write("".join(lines))
     else:
         raise InputError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
 

@@ -14,12 +14,12 @@ model-fitting variability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import CELLS, FN, FP, Dataset, ReferenceLabel, confusion_cells
+from .datamodel import CELLS, EXCLUDED, FN, FP, Dataset, confusion_cells
 from .errors import InfeasibleError, InputError
 from .metrics import PROPORTION_METRICS, _class_table, _metric_vector, confusion, estimate_metric
 from .provenance import derive_seed, replicate_rng, slot_fields
@@ -146,41 +146,49 @@ def subset_metrics(
     """Break the requested metrics down by one subgroup attribute.
 
     Cases missing the attribute form their own "unknown" category, so the
-    categories always partition the evaluable cases.
+    categories always partition the evaluable cases. Each category is a row
+    selection of the dataset's columns; a subset of a valid dataset needs no
+    checks of its own.
     """
     for m in metrics:
         if m not in PROPORTION_METRICS:
             raise InputError(f"unknown metric {m!r} (expected one of {PROPORTION_METRICS})")
-    evaluable = [c for c in dataset.cases if c.evaluable]
-    if not evaluable:
+    cols = dataset.columns
+    evaluable = np.flatnonzero(cols.evaluable)
+    if not evaluable.size:
         raise InputError("dataset has no evaluable cases")
-    if not any(attribute in c.subgroups for c in evaluable):
+    category_of = cols.categories_of(attribute, None)[evaluable]
+    absent = np.equal(category_of, None)
+    if absent.all():
         raise InputError(f"attribute {attribute!r} is absent from every case")
+    category_of[absent] = UNKNOWN_CATEGORY  # merges with a real category of that name
 
-    groups: dict[str, list] = {}
-    for case in evaluable:
-        groups.setdefault(case.subgroups.get(attribute, UNKNOWN_CATEGORY), []).append(case)
-
+    names, group = np.unique(category_of, return_inverse=True)
     categories: dict[str, dict] = {}
-    table = np.zeros((2, len(groups)), dtype=float)
-    for j, category in enumerate(sorted(groups)):
-        cases = groups[category]
-        sub = dataset.replace_cases(cases)
+    for j, category in enumerate(names.tolist()):
+        rows = evaluable[group == j]
+        sub = Dataset._from_columns(
+            replace(cols, **{k: v[rows] for k, v in slot_fields(cols).items() if isinstance(v, np.ndarray)}),
+            dataset.design,
+            dataset.metadata,
+        )
         counts = confusion(sub)
         ests = {
             m: estimate_metric(sub, m, ci_level=ci_level, seed=derive_seed(seed, f"subset:{category}"))
             for m in metrics
         }
-        categories[category] = {"n": len(cases), "counts": counts, "metrics": ests}
-        errors = np.count_nonzero(np.isin(confusion_cells(sub), (FP, FN)))
-        table[:, j] = len(cases) - errors, errors
+        categories[category] = {"n": rows.size, "counts": counts, "metrics": ests}
 
+    errors = np.isin(confusion_cells(dataset)[evaluable], (FP, FN))
+    n_by_category = np.bincount(group, minlength=names.size)
+    errors_by_category = np.bincount(group, weights=errors, minlength=names.size)
+    table = np.stack([n_by_category - errors_by_category, errors_by_category])
     heterogeneity = _heterogeneity_screen(table, alpha, n_permutations, seed)
     return SubsetReport(
         attribute=attribute,
         categories=categories,
         heterogeneity=heterogeneity,
-        total_evaluable=len(evaluable),
+        total_evaluable=int(evaluable.size),
     )
 
 
@@ -202,42 +210,35 @@ def stability(dataset: Dataset) -> StabilityReport:
 
     Every non-excluded case must carry the same number of repeated labels
     (at least 2 runs). Reference labels play no role: stability is a
-    property of the classifier's output alone.
+    property of the classifier's output alone. The agreement is the exact
+    ratio of agreeing run pairs, an integer, to all run pairs of all cases.
     """
-    cases = [c for c in dataset.cases if c.reference is not ReferenceLabel.EXCLUDED]
-    if not cases:
+    cols = dataset.columns
+    kept = np.flatnonzero(cols.reference != EXCLUDED)
+    if not kept.size:
         raise InputError("dataset has no cases with repeated labels")
-    run_counts = set()
-    for case in cases:
-        if case.repeated_labels is None:
-            raise InputError(f"case {case.case_id!r} has no repeated_labels")
-        run_counts.add(len(case.repeated_labels))
+    runs = cols.runs[kept]
+    counts = (runs >= 0).sum(axis=1)
+    if not counts.all():
+        raise InputError(f"case {cols.case_id[kept[np.argmin(counts)]]!r} has no repeated_labels")
+    run_counts = np.unique(counts).tolist()
     if len(run_counts) != 1:
-        raise InputError(f"unequal run counts across cases: {sorted(run_counts)}")
-    n_runs = run_counts.pop()
+        raise InputError(f"unequal run counts across cases: {run_counts}")
+    n_runs = run_counts[0]
     if n_runs < 2:
         raise InputError("stability needs at least 2 runs per case")
 
-    unanimous = 0
-    agreement_sum = 0.0
-    flip_counts: dict[str, int] = {}
-    pair_total = n_runs * (n_runs - 1) / 2
-    for case in cases:
-        labels = case.repeated_labels
-        ones = sum(labels)
-        zeros = n_runs - ones
-        if ones == 0 or zeros == 0:
-            unanimous += 1
-        else:
-            flip_counts[case.case_id] = min(ones, zeros)
-        agreeing_pairs = ones * (ones - 1) / 2 + zeros * (zeros - 1) / 2
-        agreement_sum += agreeing_pairs / pair_total
+    ones = (runs == 1).sum(axis=1)
+    zeros = n_runs - ones
+    flips = np.minimum(ones, zeros)
+    agreeing = int((ones * (ones - 1) // 2 + zeros * (zeros - 1) // 2).sum())
+    split = np.flatnonzero(flips)
     return StabilityReport(
         n_runs=n_runs,
-        n_cases=len(cases),
-        unanimity_rate=unanimous / len(cases),
-        pairwise_agreement=agreement_sum / len(cases),
-        flip_counts=flip_counts,
+        n_cases=int(kept.size),
+        unanimity_rate=int(kept.size - split.size) / kept.size,
+        pairwise_agreement=agreeing / (n_runs * (n_runs - 1) // 2 * kept.size),  # one division, so exact
+        flip_counts=dict(zip(cols.case_id[kept[split]].tolist(), flips[split].tolist())),
     )
 
 

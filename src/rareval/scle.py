@@ -18,14 +18,14 @@ import csv
 import enum
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .datamodel import CELLS as CONFUSION_CELLS
-from .datamodel import Dataset, EvaluationCase, ReferenceLabel, confusion_cells
+from .datamodel import Dataset, ReferenceLabel, _decode, confusion_cells
 from .errors import InputError
 from .metrics import wilson_interval
 from .provenance import config_hash, derive_seed, replicate_rng, slot_fields
@@ -192,12 +192,6 @@ class ScleAnnotation:
     verdict: ReferenceLabel | None = None
 
 
-def _benchmark_cell_of(case: EvaluationCase) -> str:
-    m = "+" if case.predicted else "-"
-    b = "+" if case.benchmark_predicted else "-"
-    return f"model{m}/benchmark{b}"
-
-
 def _largest_remainder(total: int, sizes: Sequence[float], keys: Sequence) -> list[int]:
     """Integer allocation of ``total`` proportional to ``sizes``; sums exactly to total.
 
@@ -216,16 +210,6 @@ def _largest_remainder(total: int, sizes: Sequence[float], keys: Sequence) -> li
     return base
 
 
-def _effective_threshold(dataset: Dataset) -> float | None:
-    """Lowest score among predicted positives: the threshold in effect."""
-    positives = [c.score for c in dataset.cases if c.predicted and c.score is not None]
-    return min(positives) if positives else None
-
-
-def _boundary_bin(rank: int, n: int, bins: int) -> int:
-    return min(bins - 1, rank * bins // n)
-
-
 def _benchmark_targets(config: ScleConfig) -> dict[str, int]:
     """Oversampled disagreement-cell targets, normalized to the requested total."""
     factor = config.disagreement_oversample_factor
@@ -242,31 +226,35 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
     boundary-distant ("confident") bin always contributes at least one case
     when it is nonempty. Cell shortfalls are reported, never padded.
     """
+    cols = dataset.columns
     cells = confusion_cells(dataset)
-    evaluable = [dataset.cases[i] for i in np.flatnonzero(cells >= 0)]
-    cell_of = {c.case_id: _CELL_NAMES[k] for c, k in zip(evaluable, cells[cells >= 0])}
+    evaluable = np.flatnonzero(cells >= 0)
     if config.benchmark_mode:
-        for case in evaluable:
-            if case.benchmark_predicted is None:
-                raise InputError(
-                    f"benchmark_mode requires benchmark labels; case {case.case_id!r} has none"
-                )
-    if config.boundary_bins is not None and any(c.score is None for c in evaluable):
-        missing = next(c.case_id for c in evaluable if c.score is None)
-        raise InputError(f"boundary_bins requires scored cases; case {missing!r} has no score")
+        unlabeled = evaluable[cols.benchmark_predicted[evaluable] < 0]
+        if unlabeled.size:
+            raise InputError(
+                f"benchmark_mode requires benchmark labels; case {cols.case_id[unlabeled[0]]!r} has none"
+            )
+    threshold = 0.0
+    if config.boundary_bins is not None:
+        unscored = evaluable[np.isnan(cols.score[evaluable])]
+        if unscored.size:
+            raise InputError(f"boundary_bins requires scored cases; case {cols.case_id[unscored[0]]!r} has no score")
+        # the threshold in effect: the lowest score among predicted positives
+        positive = cols.score[(cols.predicted == 1) & ~np.isnan(cols.score)]
+        threshold = float(positive.min()) if positive.size else 0.0
 
     if config.benchmark_mode:
-        cell_names: tuple[str, ...] = BENCHMARK_CELLS
+        cell_names = by_code = BENCHMARK_CELLS
         targets = _benchmark_targets(config)
+        # 2 * (model negative) + (benchmark negative) indexes BENCHMARK_CELLS
+        sampling_cell = 2 * (1 - cols.predicted) + 1 - cols.benchmark_predicted
     else:
-        cell_names = CELLS
+        cell_names, by_code = CELLS, _CELL_NAMES
         targets = {"FP": config.n_fp, "FN": config.n_fn, "TP": config.n_tp, "TN": config.n_tn}
-
-    populations: dict[str, list[EvaluationCase]] = {name: [] for name in cell_names}
-    for case in evaluable:
-        populations[_benchmark_cell_of(case) if config.benchmark_mode else cell_of[case.case_id]].append(case)
-
-    threshold = _effective_threshold(dataset) if config.boundary_bins is not None else None
+        sampling_cell = cells
+    populations = {name: evaluable[sampling_cell[evaluable] == k] for k, name in enumerate(by_code)}
+    attributes = [cols.categories_of(attr, "unknown") for attr in config.substratify_by]
 
     rng = replicate_rng(derive_seed(config.seed, "scle"), 0)
     rows: list[ScleRow] = []
@@ -276,15 +264,18 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
     for cell in cell_names:
         requested = targets[cell]
         population = populations[cell]
-        pop_size = len(population)
+        pop_size = population.size
         if requested == 0:
             sample_sizes[cell] = 0
             continue
-        ranks = (
-            _distance_ranks(population, threshold) if config.boundary_bins is not None else None
-        )
+        # every member's stratum labels, and its boundary bin by rank of distance from the threshold
+        labels = [values[population].tolist() for values in attributes]
+        bins = None
+        if config.boundary_bins is not None:
+            ranks = np.argsort(np.lexsort((cols.case_id[population], np.abs(cols.score[population] - threshold))))
+            bins = np.minimum(config.boundary_bins - 1, ranks * config.boundary_bins // pop_size).tolist()
         if pop_size <= requested:
-            chosen = list(population)
+            chosen = list(range(pop_size))
             if pop_size < requested:
                 shortfalls[cell] = (requested, pop_size)
                 _warnings.warn(
@@ -292,21 +283,21 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
                     stacklevel=2,
                 )
         else:
-            chosen = _sample_cell(population, requested, config, ranks, rng)
+            parts = labels + ([[f"bin_{b:06d}" for b in bins]] if bins is not None else [])
+            keys = list(zip(*parts)) if parts else [()] * pop_size
+            chosen = _stratified_choice(keys, requested, bins is not None, rng)
         sample_sizes[cell] = len(chosen)
         weight = pop_size / len(chosen) if chosen else 0.0
-        for case in chosen:
-            strata = {}
-            for attr in config.substratify_by:
-                strata[attr] = case.subgroups.get(attr, "unknown")
-            if ranks is not None:
-                bin_index = _boundary_bin(ranks[case.case_id], pop_size, config.boundary_bins)
-                strata["boundary_bin"] = f"bin_{bin_index}"
+        for i in chosen:
+            strata = {attr: values[i] for attr, values in zip(config.substratify_by, labels)}
+            if bins is not None:
+                strata["boundary_bin"] = f"bin_{bins[i]}"
+            row = population[i]
             rows.append(
                 ScleRow(
-                    case_id=case.case_id,
-                    cell=cell_of[case.case_id],
-                    benchmark_cell=_benchmark_cell_of(case) if config.benchmark_mode else None,
+                    case_id=cols.case_id[row],
+                    cell=_CELL_NAMES[cells[row]],
+                    benchmark_cell=BENCHMARK_CELLS[sampling_cell[row]] if config.benchmark_mode else None,
                     strata=strata,
                     sampling_weight=weight,
                 )
@@ -316,55 +307,40 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
         rows=tuple(rows),
         config=config,
         seed=config.seed,
-        cell_population_sizes={c: len(populations[c]) for c in cell_names},
+        cell_population_sizes={c: populations[c].size for c in cell_names},
         cell_sample_sizes=sample_sizes,
         shortfalls=shortfalls,
     )
 
 
-def _distance_ranks(population: list[EvaluationCase], threshold: float | None) -> dict[str, int]:
-    t = threshold if threshold is not None else 0.0
-    ordered = sorted(population, key=lambda c: (abs((c.score or 0.0) - t), c.case_id))
-    return {c.case_id: i for i, c in enumerate(ordered)}
+def _stratified_choice(keys: list[tuple], requested: int, boundary: bool, rng: np.random.Generator) -> list[int]:
+    """Positions drawn from a cell whose members have stratum ``keys``, in key order.
 
+    With ``boundary`` the last key part is the boundary bin, and the most
+    distant bin gets a case from the largest allocation when it has none.
+    """
+    strata: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        strata.setdefault(key, []).append(i)
+    ordered = sorted(strata)
+    alloc = _largest_remainder(requested, [len(strata[k]) for k in ordered], ordered)
 
-def _sample_cell(
-    population: list[EvaluationCase],
-    requested: int,
-    config: ScleConfig,
-    ranks: dict[str, int] | None,
-    rng: np.random.Generator,
-) -> list[EvaluationCase]:
-    strata: dict[tuple, list[EvaluationCase]] = {}
-    for case in population:
-        key_parts: list[str] = [case.subgroups.get(a, "unknown") for a in config.substratify_by]
-        if config.boundary_bins is not None:
-            assert ranks is not None
-            key_parts.append(
-                f"bin_{_boundary_bin(ranks[case.case_id], len(population), config.boundary_bins):06d}"
-            )
-        strata.setdefault(tuple(key_parts), []).append(case)
-
-    keys = sorted(strata.keys())
-    sizes = [len(strata[k]) for k in keys]
-    alloc = _largest_remainder(requested, sizes, keys)
-
-    if config.boundary_bins is not None and requested >= 1:
+    if boundary:
         # the most boundary-distant bin holds the "confident" calls; keep it visible
-        top_bin = max(k[-1] for k in keys)
-        top_idx = [i for i, k in enumerate(keys) if k[-1] == top_bin]
-        if top_idx and all(alloc[i] == 0 for i in top_idx):
+        top_bin = max(k[-1] for k in ordered)
+        top_idx = [i for i, k in enumerate(ordered) if k[-1] == top_bin]
+        if all(alloc[i] == 0 for i in top_idx):
             donor = max(
-                (i for i in range(len(keys)) if alloc[i] > 0),
-                key=lambda i: (alloc[i], keys[i]),
+                (i for i in range(len(ordered)) if alloc[i] > 0),
+                key=lambda i: (alloc[i], ordered[i]),
                 default=None,
             )
             if donor is not None:
                 alloc[donor] -= 1
                 alloc[top_idx[0]] += 1
 
-    chosen: list[EvaluationCase] = []
-    for key, take in zip(keys, alloc):
+    chosen: list[int] = []
+    for key, take in zip(ordered, alloc):
         if take == 0:
             continue
         group = strata[key]
@@ -392,16 +368,27 @@ def emit_review_sheet(
     and the generation timestamp; ingestion verifies the hash so annotations
     cannot be applied to the wrong sample.
     """
-    by_id = {c.case_id: c for c in dataset.cases}
-    known_subgroups = {name for c in dataset.cases for name in c.subgroups}
-    metadata = dataset.metadata
+    cols, metadata = dataset.columns, dataset.metadata
     for fieldname in context_fields:
         if (
-            fieldname not in known_subgroups
+            fieldname not in cols.subgroup_names
             and fieldname not in metadata
             and fieldname not in ("score", "stratum_id")
         ):
             raise InputError(f"unknown context field {fieldname!r}")
+    row_of = dict(zip(cols.case_id.tolist(), range(len(dataset))))
+    missing = next((row.case_id for row in sample.rows if row.case_id not in row_of), None)
+    if missing is not None:
+        raise InputError(f"sampled case {missing!r} is not in the dataset")
+    rows = np.array([row_of[row.case_id] for row in sample.rows], dtype=np.intp)
+
+    def context(fieldname: str) -> list[str]:
+        """The field of every sampled case; a subgroup the case lacks falls back to the metadata."""
+        if fieldname == "score":
+            return ["" if math.isnan(x) else repr(x) for x in cols.score[rows].tolist()]
+        if fieldname == "stratum_id":
+            return _decode(cols.stratum[rows], (*(s.stratum_id for s in dataset.design), ""))
+        return cols.categories_of(fieldname, str(metadata.get(fieldname, "")))[rows].tolist()
 
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -409,26 +396,11 @@ def emit_review_sheet(
         fh.write(f"# config_hash: {sample.config_hash}\n")
         fh.write(f"# generated_at: {generated_at or 'unspecified'}\n")
         writer = csv.writer(fh, lineterminator="\n")  # LF, like the # lines
-        header = ["case_id", "cell", "benchmark_cell", *context_fields, *SHEET_COLUMNS_FIXED]
-        writer.writerow(header)
-        for row in sample.rows:
-            case = by_id.get(row.case_id)
-            if case is None:
-                raise InputError(f"sampled case {row.case_id!r} is not in the dataset")
-            context = []
-            for fieldname in context_fields:
-                if fieldname == "score":
-                    context.append("" if case.score is None else repr(case.score))
-                elif fieldname == "stratum_id":
-                    context.append(case.stratum_id or "")
-                elif fieldname in case.subgroups:
-                    context.append(case.subgroups[fieldname])
-                else:
-                    context.append(str(metadata.get(fieldname, "")))
-            writer.writerow(
-                [row.case_id, row.cell, row.benchmark_cell or "", *context]
-                + [""] * len(SHEET_COLUMNS_FIXED)
-            )
+        writer.writerow(["case_id", "cell", "benchmark_cell", *context_fields, *SHEET_COLUMNS_FIXED])
+        writer.writerows(
+            [row.case_id, row.cell, row.benchmark_cell or "", *values, *[""] * len(SHEET_COLUMNS_FIXED)]
+            for row, *values in zip(sample.rows, *map(context, context_fields))
+        )
     return path
 
 
@@ -797,30 +769,20 @@ def apply_verdicts(dataset: Dataset, annotations: Sequence[ScleAnnotation]) -> D
     """New dataset version with reviewer verdicts applied as reference labels.
 
     The input dataset is untouched; this is the only sanctioned way reviewer
-    corrections reach the reference standard, keeping it auditable.
+    corrections reach the reference standard, keeping it auditable. Every
+    column but ``reference`` is shared with ``dataset``.
     """
     verdicts = {a.case_id: a.verdict for a in annotations if a.verdict is not None}
-    unknown = set(verdicts) - {c.case_id for c in dataset.cases}
+    cols = dataset.columns
+    ids = cols.case_id.tolist()
+    unknown = set(verdicts).difference(ids)
     if unknown:
         raise InputError(f"verdicts for unknown case ids: {sorted(unknown)}")
-    new_cases = []
-    for case in dataset.cases:
-        verdict = verdicts.get(case.case_id)
-        if verdict is None or verdict is case.reference:
-            new_cases.append(case)
-            continue
-        new_cases.append(
-            EvaluationCase(
-                case_id=case.case_id,
-                reference=verdict,
-                score=case.score,
-                predicted=case.predicted,
-                benchmark_predicted=case.benchmark_predicted,
-                stratum_id=case.stratum_id,
-                subgroups=case.subgroups,
-                repeated_labels=case.repeated_labels,
-            )
-        )
+    reference = np.array(cols.reference)
+    labels = tuple(ReferenceLabel)
+    for i, case_id in enumerate(ids):
+        if case_id in verdicts:
+            reference[i] = labels.index(verdicts[case_id])
     metadata = dataset.metadata
     metadata["verdicts_applied"] = metadata.get("verdicts_applied", 0) + len(verdicts)
-    return Dataset(new_cases, dataset.design, metadata)
+    return Dataset._from_columns(replace(cols, reference=reference), dataset.design, metadata)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Dataset, EvaluationCase, ReferenceLabel, StratumSpec
+from .datamodel import NEGATIVE, POSITIVE, Dataset, StratumSpec, _build_columns
 from .errors import InfeasibleError, InputError
 from .provenance import canonical_json
 
@@ -233,18 +233,21 @@ def generate(spec: PopulationSpec) -> SynthResult:
             specs.append(StratumSpec(REST_STRATUM_ID, 1.0, "all remaining cases"))
         design = tuple(specs)
 
+    kept = np.flatnonzero(keep)
     width = max(6, len(str(n)))
-    cases = []
-    for i in np.flatnonzero(keep):
-        cases.append(
-            EvaluationCase(
-                case_id=f"case-{i:0{width}d}",
-                reference=ReferenceLabel.POSITIVE if reference[i] else ReferenceLabel.NEGATIVE,
-                score=float(scores[i]),
-                stratum_id=str(strata[i]) if strata is not None else None,
-                repeated_labels=tuple(bool(b) for b in runs[i]) if runs is not None else None,
-            )
-        )
-    dataset = Dataset(cases, design, {"generator": "rareval.synth", "seed": spec.seed})
+    unpredicted = np.full(kept.size, -1, dtype=np.int8)
+    columns = _build_columns(
+        design,
+        case_id=[f"case-{i:0{width}d}" for i in kept.tolist()],
+        stratum_id=strata[kept].tolist() if strata is not None else [None] * kept.size,
+        subgroups={},
+        runs=(runs[kept] if runs is not None else np.empty((kept.size, 0))).astype(np.int8),
+        missing=None,
+        score=scores[kept],
+        reference=np.where(reference[kept], POSITIVE, NEGATIVE).astype(np.int8),
+        predicted=unpredicted,
+        benchmark_predicted=unpredicted,
+    )
+    dataset = Dataset._from_columns(columns, design, {"generator": "rareval.synth", "seed": spec.seed})
     return SynthResult(dataset=dataset, truth=sidecar, population_size=n)
 

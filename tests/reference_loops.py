@@ -4,10 +4,13 @@ These are the case-by-case loops that the column view of ``Dataset``
 replaced: each walks ``dataset.cases`` and looks weights up in the design.
 The point-by-point sweep readers (``curve_to_csv``, ``auc``,
 ``select_operating_point``) walk a list of ``CurvePoint`` the same way.
-The per-row ingest at the end (``ingest`` and the ``Dataset`` checks it
-ends with) builds one ``EvaluationCase`` per row, as ingest did before the
-columns became the dataset's storage. They stay here, outside the package,
-as the oracle the vectorised paths are compared against.
+The per-row ingest (``ingest`` and the ``Dataset`` checks it ends with)
+builds one ``EvaluationCase`` per row, as ingest did before the columns
+became the dataset's storage. The per-case consumers at the end (subset
+breakdown, stability, SCLE sampling, review sheet and verdicts, synth and
+emit) are the case loops those modules ran before they read columns. They
+stay here, outside the package, as the oracle the vectorised paths are
+compared against.
 """
 
 from __future__ import annotations
@@ -15,14 +18,25 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings as _warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from rareval import metrics, robustness, scle, synth
 from rareval.curves import CostSpec, CurvePoint
-from rareval.datamodel import Dataset, EvaluationCase, ReferenceLabel, StratumSpec, _load_sidecar
-from rareval.errors import IngestError, InputError
-from rareval.provenance import replicate_rng
+from rareval.datamodel import (
+    DESIGN_SIDECAR_SUFFIX,
+    Dataset,
+    EvaluationCase,
+    ReferenceLabel,
+    StratumSpec,
+    _load_sidecar,
+    confusion_cells,
+)
+from rareval.errors import IngestError, InfeasibleError, InputError
+from rareval.provenance import canonical_json, derive_seed, replicate_rng
 
 
 def case_weight(dataset: Dataset, case: EvaluationCase) -> float:
@@ -460,3 +474,387 @@ def ingest(path: str | Path, format: str = "csv") -> tuple[tuple[EvaluationCase,
     except InputError as exc:
         raise IngestError([str(exc)]) from None
     return cases, design, metadata
+
+
+# --- per-case consumers ----------------------------------------------------------
+
+
+def subset_metrics(dataset, attribute, names=("recall", "precision", "specificity"), alpha=0.05,
+                   n_permutations=2000, seed=0, ci_level=0.95) -> robustness.SubsetReport:
+    """One re-checked ``Dataset`` per category, rebuilt from its cases."""
+    for m in names:
+        if m not in metrics.PROPORTION_METRICS:
+            raise InputError(f"unknown metric {m!r} (expected one of {metrics.PROPORTION_METRICS})")
+    evaluable = [c for c in dataset.cases if c.evaluable]
+    if not evaluable:
+        raise InputError("dataset has no evaluable cases")
+    if not any(attribute in c.subgroups for c in evaluable):
+        raise InputError(f"attribute {attribute!r} is absent from every case")
+
+    groups: dict[str, list] = {}
+    for case in evaluable:
+        groups.setdefault(case.subgroups.get(attribute, "unknown"), []).append(case)
+
+    categories: dict[str, dict] = {}
+    table = np.zeros((2, len(groups)), dtype=float)
+    for j, category in enumerate(sorted(groups)):
+        cases = groups[category]
+        sub = dataset.replace_cases(cases)
+        counts = metrics.confusion(sub)
+        ests = {
+            m: metrics.estimate_metric(sub, m, ci_level=ci_level, seed=derive_seed(seed, f"subset:{category}"))
+            for m in names
+        }
+        categories[category] = {"n": len(cases), "counts": counts, "metrics": ests}
+        errors = np.count_nonzero(np.isin(confusion_cells(sub), (1, 2)))  # FP, FN
+        table[:, j] = len(cases) - errors, errors
+
+    heterogeneity = robustness._heterogeneity_screen(table, alpha, n_permutations, seed)
+    return robustness.SubsetReport(attribute, categories, heterogeneity, len(evaluable))
+
+
+def stability(dataset: Dataset) -> robustness.StabilityReport:
+    """Per-case tallies; the mean pairwise agreement is summed as an exact fraction."""
+    cases = [c for c in dataset.cases if c.reference is not ReferenceLabel.EXCLUDED]
+    if not cases:
+        raise InputError("dataset has no cases with repeated labels")
+    run_counts = set()
+    for case in cases:
+        if case.repeated_labels is None:
+            raise InputError(f"case {case.case_id!r} has no repeated_labels")
+        run_counts.add(len(case.repeated_labels))
+    if len(run_counts) != 1:
+        raise InputError(f"unequal run counts across cases: {sorted(run_counts)}")
+    n_runs = run_counts.pop()
+    if n_runs < 2:
+        raise InputError("stability needs at least 2 runs per case")
+
+    unanimous = 0
+    agreement = Fraction(0)
+    flip_counts: dict[str, int] = {}
+    pair_total = n_runs * (n_runs - 1) // 2
+    for case in cases:
+        ones = sum(case.repeated_labels)
+        zeros = n_runs - ones
+        if ones == 0 or zeros == 0:
+            unanimous += 1
+        else:
+            flip_counts[case.case_id] = min(ones, zeros)
+        agreement += Fraction(ones * (ones - 1) // 2 + zeros * (zeros - 1) // 2, pair_total)
+    return robustness.StabilityReport(
+        n_runs=n_runs,
+        n_cases=len(cases),
+        unanimity_rate=unanimous / len(cases),
+        pairwise_agreement=float(agreement / len(cases)),
+        flip_counts=flip_counts,
+    )
+
+
+def _benchmark_cell_of(case: EvaluationCase) -> str:
+    m = "+" if case.predicted else "-"
+    b = "+" if case.benchmark_predicted else "-"
+    return f"model{m}/benchmark{b}"
+
+
+def _effective_threshold(dataset: Dataset) -> float | None:
+    positives = [c.score for c in dataset.cases if c.predicted and c.score is not None]
+    return min(positives) if positives else None
+
+
+def _boundary_bin(rank: int, n: int, bins: int) -> int:
+    return min(bins - 1, rank * bins // n)
+
+
+def _distance_ranks(population: list[EvaluationCase], threshold: float | None) -> dict[str, int]:
+    t = threshold if threshold is not None else 0.0
+    ordered = sorted(population, key=lambda c: (abs((c.score or 0.0) - t), c.case_id))
+    return {c.case_id: i for i, c in enumerate(ordered)}
+
+
+def _sample_cell(population, requested, config, ranks, rng) -> list[EvaluationCase]:
+    strata: dict[tuple, list[EvaluationCase]] = {}
+    for case in population:
+        key_parts: list[str] = [case.subgroups.get(a, "unknown") for a in config.substratify_by]
+        if config.boundary_bins is not None:
+            key_parts.append(
+                f"bin_{_boundary_bin(ranks[case.case_id], len(population), config.boundary_bins):06d}"
+            )
+        strata.setdefault(tuple(key_parts), []).append(case)
+
+    keys = sorted(strata.keys())
+    sizes = [len(strata[k]) for k in keys]
+    alloc = scle._largest_remainder(requested, sizes, keys)
+
+    if config.boundary_bins is not None and requested >= 1:
+        top_bin = max(k[-1] for k in keys)
+        top_idx = [i for i, k in enumerate(keys) if k[-1] == top_bin]
+        if top_idx and all(alloc[i] == 0 for i in top_idx):
+            donor = max(
+                (i for i in range(len(keys)) if alloc[i] > 0),
+                key=lambda i: (alloc[i], keys[i]),
+                default=None,
+            )
+            if donor is not None:
+                alloc[donor] -= 1
+                alloc[top_idx[0]] += 1
+
+    chosen: list[EvaluationCase] = []
+    for key, take in zip(keys, alloc):
+        if take == 0:
+            continue
+        group = strata[key]
+        idx = rng.choice(len(group), size=take, replace=False)
+        chosen.extend(group[int(i)] for i in sorted(idx))
+    return chosen
+
+
+def draw_sample(dataset: Dataset, config: scle.ScleConfig) -> scle.ScleSample:
+    """Cell populations as lists of cases, ranked and stratified case by case."""
+    cells = confusion_cells(dataset)
+    evaluable = [dataset.cases[i] for i in np.flatnonzero(cells >= 0)]
+    cell_of = {c.case_id: ("TP", "FP", "FN", "TN")[k] for c, k in zip(evaluable, cells[cells >= 0])}
+    if config.benchmark_mode:
+        for case in evaluable:
+            if case.benchmark_predicted is None:
+                raise InputError(f"benchmark_mode requires benchmark labels; case {case.case_id!r} has none")
+    if config.boundary_bins is not None and any(c.score is None for c in evaluable):
+        missing = next(c.case_id for c in evaluable if c.score is None)
+        raise InputError(f"boundary_bins requires scored cases; case {missing!r} has no score")
+
+    if config.benchmark_mode:
+        cell_names: tuple[str, ...] = scle.BENCHMARK_CELLS
+        targets = scle._benchmark_targets(config)
+    else:
+        cell_names = scle.CELLS
+        targets = {"FP": config.n_fp, "FN": config.n_fn, "TP": config.n_tp, "TN": config.n_tn}
+
+    populations: dict[str, list[EvaluationCase]] = {name: [] for name in cell_names}
+    for case in evaluable:
+        populations[_benchmark_cell_of(case) if config.benchmark_mode else cell_of[case.case_id]].append(case)
+
+    threshold = _effective_threshold(dataset) if config.boundary_bins is not None else None
+    rng = replicate_rng(derive_seed(config.seed, "scle"), 0)
+    rows: list[scle.ScleRow] = []
+    sample_sizes: dict[str, int] = {}
+    shortfalls: dict[str, tuple[int, int]] = {}
+    for cell in cell_names:
+        requested = targets[cell]
+        population = populations[cell]
+        pop_size = len(population)
+        if requested == 0:
+            sample_sizes[cell] = 0
+            continue
+        ranks = _distance_ranks(population, threshold) if config.boundary_bins is not None else None
+        if pop_size <= requested:
+            chosen = list(population)
+            if pop_size < requested:
+                shortfalls[cell] = (requested, pop_size)
+                _warnings.warn(f"cell {cell}: only {pop_size} of {requested} requested cases available", stacklevel=2)
+        else:
+            chosen = _sample_cell(population, requested, config, ranks, rng)
+        sample_sizes[cell] = len(chosen)
+        weight = pop_size / len(chosen) if chosen else 0.0
+        for case in chosen:
+            strata = {attr: case.subgroups.get(attr, "unknown") for attr in config.substratify_by}
+            if ranks is not None:
+                strata["boundary_bin"] = f"bin_{_boundary_bin(ranks[case.case_id], pop_size, config.boundary_bins)}"
+            rows.append(scle.ScleRow(
+                case_id=case.case_id,
+                cell=cell_of[case.case_id],
+                benchmark_cell=_benchmark_cell_of(case) if config.benchmark_mode else None,
+                strata=strata,
+                sampling_weight=weight,
+            ))
+    return scle.ScleSample(
+        rows=tuple(rows),
+        config=config,
+        seed=config.seed,
+        cell_population_sizes={c: len(populations[c]) for c in cell_names},
+        cell_sample_sizes=sample_sizes,
+        shortfalls=shortfalls,
+    )
+
+
+def emit_review_sheet(sample, dataset, context_fields=(), path="review_sheet.csv", generated_at=None) -> Path:
+    """Context columns looked up case by case in an id -> case dict."""
+    by_id = {c.case_id: c for c in dataset.cases}
+    known_subgroups = {name for c in dataset.cases for name in c.subgroups}
+    metadata = dataset.metadata
+    for fieldname in context_fields:
+        if fieldname not in known_subgroups and fieldname not in metadata and fieldname not in ("score", "stratum_id"):
+            raise InputError(f"unknown context field {fieldname!r}")
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# seed: {sample.seed}\n")
+        fh.write(f"# config_hash: {sample.config_hash}\n")
+        fh.write(f"# generated_at: {generated_at or 'unspecified'}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["case_id", "cell", "benchmark_cell", *context_fields, *scle.SHEET_COLUMNS_FIXED])
+        for row in sample.rows:
+            case = by_id.get(row.case_id)
+            if case is None:
+                raise InputError(f"sampled case {row.case_id!r} is not in the dataset")
+            context = []
+            for fieldname in context_fields:
+                if fieldname == "score":
+                    context.append("" if case.score is None else repr(case.score))
+                elif fieldname == "stratum_id":
+                    context.append(case.stratum_id or "")
+                elif fieldname in case.subgroups:
+                    context.append(case.subgroups[fieldname])
+                else:
+                    context.append(str(metadata.get(fieldname, "")))
+            writer.writerow([row.case_id, row.cell, row.benchmark_cell or "", *context]
+                            + [""] * len(scle.SHEET_COLUMNS_FIXED))
+    return path
+
+
+def apply_verdicts(dataset: Dataset, annotations) -> Dataset:
+    """A new ``Dataset`` of rebuilt cases, one per changed reference label."""
+    verdicts = {a.case_id: a.verdict for a in annotations if a.verdict is not None}
+    unknown = set(verdicts) - {c.case_id for c in dataset.cases}
+    if unknown:
+        raise InputError(f"verdicts for unknown case ids: {sorted(unknown)}")
+    new_cases = []
+    for case in dataset.cases:
+        verdict = verdicts.get(case.case_id)
+        if verdict is None or verdict is case.reference:
+            new_cases.append(case)
+            continue
+        new_cases.append(EvaluationCase(
+            case_id=case.case_id,
+            reference=verdict,
+            score=case.score,
+            predicted=case.predicted,
+            benchmark_predicted=case.benchmark_predicted,
+            stratum_id=case.stratum_id,
+            subgroups=case.subgroups,
+            repeated_labels=case.repeated_labels,
+        ))
+    metadata = dataset.metadata
+    metadata["verdicts_applied"] = metadata.get("verdicts_applied", 0) + len(verdicts)
+    return Dataset(new_cases, dataset.design, metadata)
+
+
+def generate(spec: synth.PopulationSpec) -> synth.SynthResult:
+    """The same draws as ``synth.generate``, kept rows built as one ``EvaluationCase`` each."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    if spec.exact_positive_count:
+        k = int(round(spec.prevalence * n))
+        truth = np.zeros(n, dtype=bool)
+        truth[rng.permutation(n)[:k]] = True
+    else:
+        truth = rng.random(n) < spec.prevalence
+    latent = rng.normal(loc=0.0, scale=spec.spread, size=n)
+    latent = latent + np.where(truth, spec.separation / 2.0, -spec.separation / 2.0)
+    scores = 1.0 / (1.0 + np.exp(-latent))
+    reference = truth.copy()
+    if spec.label_noise > 0:
+        reference ^= rng.random(n) < spec.label_noise
+    runs = None
+    if spec.n_runs is not None:
+        runs = truth[:, None] ^ (rng.random((n, spec.n_runs)) < spec.flip_probability)
+    sidecar = synth.TruthSidecar(scores, truth)
+
+    keep = np.ones(n, dtype=bool)
+    strata = None
+    design: tuple[StratumSpec, ...] = ()
+    if spec.enrichment:
+        strata = np.full(n, synth.REST_STRATUM_ID, dtype=object)
+        assigned = np.zeros(n, dtype=bool)
+        specs = []
+        for rule in spec.enrichment:
+            matches = (truth if rule.select == "positive" else ~truth) & ~assigned
+            if not matches.any():
+                raise InfeasibleError(
+                    f"enrichment stratum {rule.stratum_id!r} is empty: no {rule.select} cases to select"
+                )
+            strata[matches] = rule.stratum_id
+            assigned |= matches
+            specs.append(StratumSpec(
+                stratum_id=rule.stratum_id,
+                inclusion_probability=rule.inclusion_probability,
+                description=f"{rule.select} cases kept with probability {rule.inclusion_probability}",
+            ))
+            keep[matches] &= rng.random(int(matches.sum())) < rule.inclusion_probability
+        if not assigned.all():
+            specs.append(StratumSpec(synth.REST_STRATUM_ID, 1.0, "all remaining cases"))
+        design = tuple(specs)
+
+    width = max(6, len(str(n)))
+    cases = [
+        EvaluationCase(
+            case_id=f"case-{i:0{width}d}",
+            reference=ReferenceLabel.POSITIVE if reference[i] else ReferenceLabel.NEGATIVE,
+            score=float(scores[i]),
+            stratum_id=str(strata[i]) if strata is not None else None,
+            repeated_labels=tuple(bool(b) for b in runs[i]) if runs is not None else None,
+        )
+        for i in np.flatnonzero(keep)
+    ]
+    dataset = Dataset(cases, design, {"generator": "rareval.synth", "seed": spec.seed})
+    return synth.SynthResult(dataset=dataset, truth=sidecar, population_size=n)
+
+
+def _case_to_record(case: EvaluationCase) -> dict:
+    record: dict = {"case_id": case.case_id, "reference": case.reference.value}
+    if case.score is not None:
+        record["score"] = case.score
+    if case.predicted is not None:
+        record["predicted"] = case.predicted
+    if case.benchmark_predicted is not None:
+        record["benchmark_predicted"] = case.benchmark_predicted
+    if case.stratum_id is not None:
+        record["stratum_id"] = case.stratum_id
+    if case.subgroups:
+        record["subgroups"] = dict(sorted(case.subgroups.items()))
+    if case.repeated_labels is not None:
+        record["repeated_labels"] = list(case.repeated_labels)
+    return record
+
+
+def emit(dataset: Dataset, path, format: str = "csv") -> list[Path]:
+    """One CSV row or JSON record per case, formatted field by field."""
+    path = Path(path)
+    flag = {True: "1", False: "0"}
+    if format == "csv":
+        sg_names = sorted({name for c in dataset.cases for name in c.subgroups})
+        n_runs = max((len(c.repeated_labels) for c in dataset.cases if c.repeated_labels), default=0)
+        header = ["case_id", "reference", "score", "predicted", "benchmark_predicted", "stratum_id"]
+        header += [f"sg_{name}" for name in sg_names] + [f"run_{i + 1}" for i in range(n_runs)]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for case in dataset.cases:
+                runs = case.repeated_labels or ()
+                writer.writerow([
+                    case.case_id,
+                    case.reference.value,
+                    "" if case.score is None else repr(float(case.score)),
+                    flag.get(case.predicted, ""),
+                    flag.get(case.benchmark_predicted, ""),
+                    case.stratum_id or "",
+                    *(case.subgroups.get(name, "") for name in sg_names),
+                    *(flag[runs[i]] if i < len(runs) else "" for i in range(n_runs)),
+                ])
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            for case in dataset.cases:
+                fh.write(json.dumps(_case_to_record(case), sort_keys=True))
+                fh.write("\n")
+    written = [path]
+    if dataset.design or dataset.metadata:
+        sidecar = path.with_name(path.name + DESIGN_SIDECAR_SUFFIX)
+        payload = {
+            "kind": "dataset_design",
+            "design": [
+                {"stratum_id": s.stratum_id, "inclusion_probability": s.inclusion_probability,
+                 "description": s.description}
+                for s in dataset.design
+            ],
+            "metadata": dataset.metadata,
+        }
+        sidecar.write_text(canonical_json(payload), encoding="utf-8")
+        written.append(sidecar)
+    return written

@@ -304,8 +304,20 @@ class TestColumnsAreTheStorage:
         assert cols != type(cols)(**{**slot_fields(cols), "runs": flipped})
 
     def test_evaluate_builds_no_case(self, tmp_path, monkeypatch):
+        """No command builds an EvaluationCase from a CSV input, nor synth on its way to a file."""
         path = tmp_path / "scored.csv"
         emit(generate(PopulationSpec(n=600, prevalence=0.1, seed=9)).dataset, path)
+        rich = str(tmp_path / "rich.csv")  # subgroups, repeated runs and benchmark labels
+        runs = generate(PopulationSpec(n=600, prevalence=0.1, n_runs=3, flip_probability=0.2, seed=9)).dataset
+        rng = np.random.default_rng(9)
+        sites, benchmark = rng.choice(["north", "south", "rare"], len(runs)), rng.random(len(runs)) < 0.3
+        emit(runs.replace_cases(
+            EvaluationCase(**{**slot_fields(c), "subgroups": {"site": str(s)}, "benchmark_predicted": bool(b)})
+            for c, s, b in zip(runs.cases, sites, benchmark)
+        ), rich)
+        verdicts = [{"case_id": f"case-00000{i}", "verdict": v} for i, v in enumerate(["positive", "excluded"])]
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(canonical_json({"kind": "scle_annotations", "annotations": verdicts}))
         built = []
         post_init = EvaluationCase.__post_init__
         monkeypatch.setattr(EvaluationCase, "__post_init__", lambda self: (built.append(1), post_init(self)))
@@ -315,6 +327,27 @@ class TestColumnsAreTheStorage:
             ["--cost-fp", "1", "--cost-fn", "20", "--assumed-prevalence", "0.01"],
         )):
             assert cli.main(["evaluate", "--input", str(path), *flags, "--out-dir", str(tmp_path / f"o{i}")]) == 0
+        t, sample = ["--threshold", "0.5"], ["scle", "sample", "--input", rich, "--threshold", "0.5", "--n-fp", "5",
+                                               "--n-fn", "5", "--n-tp", "5", "--n-tn", "2"]
+        for i, argv in enumerate((
+            ["subsets", "--input", rich, "--attribute", "site", *t, "--out-dir", "{out}"],
+            ["resample", "--input", rich, "--metric", "recall", "--scheme", "k_fold", "--n", "5", *t],
+            ["resample", "--input", rich, "--metric", "precision", "--scheme", "bootstrap", "--n", "20", *t],
+            ["stability", "--input", rich, "--out", "{out}/stability.json"],
+            [*sample, "--out-dir", "{out}"],
+            [*sample, "--boundary-bins", "3", "--substratify-by", "site", "--context-fields", "score,site,stratum_id",
+             "--out-dir", "{out}"],
+            [*sample, "--benchmark-mode", "--oversample-factor", "2", "--out-dir", "{out}"],
+            ["scle", "apply", "--input", rich, "--annotations", str(annotations), "--out", "{out}/revised.csv"],
+            ["scle", "apply", "--input", rich, "--annotations", str(annotations), "--out", "{out}/revised.jsonl",
+             "--out-format", "jsonl"],
+            ["synth", "--out", "{out}/s.csv", "--n", "400", "--prevalence", "0.1", "--n-runs", "2",
+             "--enrich", "negative:0.5"],
+            ["synth", "--out", "{out}/s.jsonl", "--format", "jsonl", "--n", "400", "--prevalence", "0.1"],
+        )):
+            out = tmp_path / f"c{i}"
+            out.mkdir()
+            assert cli.main([arg.format(out=out) for arg in argv]) == 0, argv
         assert built == []
         make_case("x", "positive", score=0.5)  # the counter does count
         assert built == [1]

@@ -4,9 +4,13 @@ Two seeded synth inputs of about 2000 rows (one plain with a ``sg_site``
 column, one enriched with negatives kept at p=0.3, so its weights are
 inexact) go through the commands the benchmark runs: ``evaluate`` (threshold
 and cost runs), ``subsets``, ``resample`` (k-fold and bootstrap) and
-``scle sample``. Every file written is hashed and compared with
-``tests/golden/reproducible_sha256.json``. A speed-up must leave these bytes
-alone; a deliberate change to an output updates the golden file and says why.
+``scle sample``. A third input carries ``benchmark_predicted`` labels for
+``scle sample --benchmark-mode``. ``synth`` writes a CSV with repeated runs
+(read back by ``stability``) and an enriched JSONL, and ``scle apply`` writes
+both formats from a fixed annotations document. Every file written is hashed
+and compared with ``tests/golden/reproducible_sha256.json``. A speed-up must
+leave these bytes alone; a deliberate change to an output updates the golden
+file and says why.
 
 Regenerate the golden file with::
 
@@ -56,7 +60,31 @@ COMMANDS = {
         "--n-tp", "20", "--substratify-by", "site", "--boundary-bins", "5",
         "--context-fields", "score,site", "--reproducible",
     ],
+    # the commands below name their own output files under {out}
+    "synth-runs-csv": [
+        "synth", "--out", "{out}/runs.csv", "--n", "2000", "--prevalence", "0.05", "--n-runs", "3",
+        "--flip-probability", "0.2", "--seed", "5",
+    ],
+    "synth-enriched-jsonl": [
+        "synth", "--out", "{out}/enriched.jsonl", "--format", "jsonl", "--n", "3000", "--prevalence", "0.05",
+        "--enrich", "negative:0.3", "--seed", "5",
+    ],
+    "stability": ["stability", "--input", "out/synth-runs-csv/runs.csv", "--out", "{out}/stability.json"],
+    "scle-sample-benchmark": [
+        "scle", "sample", "--input", "bench.csv", "--threshold", "0.8", "--n-fp", "10", "--n-fn", "10",
+        "--n-tp", "10", "--benchmark-mode", "--oversample-factor", "2", "--context-fields", "score",
+        "--reproducible", "--seed", "5", "--out-dir", "{out}",
+    ],
+    "scle-apply-csv": [
+        "scle", "apply", "--input", "plain.csv", "--annotations", "annotations.json", "--out", "{out}/revised.csv",
+    ],
+    "scle-apply-jsonl": [
+        "scle", "apply", "--input", "plain.csv", "--annotations", "annotations.json",
+        "--out", "{out}/revised.jsonl", "--out-format", "jsonl",
+    ],
 }
+# reviewer verdicts on cases of plain.csv, for scle apply
+VERDICTS = {"case-000003": "positive", "case-000010": "negative", "case-000042": "ambiguous", "case-001999": "excluded"}
 
 
 def _write_inputs(work: Path) -> None:
@@ -74,6 +102,20 @@ def _write_inputs(work: Path) -> None:
         n=6000, prevalence=0.05, enrichment=(synth.EnrichmentRule("negative", 0.3),), seed=12
     )
     datamodel.emit(synth.generate(spec).dataset, work / "enriched.csv")
+    bench = synth.generate(synth.PopulationSpec(n=2000, prevalence=0.1, seed=13)).dataset
+    benchmark = rng.random(len(bench)) < np.array([c.score for c in bench.cases])
+    bench = bench.replace_cases(
+        datamodel.EvaluationCase(
+            case_id=c.case_id, reference=c.reference, score=c.score, benchmark_predicted=bool(b)
+        )
+        for c, b in zip(bench.cases, benchmark)
+    )
+    datamodel.emit(bench, work / "bench.csv")
+    annotations = [
+        {"case_id": case_id, "reviewer": "r1", "categories": [], "triviality": None, "note": "", "verdict": verdict}
+        for case_id, verdict in VERDICTS.items()
+    ]
+    (work / "annotations.json").write_text(json.dumps({"kind": "scle_annotations", "annotations": annotations}))
 
 
 def output_digests() -> dict[str, dict[str, str]]:
@@ -87,9 +129,13 @@ def output_digests() -> dict[str, dict[str, str]]:
             os.chdir(work)
             for name, argv in COMMANDS.items():
                 out = Path("out") / name
-                dest = ["--out", str(out / "resample.json")] if argv[0] == "resample" else ["--out-dir", str(out)]
                 out.mkdir(parents=True)
-                assert cli.main([*argv, "--seed", "5", *dest]) == 0, name
+                if any("{out}" in arg for arg in argv):
+                    args = [arg.format(out=out) for arg in argv]
+                else:
+                    dest = ["--out", str(out / "resample.json")] if argv[0] == "resample" else ["--out-dir", str(out)]
+                    args = [*argv, "--seed", "5", *dest]
+                assert cli.main(args) == 0, name
                 digests[name] = {
                     path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in sorted(out.rglob("*"))

@@ -100,6 +100,23 @@ def _chi2_from_error_counts(err_by_cat: np.ndarray, nj: np.ndarray, expected: np
     return ((observed - expected) ** 2 / expected).sum(axis=(-2, -1))
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail probability of the chi-squared distribution with integer ``df``.
+
+    Closed form: e^(-h) * sum of h^a / a! over a = 0, 1, .., df/2 - 1 for even
+    df, and erfc(sqrt(h)) plus the same sum over a = 1/2, 3/2, .., df/2 - 1 for
+    odd df, with h = x/2. Each term is exponentiated from its logarithm, so the
+    sum does not underflow before the tail itself does.
+    """
+    h = x / 2.0
+    if h <= 0.0:
+        return 1.0
+    head = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    return head + math.fsum(
+        math.exp(a * math.log(h) - h - math.lgamma(a + 1.0)) for a in (i + df % 2 / 2 for i in range(df // 2))
+    )
+
+
 def _heterogeneity_screen(
     table: np.ndarray, alpha: float, n_permutations: int, seed: int
 ) -> HeterogeneityResult:
@@ -127,11 +144,9 @@ def _heterogeneity_screen(
         count_ge = int(np.count_nonzero(stats >= chi2 * (1.0 - 1e-12)))
         p_value = (1 + count_ge) / (1 + n_permutations)
     else:
-        from scipy.stats import chi2 as chi2_dist  # here, so importing rareval does not load scipy
-
         test_name = "chi-squared"
-        p_value = chi2_dist.sf(chi2, table.shape[1] - 1)
-    return HeterogeneityResult(bool(p_value < alpha), float(p_value), test_name, alpha)
+        p_value = _chi2_sf(chi2, table.shape[1] - 1)
+    return HeterogeneityResult(p_value < alpha, p_value, test_name, alpha)
 
 
 def subset_metrics(

@@ -299,6 +299,28 @@ class TestChangedStreams:
         assert result.p_value == pytest.approx(p_value, rel=1e-12)
 
 
+def assert_chi2_tail_matches_scipy(x, df):
+    got = np.array([robustness._chi2_sf(float(v), df) for v in x])
+    want = ref.chi2_sf(x, df)
+    normal = want >= 1e-250
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0)
+    assert not np.any((got == 0.0) & (want >= sys.float_info.min))
+
+
+class TestChiSquaredTail:
+    """The closed-form chi-squared tail against scipy's, for 1 to 100 degrees of freedom."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 100), st.lists(st.floats(0.0, 4000.0), min_size=1, max_size=20))
+    def test_random_statistics(self, df, x):
+        assert_chi2_tail_matches_scipy(np.array(x), df)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 10, 33, 64, 99, 100])
+    def test_deep_tail_down_to_underflow(self, df):
+        # the grid ends past the point where each tail leaves double range
+        assert_chi2_tail_matches_scipy(np.geomspace(1e-8, 1500.0 + 25 * df, 600), df)
+
+
 def test_subset_screen_does_not_load_scipy():
     code = (
         "import sys\n"

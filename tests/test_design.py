@@ -1,8 +1,13 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_loops as ref
+from rareval import design
 from rareval.design import (
     PairPrevalenceSpec,
     PrecisionStudyAssumptions,
@@ -71,6 +76,89 @@ class TestDisagreementTest:
         assert disagreement_test_pvalue(40, 50, 20, 50) == pytest.approx(
             disagreement_test_pvalue(20, 50, 40, 50)
         )
+
+
+@st.composite
+def disagreement_tables(draw):
+    na, nb = draw(st.integers(0, 2000)), draw(st.integers(0, 2000))
+    return draw(st.integers(0, na)), na, draw(st.integers(0, nb)), nb
+
+
+def assert_matches_scipy(tables, alpha=0.05):
+    xa, na, xb, nb = np.array(tables, dtype=np.int64).reshape(-1, 4).T
+    got, want = design._pvalues_vectorized(xa, na, xb, nb), ref.disagreement_midp(xa, na, xb, nb)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    normal = want >= 1e-250
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-10, atol=0)
+    decided = np.abs(want - alpha) > 1e-12 * alpha
+    assert np.array_equal((got <= alpha * (1 + 1e-12))[decided], (want <= alpha)[decided])
+
+
+class TestMidPAgainstScipy:
+    """The numpy mid-p against scipy's hypergeometric pmf/cdf/sf formula."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(disagreement_tables(), min_size=1, max_size=40), st.sampled_from([0.01, 0.05]))
+    def test_random_tables(self, tables, alpha):
+        assert_matches_scipy(tables, alpha)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(disagreement_tables(), min_size=1, max_size=40))
+    def test_chunking_does_not_change_p_values(self, tables):
+        # a chunk this small holds one row, so every row is its own grid
+        whole = design._pvalues_vectorized(*np.array(tables, dtype=np.int64).T)
+        with mock.patch.object(design, "_CHUNK_CELLS", 64):
+            np.testing.assert_allclose(
+                design._pvalues_vectorized(*np.array(tables, dtype=np.int64).T), whole, rtol=1e-14, atol=1e-300
+            )
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            (50_000, 100_000, 50_500, 100_000),  # support 10^5, p about 0.025
+            (48_000, 100_000, 50_000, 100_000),  # p about 4e-19
+            (44_000, 100_000, 50_000, 100_000),  # p about 3e-159
+            (42_500, 100_000, 50_000, 100_000),  # p about 3e-248
+            (42_000, 100_000, 50_000, 100_000),  # p about 2e-282, below the relative-error range
+            (0, 100_000, 1_700, 100_000),  # beyond double range: 0 on both sides
+            (10, 200_000, 100, 200_000),
+            (3_000, 400_000, 3_500, 400_000),
+            (120_000, 200_000, 0, 200_000),
+        ],
+    )
+    def test_large_supports_and_extreme_tails(self, table):
+        got = disagreement_test_pvalue(*table)
+        assert got == pytest.approx(ref.exact_disagreement_midp(*table), rel=1e-12, abs=1e-300)
+        want = float(ref.disagreement_midp(*table))
+        if want >= 1e-250:
+            assert got == pytest.approx(want, rel=1e-10)
+        else:
+            assert got <= 1e-250
+
+    def test_p_value_equal_to_alpha_rejects(self):
+        # (0, 3, 3, 3) has weights 1, 9, 9, 1 and mid-p exactly 1/20; computed
+        # sums land either side of 0.05 by an ulp, so the decision allows for it
+        assert disagreement_test_pvalue(0, 3, 3, 3) == pytest.approx(0.05, rel=1e-15)
+        for p in (0.05, np.nextafter(0.05, 1.0), np.nextafter(0.05, 0.0)):
+            with mock.patch.object(design, "_pvalues_vectorized", lambda *cols, p=p: np.full(cols[0].shape, p)):
+                assert simulate_precision_power(base_assumptions(n_replicates=5)).power == 1.0
+        with mock.patch.object(design, "_pvalues_vectorized", lambda *cols: np.full(cols[0].shape, 0.0501)):
+            assert simulate_precision_power(base_assumptions(n_replicates=5)).power == 0.0
+
+    def test_memory_is_bounded_at_large_sample_size(self):
+        # 1000 replicates of the benchmark's study at sample size 4e5: about
+        # 2500 support points a row, held one chunk at a time
+        rng = np.random.default_rng(0)
+        cells = rng.multinomial(400_000, [0.03, 0.02, 0.03, 0.92], size=1000)
+        na, nb = cells[:, 1], cells[:, 2]
+        xa, xb = rng.binomial(na, 0.7), rng.binomial(nb, 0.85)
+        tracemalloc.start()
+        try:
+            design._pvalues_vectorized(xa, na, xb, nb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestPowerSimulation:

@@ -6,98 +6,48 @@ prevalence-corrected metrics with intervals (``metrics``), sweep thresholds
 review (``scle``), probe robustness (``robustness``), and compile everything
 into a checklist-driven report (``report``). ``synth`` generates seeded
 populations with exact ground truth for verification.
+
+``import rareval`` loads none of these modules: each public name imports its
+home module on first use (PEP 562), so a program pays only for what it uses.
+Since the order in which modules load varies, a module calls another's public
+functions through that module (``datamodel.confusion_cells``), never through
+a name bound at import, so a replaced attribute is seen by every caller.
 """
 
-from .curves import CostSpec, CurvePoint, auc, pr_curve, rare_event_warnings, roc_curve, select_operating_point
-from .datamodel import Dataset, EvaluationCase, ReferenceLabel, StratumSpec, apply_threshold, emit, ingest
-from .design import (
-    PairPrevalenceSpec,
-    PrecisionStudyAssumptions,
-    build_paired_precision_test,
-    pair_prevalence,
-    simulate_precision_power,
-    solve_sample_size,
-)
-from .errors import EvaluationError, InfeasibleError, IngestError, InputError
-from .metrics import (
-    ConfusionCounts,
-    MetricEstimate,
-    bayes_adjusted_precision,
-    bootstrap_metric,
-    concordance_and_override,
-    confusion,
-    estimate_metric,
-    f_beta,
-    npv,
-    precision,
-    precision_at_k,
-    recall,
-    specificity,
-    wilson_interval,
-)
-from .report import ChecklistItem, EvaluationOutputs, prefill_checklist, render_report
-from .robustness import resampling_variability, stability, subset_metrics
-from .scle import ScleAnnotation, ScleConfig, ScleSample, aggregate, draw_sample, emit_review_sheet, ingest_annotations
-from .synth import EnrichmentRule, PopulationSpec, TruthSidecar, generate
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CostSpec",
-    "CurvePoint",
-    "auc",
-    "pr_curve",
-    "rare_event_warnings",
-    "roc_curve",
-    "select_operating_point",
-    "Dataset",
-    "EvaluationCase",
-    "ReferenceLabel",
-    "StratumSpec",
-    "apply_threshold",
-    "emit",
-    "ingest",
-    "PairPrevalenceSpec",
-    "PrecisionStudyAssumptions",
-    "build_paired_precision_test",
-    "pair_prevalence",
-    "simulate_precision_power",
-    "solve_sample_size",
-    "EvaluationError",
-    "InfeasibleError",
-    "IngestError",
-    "InputError",
-    "ConfusionCounts",
-    "MetricEstimate",
-    "bayes_adjusted_precision",
-    "bootstrap_metric",
-    "concordance_and_override",
-    "confusion",
-    "estimate_metric",
-    "f_beta",
-    "npv",
-    "precision",
-    "precision_at_k",
-    "recall",
-    "specificity",
-    "wilson_interval",
-    "ChecklistItem",
-    "EvaluationOutputs",
-    "prefill_checklist",
-    "render_report",
-    "resampling_variability",
-    "stability",
-    "subset_metrics",
-    "ScleAnnotation",
-    "ScleConfig",
-    "ScleSample",
-    "aggregate",
-    "draw_sample",
-    "emit_review_sheet",
-    "ingest_annotations",
-    "EnrichmentRule",
-    "PopulationSpec",
-    "TruthSidecar",
-    "generate",
-    "__version__",
-]
+# Home module of every public name, in ``__all__`` order.
+_EXPORTS = {
+    "curves": ("CostSpec", "CurvePoint", "auc", "pr_curve", "rare_event_warnings", "roc_curve",
+               "select_operating_point"),
+    "datamodel": ("Dataset", "EvaluationCase", "ReferenceLabel", "StratumSpec", "apply_threshold", "emit", "ingest"),
+    "design": ("PairPrevalenceSpec", "PrecisionStudyAssumptions", "build_paired_precision_test", "pair_prevalence",
+               "simulate_precision_power", "solve_sample_size"),
+    "errors": ("EvaluationError", "InfeasibleError", "IngestError", "InputError"),
+    "metrics": ("ConfusionCounts", "MetricEstimate", "bayes_adjusted_precision", "bootstrap_metric",
+                "concordance_and_override", "confusion", "estimate_metric", "f_beta", "npv", "precision",
+                "precision_at_k", "recall", "specificity", "wilson_interval"),
+    "report": ("ChecklistItem", "EvaluationOutputs", "prefill_checklist", "render_report"),
+    "robustness": ("resampling_variability", "stability", "subset_metrics"),
+    "scle": ("ScleAnnotation", "ScleConfig", "ScleSample", "aggregate", "draw_sample", "emit_review_sheet",
+             "ingest_annotations"),
+    "synth": ("EnrichmentRule", "PopulationSpec", "TruthSidecar", "generate"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -23,10 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import curves as curves_mod
-from . import datamodel, design, metrics, report, robustness, scle, synth
+# Each command imports the modules it runs, so a run loads only those. They are
+# imported as modules, not names: calls go through module attributes, which a
+# test or a tracer may replace.
 from .errors import PARSE_ERRORS, EvaluationError, InfeasibleError, InputError
-from .provenance import canonical_json, config_hash, derive_seed
+from .provenance import canonical_json, config_hash, derive_seed, markdown_table
 
 
 # The full threshold sweep; reports name it with its sha256 and embed a bounded part.
@@ -123,6 +124,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _parse_attestations(pairs: list[str] | None) -> dict:
+    from . import report
     attestations = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -152,6 +154,7 @@ def _metrics_table(entries: list[dict]) -> str:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import curves, datamodel, metrics, report
     if args.assumed_prevalence is not None and not 0.0 < args.assumed_prevalence < 1.0:
         raise InputError(f"--assumed-prevalence must be in (0, 1), got {args.assumed_prevalence}")
     ds = datamodel.ingest(args.input, args.format)
@@ -210,9 +213,9 @@ def _cmd_evaluate(args) -> int:
                 raise InputError("cost-based selection needs both --cost-fp and --cost-fn")
             if args.assumed_prevalence is None:
                 raise InputError("cost-based selection needs --assumed-prevalence")
-            costs = curves_mod.CostSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
-            sweep = curves_mod.pr_curve(ds)
-            point = curves_mod.select_operating_point(sweep, costs, args.assumed_prevalence)
+            costs = curves.CostSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
+            sweep = curves.pr_curve(ds)
+            point = curves.select_operating_point(sweep, costs, args.assumed_prevalence)
             decision_threshold = point.threshold
             operating_point = point.to_json_dict()
             outputs.costs = {"cost_fp": args.cost_fp, "cost_fn": args.cost_fn}
@@ -246,16 +249,16 @@ def _cmd_evaluate(args) -> int:
 
     curve_csv = None
     if scored:
-        sweep = sweep if sweep is not None else curves_mod.pr_curve(ds)
-        curve_csv = curves_mod.curve_to_csv(sweep)
+        sweep = sweep if sweep is not None else curves.pr_curve(ds)
+        curve_csv = curves.curve_to_csv(sweep)
         outputs.curve_n_points = len(sweep)
         outputs.curve_file = {
             "path": CURVE_FILE,
             "sha256": hashlib.sha256(curve_csv.encode("utf-8")).hexdigest(),
         }
-        outputs.curve_points = [p.to_json_dict() for p in curves_mod.report_points(sweep, decision_threshold)]
-        outputs.auc_value = curves_mod.auc(sweep)
-        warning_list = curves_mod.rare_event_warnings(
+        outputs.curve_points = [p.to_json_dict() for p in curves.report_points(sweep, decision_threshold)]
+        outputs.auc_value = curves.auc(sweep)
+        warning_list = curves.rare_event_warnings(
             sweep,
             args.assumed_prevalence,
             auc_requested=True,
@@ -292,6 +295,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_adjust_precision(args) -> int:
+    from . import metrics
     value = metrics.bayes_adjusted_precision(args.sensitivity, args.specificity, args.prevalence)
     _print_json(
         {
@@ -305,6 +309,7 @@ def _cmd_adjust_precision(args) -> int:
 
 
 def _cmd_pair_prevalence(args) -> int:
+    from . import design
     spec = design.PairPrevalenceSpec(n_records=args.n, duplicate_fraction=args.duplicate_fraction)
     _print_json(
         {
@@ -317,6 +322,7 @@ def _cmd_pair_prevalence(args) -> int:
 
 
 def _cmd_size_study(args) -> int:
+    from . import design
     values = {
         "sample_size": args.sample_size,
         "flag_rate_a": args.flag_rate_a,
@@ -349,7 +355,8 @@ def _cmd_size_study(args) -> int:
     return 0
 
 
-def _load_dataset(args) -> datamodel.Dataset:
+def _load_dataset(args):
+    from . import datamodel
     return datamodel.ingest(args.input, args.format)
 
 
@@ -357,6 +364,7 @@ def _load_dataset(args) -> datamodel.Dataset:
 
 
 def _cmd_scle_sample(args) -> int:
+    from . import datamodel, scle
     ds = _load_dataset(args)
     if args.threshold is not None:
         ds = datamodel.apply_threshold(ds, args.threshold)
@@ -397,6 +405,7 @@ def _cmd_scle_sample(args) -> int:
 
 
 def _cmd_scle_ingest(args) -> int:
+    from . import scle
     sample = _read_json(args.sample, scle.ScleSample.from_json_dict)
     with _user_file(args.sheet):
         annotations = scle.ingest_annotations(args.sheet, sample)
@@ -407,6 +416,7 @@ def _cmd_scle_ingest(args) -> int:
 
 
 def _cmd_scle_aggregate(args) -> int:
+    from . import scle
     sample = _read_json(args.sample, scle.ScleSample.from_json_dict)
     annotations = _read_json(args.annotations, scle.annotations_from_json_dict)
     summary = scle.aggregate(annotations, sample, seed=args.seed)
@@ -418,6 +428,7 @@ def _cmd_scle_aggregate(args) -> int:
 
 
 def _cmd_scle_apply(args) -> int:
+    from . import datamodel, scle
     ds = _load_dataset(args)
     annotations = _read_json(args.annotations, scle.annotations_from_json_dict)
     revised = scle.apply_verdicts(ds, annotations)
@@ -431,6 +442,7 @@ def _cmd_scle_apply(args) -> int:
 
 
 def _cmd_subsets(args) -> int:
+    from . import datamodel, robustness
     ds = _load_dataset(args)
     if args.threshold is not None:
         ds = datamodel.apply_threshold(ds, args.threshold)
@@ -445,6 +457,7 @@ def _cmd_subsets(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from . import robustness
     ds = _load_dataset(args)
     result = robustness.stability(ds)
     if args.out:
@@ -454,6 +467,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_resample(args) -> int:
+    from . import datamodel, robustness
     ds = _load_dataset(args)
     if args.threshold is not None:
         ds = datamodel.apply_threshold(ds, args.threshold)
@@ -470,6 +484,7 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import datamodel, synth
     if args.spec:
         spec_dict = _load_config_file(args.spec)
         with _user_file(args.spec):
@@ -518,6 +533,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_checklist(args) -> int:
+    from . import report
     if args.outputs:
         outputs = _read_json(args.outputs, report.EvaluationOutputs.from_json_dict)
     else:
@@ -527,7 +543,7 @@ def _cmd_checklist(args) -> int:
     payload = [item.to_json_dict() for item in checklist]
     out_dir = Path(args.out_dir)
     _write_json(out_dir / "checklist.json", payload)
-    md = report.markdown_table(
+    md = markdown_table(
         ("consideration", "status", "rationale"),
         ((item["consideration"], item["status"], item["rationale"] or "-") for item in payload),
     )

@@ -177,11 +177,11 @@ def report_points(curve: Curve, threshold: float | None) -> list[CurvePoint]:
     the run's predictions came with the data. Every point is observed; PR
     points are never interpolated (Davis & Goadrich 2006).
     """
-    keep = hull_indices(curve.fpr, curve.recall)
+    keep = hull_indices(curve.fpr, curve.recall).tolist()
     if threshold is not None:
         # thresholds descend from inf, so those >= threshold are a prefix
-        keep = np.union1d(keep, [np.count_nonzero(curve.threshold >= threshold) - 1])
-    return [curve[i] for i in keep.tolist()]
+        keep = sorted({*keep, np.count_nonzero(curve.threshold >= threshold) - 1})
+    return [curve[i] for i in keep]
 
 
 def auc(curve: Curve) -> float:

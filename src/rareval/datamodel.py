@@ -189,6 +189,8 @@ class StratumSpec:
 
 def _duplicate_ids(case_id: Sequence, rows: Sequence[int]) -> list[str]:
     """One message per repeat of a case id, naming the rows of its first and this occurrence."""
+    if len(set(case_id)) == len(case_id):  # the common case; the set is gone before the dict is built
+        return []
     first: dict = {}
     return [
         f"duplicate case_id {v!r} (rows {rows[first[v]]} and {rows[i]})"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -156,8 +156,18 @@ def _pvalues_vectorized(xa: np.ndarray, na: np.ndarray, xb: np.ndarray, nb: np.n
     return p
 
 
+def _replicate_rngs(assumptions: PrecisionStudyAssumptions) -> Iterator[np.random.Generator]:
+    """The stream of every replicate at its start, one at a time."""
+    return (replicate_rng(assumptions.seed, 0, i) for i in range(assumptions.n_replicates))
+
+
 def simulate_precision_power(assumptions: PrecisionStudyAssumptions) -> PowerResult:
     """Monte Carlo probability that the precision comparison rejects at alpha."""
+    return _power(assumptions, _replicate_rngs(assumptions))
+
+
+def _power(assumptions: PrecisionStudyAssumptions, rngs: Iterable[np.random.Generator]) -> PowerResult:
+    """:func:`simulate_precision_power` drawing replicate i from the i-th of ``rngs``."""
     probs = np.array(assumptions.cell_probabilities())
     n = assumptions.sample_size
     reps = assumptions.n_replicates
@@ -166,8 +176,7 @@ def simulate_precision_power(assumptions: PrecisionStudyAssumptions) -> PowerRes
     nb = np.empty(reps, dtype=np.int64)
     xa = np.empty(reps, dtype=np.int64)
     xb = np.empty(reps, dtype=np.int64)
-    for i in range(reps):
-        rng = replicate_rng(assumptions.seed, 0, i)
+    for i, rng in enumerate(rngs):
         _, a_only, b_only, _ = rng.multinomial(n, probs)
         na[i] = a_only
         nb[i] = b_only
@@ -192,13 +201,23 @@ def solve_sample_size(
     Every probe reuses the replicate streams of :func:`simulate_precision_power`
     (common random numbers), so the search walks one fixed power curve, reruns
     return the same answer, and simulating at the answer reproduces the power
-    the search accepted. ``assumptions.sample_size`` is ignored.
+    the search accepted. The streams are seeded once per search; each probe
+    rewinds one generator to every replicate's start state in turn, a tenth
+    of the cost of seeding them again (about 1 KB held per replicate).
+    ``assumptions.sample_size`` is ignored.
     """
     if not (assumptions.alpha < target_power < 1.0):
         raise InputError(f"target_power must be in (alpha, 1), got {target_power}")
+    starts = [rng.bit_generator.state for rng in _replicate_rngs(assumptions)]
+    rng = np.random.default_rng()  # its state is set before every draw
+
+    def rewound() -> Iterator[np.random.Generator]:
+        for state in starts:
+            rng.bit_generator.state = state
+            yield rng
 
     def power_at(size: int) -> float:
-        return simulate_precision_power(replace(assumptions, sample_size=size)).power
+        return _power(replace(assumptions, sample_size=size), rewound()).power
 
     size = min_size
     if power_at(size) >= target_power:

@@ -21,7 +21,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .datamodel import AMBIGUOUS, CELLS, EXCLUDED, NEGATIVE, POSITIVE, Dataset, confusion_cells
+from . import datamodel
+from .datamodel import AMBIGUOUS, CELLS, EXCLUDED, NEGATIVE, POSITIVE, Dataset
 from .errors import InputError
 from .provenance import derive_seed, slot_fields
 
@@ -121,7 +122,7 @@ def confusion(dataset: Dataset) -> ConfusionCounts:
     adds its inverse-probability weight to its cell and the result is flagged
     weighted.
     """
-    cells = confusion_cells(dataset)
+    cells = datamodel.confusion_cells(dataset)
     evaluable = cells >= 0
     # bincount adds the weights in case order, like a running sum
     sums = np.bincount(cells[evaluable], weights=dataset.columns.weight[evaluable], minlength=len(CELLS))
@@ -289,7 +290,7 @@ def _class_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     class counts, so a multinomial draw over classes is exactly the
     nonparametric case bootstrap, at a fraction of the cost.
     """
-    cells = confusion_cells(dataset)
+    cells = datamodel.confusion_cells(dataset)
     evaluable = cells >= 0
     if not evaluable.any():
         raise InputError("dataset has no evaluable cases")

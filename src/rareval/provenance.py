@@ -1,4 +1,4 @@
-"""Seed derivation, canonical serialization, and config hashing.
+"""Seed derivation, canonical serialization, Markdown tables, and config hashing.
 
 Every randomized operation takes an explicit integer seed. A single run-level
 seed fans out to per-module streams via ``derive_seed(seed, label)`` and to
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +52,13 @@ def slot_fields(obj) -> dict:
     ``to_json_dict = slot_fields``.
     """
     return {name: getattr(obj, name) for name in type(obj).__slots__}
+
+
+def markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    """Lines of a Markdown pipe table; cells are rendered with ``str``."""
+    lines = ["| " + " | ".join(header) + " |", "|---" * len(header) + "|"]
+    lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+    return lines
 
 
 def config_hash(obj) -> str:

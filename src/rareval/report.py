@@ -14,13 +14,12 @@ from __future__ import annotations
 import importlib.resources
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .datamodel import Dataset
 from .errors import InputError
-from .provenance import canonical_json, slot_fields
+from .provenance import canonical_json, markdown_table, slot_fields
 
 SCHEMA_VERSION = "2"
 
@@ -332,13 +331,6 @@ def load_report_schema() -> dict:
     """The published, versioned JSON schema for report documents."""
     ref = importlib.resources.files("rareval").joinpath(f"schemas/report-v{SCHEMA_VERSION}.json")
     return json.loads(ref.read_text(encoding="utf-8"))
-
-
-def markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
-    """Lines of a Markdown pipe table; cells are rendered with ``str``."""
-    lines = ["| " + " | ".join(header) + " |", "|---" * len(header) + "|"]
-    lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
-    return lines
 
 
 def _fmt(value) -> str:

@@ -19,11 +19,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import CELLS, EXCLUDED, FN, FP, Dataset, confusion_cells
+from . import datamodel
+from . import metrics as metrics_mod  # subset_metrics has a parameter named metrics
+from .datamodel import CELLS, EXCLUDED, FN, FP, Dataset
 from .errors import InfeasibleError, InputError
-from .metrics import PROPORTION_METRICS, _class_table, _metric_vector, confusion, estimate_metric
-from .provenance import derive_seed, replicate_rng, slot_fields
-from .report import markdown_table
+from .metrics import PROPORTION_METRICS, _class_table, _metric_vector
+from .provenance import derive_seed, markdown_table, replicate_rng, slot_fields
 
 UNKNOWN_CATEGORY = "unknown"
 
@@ -187,14 +188,14 @@ def subset_metrics(
             dataset.design,
             dataset.metadata,
         )
-        counts = confusion(sub)
+        counts = metrics_mod.confusion(sub)
         ests = {
-            m: estimate_metric(sub, m, ci_level=ci_level, seed=derive_seed(seed, f"subset:{category}"))
+            m: metrics_mod.estimate_metric(sub, m, ci_level=ci_level, seed=derive_seed(seed, f"subset:{category}"))
             for m in metrics
         }
         categories[category] = {"n": rows.size, "counts": counts, "metrics": ests}
 
-    errors = np.isin(confusion_cells(dataset)[evaluable], (FP, FN))
+    errors = np.isin(datamodel.confusion_cells(dataset)[evaluable], (FP, FN))
     n_by_category = np.bincount(group, minlength=names.size)
     errors_by_category = np.bincount(group, weights=errors, minlength=names.size)
     table = np.stack([n_by_category - errors_by_category, errors_by_category])
@@ -300,7 +301,7 @@ def resampling_variability(
         rng = replicate_rng(derive_seed(seed, "resample-bootstrap"), 0)
         draws = rng.multinomial(int(counts.sum()), counts / counts.sum(), size=n)
     elif scheme == "k_fold":
-        case_cells = confusion_cells(dataset)
+        case_cells = datamodel.confusion_cells(dataset)
         evaluable = np.flatnonzero(case_cells >= 0)
         if n > evaluable.size:
             raise InfeasibleError(f"k_fold with k={n} exceeds the {evaluable.size} evaluable cases")

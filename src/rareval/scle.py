@@ -24,12 +24,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import datamodel, metrics
 from .datamodel import CELLS as CONFUSION_CELLS
-from .datamodel import Dataset, ReferenceLabel, _decode, confusion_cells
+from .datamodel import Dataset, ReferenceLabel, _decode
 from .errors import InputError
-from .metrics import wilson_interval
-from .provenance import config_hash, derive_seed, replicate_rng, slot_fields
-from .report import markdown_table
+from .provenance import config_hash, derive_seed, markdown_table, replicate_rng, slot_fields
 
 CELLS = ("FP", "FN", "TP", "TN")
 BENCHMARK_CELLS = (
@@ -227,7 +226,7 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
     when it is nonempty. Cell shortfalls are reported, never padded.
     """
     cols = dataset.columns
-    cells = confusion_cells(dataset)
+    cells = datamodel.confusion_cells(dataset)
     evaluable = np.flatnonzero(cells >= 0)
     if config.benchmark_mode:
         unlabeled = evaluable[cols.benchmark_predicted[evaluable] < 0]
@@ -688,7 +687,7 @@ def aggregate(
             and ann_by_id[r.case_id].triviality is Triviality.TRIVIAL
         )
         triviality_rate = trivial / n_tp_sampled
-        triviality_ci = wilson_interval(trivial, n_tp_sampled, ci_level)
+        triviality_ci = metrics.wilson_interval(trivial, n_tp_sampled, ci_level)
 
     never_events = [
         {"case_id": a.case_id, "cell": rows_by_id[a.case_id].cell, "note": a.note}

@@ -255,6 +255,34 @@ class TestSolveSampleSize:
         assert first["power"] >= 0.8
         assert rerun == first
 
+    def test_solver_output_is_pinned(self, capsys):
+        # the solver rewinds one set of replicate streams per probe instead of
+        # seeding them anew; the answers and printed powers stay those of the
+        # seeded version, byte for byte
+        from rareval.cli import main
+
+        study = [
+            "size-study", "--flag-rate-a", "0.05", "--flag-rate-b", "0.06", "--overlap-rate", "0.5",
+            "--precision-a", "0.7", "--precision-b", "0.85", "--replicates", "1000", "--target-power", "0.8",
+        ]
+        printed = []
+        for seed in range(1, 6):
+            assert main([*study, "--seed", str(seed)]) == 0
+            printed.append(capsys.readouterr().out.rstrip("\n"))
+        assert printed == [
+        '{"mc_stderr": 0.012528966437819202, "n_replicates": 1000, "power": 0.805, "required_sample_size": 4900, "seed": 1}',
+        '{"mc_stderr": 0.01255324659201754, "n_replicates": 1000, "power": 0.804, "required_sample_size": 4900, "seed": 2}',
+        '{"mc_stderr": 0.01235540367612487, "n_replicates": 1000, "power": 0.812, "required_sample_size": 4900, "seed": 3}',
+        '{"mc_stderr": 0.01255324659201754, "n_replicates": 1000, "power": 0.804, "required_sample_size": 5200, "seed": 4}',
+        '{"mc_stderr": 0.012625331678811452, "n_replicates": 1000, "power": 0.801, "required_sample_size": 5100, "seed": 5}',
+        ]
+
+    def test_solver_seeds_each_replicate_stream_once(self):
+        assumptions = base_assumptions(n_replicates=50)
+        with mock.patch.object(design, "replicate_rng", wraps=replicate_rng) as seeded:
+            solve_sample_size(assumptions, 0.6)
+        assert seeded.call_count == 50
+
 
 class UniverseCase:
     __slots__ = ("idx", "a", "b")

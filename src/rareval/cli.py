@@ -27,7 +27,7 @@ import numpy as np
 # imported as modules, not names: calls go through module attributes, which a
 # test or a tracer may replace.
 from .errors import PARSE_ERRORS, EvaluationError, InfeasibleError, InputError
-from .provenance import canonical_json, config_hash, derive_seed, markdown_table
+from .provenance import canonical_json, config_hash, derive_seed, strict_json
 
 
 # The full threshold sweep; reports name it with its sha256 and embed a bounded part.
@@ -98,7 +98,7 @@ def _finite_float(text: str) -> float:
 def _read_json(path: str, parse):
     """A user-named JSON file, passed through ``parse`` (e.g. a ``from_json_dict``)."""
     with _user_file(path):
-        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+        return parse(strict_json(Path(path).read_text(encoding="utf-8")))
 
 
 def _load_config_file(path: str) -> dict:
@@ -106,7 +106,7 @@ def _load_config_file(path: str) -> dict:
     with _user_file(path):
         text = Path(path).read_text(encoding="utf-8")
         if text.lstrip().startswith("{"):
-            return json.loads(text)
+            return strict_json(text)
     config: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -356,18 +356,20 @@ def _cmd_size_study(args) -> int:
 
 
 def _load_dataset(args):
+    """The ``--input`` dataset, with ``--threshold`` applied for the commands that take one."""
     from . import datamodel
-    return datamodel.ingest(args.input, args.format)
+    dataset = datamodel.ingest(args.input, args.format)
+    if getattr(args, "threshold", None) is not None:
+        dataset = datamodel.apply_threshold(dataset, args.threshold)
+    return dataset
 
 
 # --- scle subcommands ----------------------------------------------------------
 
 
 def _cmd_scle_sample(args) -> int:
-    from . import datamodel, scle
+    from . import scle
     ds = _load_dataset(args)
-    if args.threshold is not None:
-        ds = datamodel.apply_threshold(ds, args.threshold)
     config = scle.ScleConfig(
         n_fp=args.n_fp,
         n_fn=args.n_fn,
@@ -442,10 +444,8 @@ def _cmd_scle_apply(args) -> int:
 
 
 def _cmd_subsets(args) -> int:
-    from . import datamodel, robustness
+    from . import robustness
     ds = _load_dataset(args)
-    if args.threshold is not None:
-        ds = datamodel.apply_threshold(ds, args.threshold)
     names = tuple(args.metrics.split(",")) if args.metrics else ("recall", "precision", "specificity")
     result = robustness.subset_metrics(ds, args.attribute, metrics=names, seed=args.seed)
     if args.out_dir:
@@ -467,10 +467,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    from . import datamodel, robustness
+    from . import robustness
     ds = _load_dataset(args)
-    if args.threshold is not None:
-        ds = datamodel.apply_threshold(ds, args.threshold)
     result = robustness.resampling_variability(
         ds, args.metric, scheme=args.scheme, n=args.n, seed=args.seed
     )
@@ -543,11 +541,7 @@ def _cmd_checklist(args) -> int:
     payload = [item.to_json_dict() for item in checklist]
     out_dir = Path(args.out_dir)
     _write_json(out_dir / "checklist.json", payload)
-    md = markdown_table(
-        ("consideration", "status", "rationale"),
-        ((item["consideration"], item["status"], item["rationale"] or "-") for item in payload),
-    )
-    _write(out_dir / "checklist.md", "\n".join(["# Evaluation checklist", "", *md]) + "\n")
+    _write(out_dir / "checklist.md", "# Evaluation checklist\n\n" + report.checklist_markdown(payload))
     _print_json({"rows": len(payload), "out": str(out_dir / "checklist.json")})
     return 0
 

@@ -24,14 +24,14 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import PARSE_ERRORS, IngestError, InputError
-from .provenance import canonical_json, slot_fields
+from .provenance import canonical_json, slot_fields, strict_json
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
 
@@ -149,6 +149,14 @@ class CaseColumns:
     @property
     def evaluable(self) -> np.ndarray:
         return self.reference <= NEGATIVE
+
+    def rows_of(self, ids: Sequence[str]) -> np.ndarray:
+        """Row of every case id in ``ids``, -1 for an id the dataset does not hold.
+
+        The one place that finds cases by id.
+        """
+        row = dict(zip(self.case_id.tolist(), range(len(self.case_id))))
+        return np.fromiter(map(row.get, ids, repeat(-1)), np.intp, len(ids))
 
     def categories_of(self, attribute: str, missing: str) -> np.ndarray:
         """Every case's category of subgroup ``attribute`` (object array), ``missing`` where it has none."""
@@ -313,10 +321,9 @@ def _row_values(columns: CaseColumns, design: tuple[StratumSpec, ...], rows: sli
 class Dataset:
     """Immutable evaluation dataset: case columns, optional design, metadata.
 
-    Every computation reads :attr:`columns`. A dataset read from a file holds
-    only columns, and :attr:`cases` builds the :class:`EvaluationCase` rows
-    from them on first use; one built from cases builds its columns on first
-    use instead.
+    Every computation reads :attr:`columns`, which a dataset built from cases
+    builds at once. :attr:`cases` is a row view of the columns, built on first
+    use by a dataset read from a file.
     """
 
     __slots__ = ("_cases", "_design", "_metadata", "_columns")
@@ -328,14 +335,11 @@ class Dataset:
         metadata: Mapping[str, object] | None = None,
     ):
         cases = tuple(cases)
-        design = tuple(design)
-        case_id = [c.case_id for c in cases]
-        duplicates = _duplicate_ids(case_id, range(1, len(cases) + 1))
+        duplicates = _duplicate_ids([c.case_id for c in cases], range(1, len(cases) + 1))
         if duplicates:
             raise InputError(duplicates[0])
-        _stratum_codes(case_id, [c.stratum_id for c in cases], None, design)  # the design checks
-        self._columns: CaseColumns | None = None
-        self._design = design
+        self._design = tuple(design)
+        self._columns = _build_columns(self._design, **_case_fields(cases))  # runs the design checks
         self._metadata = dict(metadata or {})
         self._cases: tuple[EvaluationCase, ...] | None = cases
 
@@ -357,8 +361,6 @@ class Dataset:
 
     @property
     def columns(self) -> CaseColumns:
-        if self._columns is None:
-            self._columns = _build_columns(self._design, **_case_fields(self._cases))
         return self._columns
 
     @property
@@ -375,7 +377,7 @@ class Dataset:
         return len(self._design) > 0
 
     def __len__(self) -> int:
-        return len(self._cases if self._cases is not None else self._columns.score)
+        return len(self._columns.score)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -458,6 +460,9 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
     if not isinstance(subgroups, dict):
         fail("field 'subgroups': expected an object")
         return None
+    if not isinstance(record.get("stratum_id"), (str, type(None))):
+        fail("field 'stratum_id': expected a string")
+        return None
 
     for fieldname in ("predicted", "benchmark_predicted"):
         value = record.get(fieldname)
@@ -530,18 +535,7 @@ def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
     written = [path]
     if dataset.design or dataset.metadata:
         sidecar = path.with_name(path.name + DESIGN_SIDECAR_SUFFIX)
-        payload = {
-            "kind": "dataset_design",
-            "design": [
-                {
-                    "stratum_id": s.stratum_id,
-                    "inclusion_probability": s.inclusion_probability,
-                    "description": s.description,
-                }
-                for s in dataset.design
-            ],
-            "metadata": dataset.metadata,
-        }
+        payload = {"kind": "dataset_design", "design": list(map(slot_fields, design)), "metadata": dataset.metadata}
         sidecar.write_text(canonical_json(payload), encoding="utf-8")
         written.append(sidecar)
     return written
@@ -552,18 +546,15 @@ def _load_sidecar(path: Path) -> tuple[tuple[StratumSpec, ...], dict]:
     if not sidecar.exists():
         return (), {}
     try:
-        payload = json.loads(sidecar.read_text(encoding="utf-8"))
+        payload = strict_json(sidecar.read_text(encoding="utf-8"))
         if payload.get("kind") != "dataset_design":
             raise InputError(f"{sidecar}: not a dataset design sidecar")
-        design = tuple(
-            StratumSpec(
-                stratum_id=s["stratum_id"],
-                inclusion_probability=float(s["inclusion_probability"]),
-                description=s.get("description", ""),
-            )
-            for s in payload.get("design", [])
-        )
-        return design, dict(payload.get("metadata", {}))
+        design = []
+        for s in payload.get("design", []):
+            if not isinstance(s["stratum_id"], str):
+                raise TypeError(f"stratum_id {s['stratum_id']!r} is not a string")
+            design.append(StratumSpec(s["stratum_id"], float(s["inclusion_probability"]), s.get("description", "")))
+        return tuple(design), dict(payload.get("metadata", {}))
     except PARSE_ERRORS as exc:
         raise InputError(f"{sidecar}: malformed design sidecar: {type(exc).__name__}: {exc}") from None
 
@@ -589,7 +580,7 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
     lookup of the distinct texts for labels and flags). A row's problem is
     the first check it fails, in the order a row-by-row reader meets them.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig: a spreadsheet's BOM is not a header
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -687,7 +678,7 @@ def _read_jsonl(path: Path, problems: list[str]) -> dict:
     """The file's fields as :func:`_build_columns` arguments; problems go to ``problems`` as in :func:`_read_csv`."""
     cases: list[EvaluationCase] = []
     numbers: list[int] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for row_number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

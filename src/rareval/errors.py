@@ -8,8 +8,10 @@ into :class:`InputError` on the spot, so the same types raised anywhere else
 still exit 4.
 """
 
+import csv
+
 # What reading and parsing a user file can raise when the file is at fault.
-PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, csv.Error)
 
 
 class EvaluationError(Exception):

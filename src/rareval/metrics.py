@@ -130,6 +130,7 @@ def confusion(dataset: Dataset) -> ConfusionCounts:
 
 
 def _metric_cells(metric: str) -> tuple[str, str]:
+    """(numerator cell, other denominator cell) of ``metric``; the one check of a metric name."""
     try:
         return _METRIC_CELLS[metric]
     except KeyError:
@@ -267,20 +268,27 @@ def concordance_and_override(
     """
     if not human_labels:
         raise InputError("human_labels is empty")
-    predicted = dict(zip(dataset.columns.case_id.tolist(), dataset.columns.predicted.tolist()))
-    agree = 0
-    for case_id, decision in human_labels.items():
-        model = predicted.get(case_id)
-        if model is None:
+    ids = list(human_labels)
+    rows = dataset.columns.rows_of(ids)
+    model = np.append(dataset.columns.predicted, -1)[rows]  # an unknown id (row -1) reads -1 too
+    bad = np.flatnonzero(model < 0)
+    if bad.size:
+        case_id = ids[bad[0]]
+        if rows[bad[0]] < 0:
             raise InputError(f"human label for unknown case_id {case_id!r}")
-        if model < 0:
-            raise InputError(f"case {case_id!r} has no model prediction")
-        agree += int(bool(decision) == model)
-    concordance = agree / len(human_labels)
+        raise InputError(f"case {case_id!r} has no model prediction")
+    decisions = np.fromiter(map(bool, human_labels.values()), bool, len(ids))
+    concordance = int(np.count_nonzero(decisions == model)) / len(ids)
     return concordance, 1.0 - concordance
 
 
 # --- case bootstrap ---------------------------------------------------------
+
+
+def percentile_interval(values: np.ndarray, ci_level: float) -> tuple[float, float]:
+    """Equal-tailed percentile interval of a sample of resampled ``values``."""
+    alpha = (1.0 - ci_level) / 2.0
+    return float(np.quantile(values, alpha)), float(np.quantile(values, 1.0 - alpha))
 
 
 def _class_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,12 +347,7 @@ def bootstrap_metric(
     draws = rng.multinomial(n, counts / n, size=n_resamples).astype(float)
     values, _ = _metric_vector(metric, draws, weights, cells)
     values = values[np.isfinite(values)]
-    if values.size == 0:
-        lo, hi = 0.0, 1.0
-    else:
-        alpha = (1.0 - ci_level) / 2.0
-        lo = float(np.quantile(values, alpha))
-        hi = float(np.quantile(values, 1.0 - alpha))
+    lo, hi = percentile_interval(values, ci_level) if values.size else (0.0, 1.0)
     return MetricEstimate(
         value=point,
         ci_low=min(lo, point),

@@ -1,4 +1,4 @@
-"""Seed derivation, canonical serialization, Markdown tables, and config hashing.
+"""Seed derivation, canonical and strict JSON, Markdown tables, and config hashing.
 
 Every randomized operation takes an explicit integer seed. A single run-level
 seed fans out to per-module streams via ``derive_seed(seed, label)`` and to
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +42,18 @@ def canonical_json(obj) -> str:
     undefined or unbounded value must be written as null by its owner.
     """
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def _finite(text: str) -> float:
+    value = float(text)  # a number, or one of the constants NaN, Infinity and -Infinity
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite JSON number {text}")
+    return value
+
+
+def strict_json(text: str):
+    """Parse JSON as strict parsers do: ``NaN``, ``(-)Infinity`` and numbers beyond a float raise ``ValueError``."""
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
 
 
 def slot_fields(obj) -> dict:

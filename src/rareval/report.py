@@ -23,21 +23,7 @@ from .provenance import canonical_json, markdown_table, slot_fields
 
 SCHEMA_VERSION = "2"
 
-CONSIDERATIONS = (
-    "test_sets",
-    "annotation_process",
-    "metrics",
-    "recall",
-    "precision",
-    "specificity",
-    "decision_thresholds",
-    "benchmarks",
-    "robustness",
-    "non_triviality",
-    "types_of_errors",
-    "human_ai_interaction",
-)
-
+# the checklist's rows, in order, with their key questions
 KEY_QUESTIONS = {
     "test_sets": (
         "Do the available test sets match the intended use in scope and content, and do "
@@ -88,6 +74,7 @@ KEY_QUESTIONS = {
         "interaction reflected in the evaluation?"
     ),
 }
+CONSIDERATIONS = tuple(KEY_QUESTIONS)
 
 STATUSES = ("satisfied", "partial", "unsatisfied", "not_applicable", "external_evidence_required")
 
@@ -453,42 +440,26 @@ def _render_markdown(doc: dict) -> str:
             lines.append(f"- `{w['code']}`: {w['message']}")
         lines.append("")
 
-    scle = doc.get("scle")
-    if scle:
-        lines += ["## Case-level examination", ""]
-        if scle.get("no_findings"):
-            lines.append("No findings: no annotations were returned.")
-        else:
-            lines.append(f"Annotations: {scle.get('n_annotations')}")
-            if scle.get("triviality_rate") is not None:
-                lines.append(f"Triviality rate among sampled true positives: {_fmt(scle['triviality_rate'])}")
-            for item in scle.get("never_events", []):
-                note = f" - {item['note']}" if item.get("note") else ""
-                lines.append(f"- NEVER EVENT: `{item['case_id']}` [{item['cell']}]{note}")
-        lines.append("")
+    # a result's own module renders it; each rendering ends in a newline, so a blank line follows
+    if doc.get("scle"):
+        from . import scle
+
+        lines.append(scle.summary_markdown(doc["scle"]))
 
     robustness = doc.get("robustness") or {}
-    if robustness.get("subsets") or robustness.get("stability") or robustness.get("resampling"):
+    if robustness.get("subsets"):
+        from . import robustness as robustness_mod
+
+        lines += map(robustness_mod.subsets_markdown, robustness["subsets"])
+    if robustness.get("stability") or robustness.get("resampling"):
         lines += ["## Robustness", ""]
-        for sub in robustness.get("subsets", []):
-            lines.append(f"Subset breakdown by `{sub['attribute']}`:")
-            h = sub.get("heterogeneity", {})
-            lines.append(
-                f"- error-clustering screen: p={_fmt(h.get('p_value'))} ({h.get('test')}), "
-                f"flagged={_fmt(h.get('flagged'))}"
-            )
-            for category, entry in sorted(sub.get("categories", {}).items()):
-                parts = [f"n={entry['n']}"]
-                for name, est in sorted(entry.get("metrics", {}).items()):
-                    parts.append(f"{name}={_fmt(est.get('value'))}")
-                lines.append(f"- {category}: " + ", ".join(parts))
         st = robustness.get("stability")
         if st:
             lines.append(
                 f"Stability: unanimity={_fmt(st.get('unanimity_rate'))}, "
                 f"pairwise agreement={_fmt(st.get('pairwise_agreement'))} over {st.get('n_runs')} runs"
             )
-        for rs in robustness.get("resampling", []):
+        for rs in robustness.get("resampling") or []:
             lines.append(
                 f"Resampling ({rs['scheme']}, n={rs['n']}): {rs['metric']} mean={_fmt(rs['mean'])}, "
                 f"std={_fmt(rs['std'])}"
@@ -504,18 +475,16 @@ def _render_markdown(doc: dict) -> str:
         )
         lines.append("")
 
-    lines += ["## Checklist", ""]
-    lines += markdown_table(
+    lines += ["## Checklist", "", checklist_markdown(doc["checklist"])]
+    return "\n".join(lines)
+
+
+def checklist_markdown(rows: list[dict]) -> str:
+    """The checklist's Markdown table, from its rows' JSON form; the report and ``checklist.md`` share it."""
+    return "\n".join(markdown_table(
         ("consideration", "status", "evidence", "rationale"),
         (
-            (
-                item["consideration"],
-                item["status"],
-                "; ".join(item["evidence"]) if item["evidence"] else "-",
-                item["rationale"] or "-",
-            )
-            for item in doc["checklist"]
+            (row["consideration"], row["status"], "; ".join(row["evidence"]) or "-", row["rationale"] or "-")
+            for row in rows
         ),
-    )
-    lines.append("")
-    return "\n".join(lines)
+    )) + "\n"

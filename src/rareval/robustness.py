@@ -23,7 +23,7 @@ from . import datamodel
 from . import metrics as metrics_mod  # subset_metrics has a parameter named metrics
 from .datamodel import CELLS, EXCLUDED, FN, FP, Dataset
 from .errors import InfeasibleError, InputError
-from .metrics import PROPORTION_METRICS, _class_table, _metric_vector
+from .metrics import _class_table, _metric_vector
 from .provenance import derive_seed, markdown_table, replicate_rng, slot_fields
 
 UNKNOWN_CATEGORY = "unknown"
@@ -71,24 +71,27 @@ class SubsetReport:
         }
 
     def to_markdown(self) -> str:
-        lines = [f"## Subset breakdown by `{self.attribute}`", ""]
-        h = self.heterogeneity
-        lines.append(
-            f"Error-clustering screen: p={h.p_value!r} ({h.test_name}); "
-            f"{'heterogeneity flagged' if h.flagged else 'no heterogeneity flagged'} at alpha={h.alpha}"
-        )
-        lines.append("")
-        metric_names = sorted({m for e in self.categories.values() for m in e["metrics"]})
-        rows = []
-        for category in sorted(self.categories):
-            entry = self.categories[category]
-            cells = []
-            for name in metric_names:
-                est = entry["metrics"].get(name)
-                cells.append("-" if est is None or est.value is None else repr(est.value))
-            rows.append((category, entry["n"], *cells))
-        lines += markdown_table(("category", "n", *metric_names), rows)
-        return "\n".join(lines) + "\n"
+        return subsets_markdown(self.to_json_dict())
+
+
+def subsets_markdown(doc: dict) -> str:
+    """Markdown of a subset report's JSON form; missing keys read as empty, as in a hand-edited document."""
+    h = doc.get("heterogeneity") or {}
+    categories = doc.get("categories") or {}
+    metric_names = sorted({m for entry in categories.values() for m in entry.get("metrics", {})})
+    rows = []
+    for category in sorted(categories):
+        ests = categories[category].get("metrics", {})
+        values = [(ests.get(name) or {}).get("value") for name in metric_names]
+        rows.append((category, categories[category].get("n"), *("-" if v is None else repr(v) for v in values)))
+    return "\n".join([
+        f"## Subset breakdown by `{doc.get('attribute')}`",
+        "",
+        f"Error-clustering screen: p={h.get('p_value')!r} ({h.get('test')}); "
+        f"{'heterogeneity flagged' if h.get('flagged') else 'no heterogeneity flagged'} at alpha={h.get('alpha')}",
+        "",
+        *markdown_table(("category", "n", *metric_names), rows),
+    ]) + "\n"
 
 
 def _chi2_from_error_counts(err_by_cat: np.ndarray, nj: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -167,8 +170,7 @@ def subset_metrics(
     checks of its own.
     """
     for m in metrics:
-        if m not in PROPORTION_METRICS:
-            raise InputError(f"unknown metric {m!r} (expected one of {PROPORTION_METRICS})")
+        metrics_mod._metric_cells(m)  # rejects an unknown name
     cols = dataset.columns
     evaluable = np.flatnonzero(cols.evaluable)
     if not evaluable.size:
@@ -292,8 +294,7 @@ def resampling_variability(
     Bootstrap draws n case-resamples of the evaluation set; k_fold computes
     the metric inside each of n seeded folds. Deterministic per seed.
     """
-    if metric not in PROPORTION_METRICS:
-        raise InputError(f"unknown metric {metric!r} (expected one of {PROPORTION_METRICS})")
+    metrics_mod._metric_cells(metric)  # rejects an unknown name
     counts, weights, cells = _class_table(dataset)
     if scheme == "bootstrap":
         if n < 1:
@@ -321,7 +322,7 @@ def resampling_variability(
     n_undefined = int(arr.size - defined.size)
     if defined.size == 0:
         raise InfeasibleError(f"metric {metric!r} was undefined in every resample")
-    alpha = (1.0 - ci_level) / 2.0
+    low, high = metrics_mod.percentile_interval(defined, ci_level)
     return ResamplingSummary(
         metric=metric,
         scheme=scheme,
@@ -330,8 +331,8 @@ def resampling_variability(
         values=tuple(float(v) for v in arr),
         mean=float(defined.mean()),
         std=float(defined.std(ddof=1)) if defined.size > 1 else 0.0,
-        percentile_low=float(np.quantile(defined, alpha)),
-        percentile_high=float(np.quantile(defined, 1.0 - alpha)),
+        percentile_low=low,
+        percentile_high=high,
         ci_level=ci_level,
         n_undefined=n_undefined,
     )

@@ -86,9 +86,11 @@ class ScleConfig:
             raise InputError("at least one of n_fp, n_fn, n_tp must be positive")
         if self.boundary_bins is not None and self.boundary_bins < 2:
             raise InputError("boundary_bins must be >= 2 when given")
-        if self.disagreement_oversample_factor < 1.0:
+        if not self.disagreement_oversample_factor >= 1.0:  # NaN too
             raise InputError("disagreement_oversample_factor must be >= 1")
         object.__setattr__(self, "substratify_by", tuple(self.substratify_by))
+        if not all(isinstance(attr, str) for attr in self.substratify_by):
+            raise InputError(f"substratify_by must name subgroup attributes, got {self.substratify_by!r}")
 
     @property
     def total_requested(self) -> int:
@@ -169,6 +171,11 @@ class ScleSample:
             )
             for r in data["rows"]
         )
+        for row in rows:
+            texts = (row.case_id, *row.strata, *row.strata.values())
+            if not (all(isinstance(text, str) for text in texts) and row.cell in CELLS
+                    and row.benchmark_cell in (None, *BENCHMARK_CELLS) and 0.0 < row.sampling_weight < math.inf):
+                raise InputError(f"malformed review sample row {slot_fields(row)!r}")
         return cls(
             rows=rows,
             config=ScleConfig.from_dict(data["config"]),
@@ -350,9 +357,6 @@ def _stratified_choice(keys: list[tuple], requested: int, boundary: bool, rng: n
 
 # --- review sheet round trip -------------------------------------------------
 
-_FLAG_TRUE = {"1", "true"}
-_FLAG_FALSE = {"", "0", "false"}
-
 
 def emit_review_sheet(
     sample: ScleSample,
@@ -375,11 +379,10 @@ def emit_review_sheet(
             and fieldname not in ("score", "stratum_id")
         ):
             raise InputError(f"unknown context field {fieldname!r}")
-    row_of = dict(zip(cols.case_id.tolist(), range(len(dataset))))
-    missing = next((row.case_id for row in sample.rows if row.case_id not in row_of), None)
-    if missing is not None:
-        raise InputError(f"sampled case {missing!r} is not in the dataset")
-    rows = np.array([row_of[row.case_id] for row in sample.rows], dtype=np.intp)
+    rows = cols.rows_of([row.case_id for row in sample.rows])
+    missing = np.flatnonzero(rows < 0)
+    if missing.size:
+        raise InputError(f"sampled case {sample.rows[missing[0]].case_id!r} is not in the dataset")
 
     def context(fieldname: str) -> list[str]:
         """The field of every sampled case; a subgroup the case lacks falls back to the metadata."""
@@ -453,10 +456,10 @@ def ingest_annotations(sheet: str | Path, sample: ScleSample) -> list[ScleAnnota
         categories: list[TagCategory] = []
         bad = False
         for column in TAG_COLUMNS:
-            value = (raw.get(column) or "").strip().lower()
-            if value in _FLAG_TRUE:
+            flag = datamodel._BINARY.get((raw.get(column) or "").strip().lower() or "0")  # empty is false
+            if flag:
                 categories.append(TagCategory(column))
-            elif value not in _FLAG_FALSE:
+            elif flag is None:
                 problems.append(
                     f"row {row_number}: field {column!r}: unknown tag value {raw.get(column)!r}"
                 )
@@ -544,57 +547,52 @@ class ScleSummary:
     def to_json_dict(self) -> dict:
         return {
             "kind": "scle_summary",
-            "no_findings": self.no_findings,
-            "n_annotations": self.n_annotations,
+            **slot_fields(self),
             "per_cell_tags": {
                 cell: {tag: proj.to_json_dict() for tag, proj in tags.items()}
                 for cell, tags in self.per_cell_tags.items()
             },
-            "triviality_rate": self.triviality_rate,
             "triviality_ci": list(self.triviality_ci) if self.triviality_ci else None,
-            "n_tp_sampled": self.n_tp_sampled,
-            "never_events": self.never_events,
-            "per_subgroup_tags": self.per_subgroup_tags,
-            "remedial_actions": self.remedial_actions,
-            "verdict_changes": self.verdict_changes,
-            "seed": self.seed,
         }
 
     def to_markdown(self) -> str:
-        lines = ["## Case-level examination summary", ""]
-        if self.no_findings:
-            lines.append("No findings: no annotations were returned for this sample.")
-            return "\n".join(lines) + "\n"
-        lines.append(f"Annotations: {self.n_annotations}")
-        if self.triviality_rate is not None:
-            lo, hi = self.triviality_ci or (0.0, 1.0)
-            lines.append(
-                f"Triviality rate among sampled true positives: {self.triviality_rate!r} "
-                f"(95% CI {lo!r} to {hi!r}, n={self.n_tp_sampled})"
-            )
-        if self.never_events:
-            lines.append("")
-            lines.append("### Never events (itemized)")
-            for item in self.never_events:
-                note = f" - {item['note']}" if item.get("note") else ""
-                lines.append(f"- `{item['case_id']}` [{item['cell']}]{note}")
-        if self.per_cell_tags:
-            lines.append("")
-            lines.append("### Tag frequencies by cell")
-            lines += markdown_table(
-                ("cell", "tag", "raw", "projected", "ci_low", "ci_high"),
-                (
-                    (cell, tag, proj.raw_count, repr(proj.projected), repr(proj.ci_low), repr(proj.ci_high))
-                    for cell in sorted(self.per_cell_tags)
-                    for tag, proj in sorted(self.per_cell_tags[cell].items())
-                ),
-            )
-        if self.remedial_actions:
-            lines.append("")
-            lines.append("### Suggested remedial actions (advisory)")
-            for action in self.remedial_actions:
-                lines.append(f"- {action}")
+        return summary_markdown(self.to_json_dict())
+
+
+def summary_markdown(doc: dict) -> str:
+    """Markdown of a summary's JSON form; missing keys read as empty, as in a hand-edited document."""
+    lines = ["## Case-level examination summary", ""]
+    if doc.get("no_findings"):
+        lines.append("No findings: no annotations were returned for this sample.")
         return "\n".join(lines) + "\n"
+    lines.append(f"Annotations: {doc.get('n_annotations')}")
+    if doc.get("triviality_rate") is not None:
+        lo, hi = doc.get("triviality_ci") or (0.0, 1.0)
+        lines.append(
+            f"Triviality rate among sampled true positives: {doc['triviality_rate']!r} "
+            f"(95% CI {lo!r} to {hi!r}, n={doc.get('n_tp_sampled')})"
+        )
+    if doc.get("never_events"):
+        lines += ["", "### Never events (itemized)"]
+        for item in doc["never_events"]:
+            note = f" - {item['note']}" if item.get("note") else ""
+            lines.append(f"- `{item.get('case_id')}` [{item.get('cell')}]{note}")
+    tags = doc.get("per_cell_tags")
+    if tags:
+        lines += ["", "### Tag frequencies by cell"]
+        columns = ("raw_count", "projected", "ci_low", "ci_high")
+        lines += markdown_table(
+            ("cell", "tag", "raw", "projected", "ci_low", "ci_high"),
+            (
+                (cell, tag, *(repr(proj.get(c)) for c in columns))
+                for cell in sorted(tags)
+                for tag, proj in sorted(tags[cell].items())
+            ),
+        )
+    if doc.get("remedial_actions"):
+        lines += ["", "### Suggested remedial actions (advisory)"]
+        lines += [f"- {action}" for action in doc["remedial_actions"]]
+    return "\n".join(lines) + "\n"
 
 
 def aggregate(
@@ -622,24 +620,8 @@ def aggregate(
     agg_seed = seed if seed is not None else derive_seed(sample.seed, "scle-aggregate")
     rng = replicate_rng(agg_seed, 0)
     n_tp_sampled = sum(1 for r in sample.rows if r.cell == "TP")
-
-    if not annotations:
-        return ScleSummary(
-            no_findings=True,
-            n_annotations=0,
-            per_cell_tags={},
-            triviality_rate=None,
-            triviality_ci=None,
-            n_tp_sampled=n_tp_sampled,
-            never_events=[],
-            per_subgroup_tags={},
-            remedial_actions=[],
-            verdict_changes=0,
-            seed=agg_seed,
-        )
-
     ann_by_id = {a.case_id: a for a in annotations}
-    alpha = (1.0 - ci_level) / 2.0
+    reviewed = [(r, ann_by_id[r.case_id]) for r in sample.rows if r.case_id in ann_by_id]  # in sample order
 
     def sampling_cell(row: ScleRow) -> str:
         return row.benchmark_cell or row.cell
@@ -649,43 +631,21 @@ def aggregate(
     for cell in cells_present:
         cell_rows = [r for r in sample.rows if sampling_cell(r) == cell]
         n_sampled = len(cell_rows)
-        if n_sampled == 0:
-            continue
         weight = cell_rows[0].sampling_weight
         tags: dict[str, TagProjection] = {}
         for tag in TAG_COLUMNS:
-            flags = np.array(
-                [
-                    ann_by_id.get(r.case_id) is not None
-                    and TagCategory(tag) in ann_by_id[r.case_id].categories
-                    for r in cell_rows
-                ],
-                dtype=float,
-            )
-            raw = int(flags.sum())
+            raw = sum(TagCategory(tag) in a.categories for r, a in reviewed if sampling_cell(r) == cell)
             if raw == 0:
                 continue
             draws = rng.binomial(n_sampled, raw / n_sampled, size=n_resamples)
-            projections = draws * weight
-            tags[tag] = TagProjection(
-                raw_count=raw,
-                projected=raw * weight,
-                ci_low=float(np.quantile(projections, alpha)),
-                ci_high=float(np.quantile(projections, 1.0 - alpha)),
-            )
+            tags[tag] = TagProjection(raw, raw * weight, *metrics.percentile_interval(draws * weight, ci_level))
         if tags:
             per_cell_tags[cell] = tags
 
     triviality_rate = None
     triviality_ci = None
-    if n_tp_sampled > 0:
-        trivial = sum(
-            1
-            for r in sample.rows
-            if r.cell == "TP"
-            and ann_by_id.get(r.case_id) is not None
-            and ann_by_id[r.case_id].triviality is Triviality.TRIVIAL
-        )
+    if n_tp_sampled > 0 and annotations:
+        trivial = sum(r.cell == "TP" and a.triviality is Triviality.TRIVIAL for r, a in reviewed)
         triviality_rate = trivial / n_tp_sampled
         triviality_ci = metrics.wilson_interval(trivial, n_tp_sampled, ci_level)
 
@@ -698,10 +658,7 @@ def aggregate(
     per_subgroup: dict[str, dict[str, dict[str, int]]] = {}
     for attr in sample.config.substratify_by:
         breakdown: dict[str, dict[str, int]] = {}
-        for row in sample.rows:
-            ann = ann_by_id.get(row.case_id)
-            if ann is None:
-                continue
+        for row, ann in reviewed:
             category = row.strata.get(attr, "unknown")
             bucket = breakdown.setdefault(category, {})
             for tag in ann.categories:
@@ -715,7 +672,7 @@ def aggregate(
     verdict_changes = sum(1 for a in annotations if a.verdict is not None)
 
     return ScleSummary(
-        no_findings=False,
+        no_findings=not annotations,
         n_annotations=len(annotations),
         per_cell_tags=per_cell_tags,
         triviality_rate=triviality_rate,
@@ -734,11 +691,9 @@ def annotations_to_json_dict(annotations: Sequence[ScleAnnotation]) -> dict:
         "kind": "scle_annotations",
         "annotations": [
             {
-                "case_id": a.case_id,
-                "reviewer": a.reviewer,
+                **slot_fields(a),
                 "categories": [c.value for c in a.categories],
                 "triviality": a.triviality.value if a.triviality else None,
-                "note": a.note,
                 "verdict": a.verdict.value if a.verdict else None,
             }
             for a in annotations
@@ -751,6 +706,8 @@ def annotations_from_json_dict(data: dict) -> list[ScleAnnotation]:
         raise InputError("not a serialized annotations document")
     out = []
     for a in data["annotations"]:
+        if not all(isinstance(a.get(key, ""), str) for key in ("case_id", "reviewer", "note")):
+            raise InputError(f"malformed annotation {a!r}: case_id, reviewer and note must be text")
         out.append(
             ScleAnnotation(
                 case_id=a["case_id"],
@@ -773,15 +730,11 @@ def apply_verdicts(dataset: Dataset, annotations: Sequence[ScleAnnotation]) -> D
     """
     verdicts = {a.case_id: a.verdict for a in annotations if a.verdict is not None}
     cols = dataset.columns
-    ids = cols.case_id.tolist()
-    unknown = set(verdicts).difference(ids)
-    if unknown:
-        raise InputError(f"verdicts for unknown case ids: {sorted(unknown)}")
+    rows = cols.rows_of(list(verdicts))
+    if (rows < 0).any():
+        raise InputError(f"verdicts for unknown case ids: {sorted(c for c, r in zip(verdicts, rows) if r < 0)}")
     reference = np.array(cols.reference)
-    labels = tuple(ReferenceLabel)
-    for i, case_id in enumerate(ids):
-        if case_id in verdicts:
-            reference[i] = labels.index(verdicts[case_id])
+    reference[rows] = [tuple(ReferenceLabel).index(v) for v in verdicts.values()]
     metadata = dataset.metadata
     metadata["verdicts_applied"] = metadata.get("verdicts_applied", 0) + len(verdicts)
     return Dataset._from_columns(replace(cols, reference=reference), dataset.design, metadata)

@@ -11,15 +11,14 @@ input.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .datamodel import NEGATIVE, POSITIVE, Dataset, StratumSpec, _build_columns
+from .datamodel import NEGATIVE, POSITIVE, Dataset, StratumSpec, _build_columns, _decode
 from .errors import InfeasibleError, InputError
-from .provenance import canonical_json
+from .provenance import canonical_json, strict_json
 
 REST_STRATUM_ID = "rest"
 
@@ -157,7 +156,7 @@ class TruthSidecar:
 
     @classmethod
     def read(cls, path: str | Path) -> "TruthSidecar":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = strict_json(Path(path).read_text(encoding="utf-8"))
         if payload.get("kind") != "truth_sidecar":
             raise InputError(f"{path}: not a truth sidecar")
         return cls(np.array(payload["scores"], dtype=float), np.array(payload["truth"], dtype=bool))
@@ -168,10 +167,6 @@ class SynthResult:
     dataset: Dataset
     truth: TruthSidecar
     population_size: int = field(default=0)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def generate(spec: PopulationSpec) -> SynthResult:
@@ -190,9 +185,13 @@ def generate(spec: PopulationSpec) -> SynthResult:
     else:
         truth = rng.random(n) < spec.prevalence
 
-    latent = rng.normal(loc=0.0, scale=spec.spread, size=n)
-    latent = latent + np.where(truth, spec.separation / 2.0, -spec.separation / 2.0)
-    scores = _sigmoid(latent)
+    # scores = sigmoid(latent +- separation / 2), computed in the one buffer of the draw
+    scores = rng.normal(loc=0.0, scale=spec.spread, size=n)
+    np.add(scores, spec.separation / 2.0, out=scores, where=truth)
+    np.subtract(scores, spec.separation / 2.0, out=scores, where=~truth)
+    np.exp(np.negative(scores, out=scores), out=scores)
+    scores += 1.0
+    np.divide(1.0, scores, out=scores)
 
     reference = truth.copy()
     if spec.label_noise > 0:
@@ -207,19 +206,20 @@ def generate(spec: PopulationSpec) -> SynthResult:
     sidecar = TruthSidecar(scores, truth)
 
     keep = np.ones(n, dtype=bool)
-    strata: np.ndarray | None = None
+    strata: np.ndarray | None = None  # every case's stratum as an index into stratum_ids
+    stratum_ids = [rule.stratum_id for rule in spec.enrichment] + [REST_STRATUM_ID]
     design: tuple[StratumSpec, ...] = ()
     if spec.enrichment:
-        strata = np.full(n, REST_STRATUM_ID, dtype=object)
+        strata = np.full(n, len(spec.enrichment), dtype=np.min_scalar_type(len(spec.enrichment)))
         assigned = np.zeros(n, dtype=bool)
         specs = []
-        for rule in spec.enrichment:
+        for code, rule in enumerate(spec.enrichment):
             matches = (truth if rule.select == "positive" else ~truth) & ~assigned
             if not matches.any():
                 raise InfeasibleError(
                     f"enrichment stratum {rule.stratum_id!r} is empty: no {rule.select} cases to select"
                 )
-            strata[matches] = rule.stratum_id
+            strata[matches] = code
             assigned |= matches
             specs.append(
                 StratumSpec(
@@ -239,7 +239,7 @@ def generate(spec: PopulationSpec) -> SynthResult:
     columns = _build_columns(
         design,
         case_id=[f"case-{i:0{width}d}" for i in kept.tolist()],
-        stratum_id=strata[kept].tolist() if strata is not None else [None] * kept.size,
+        stratum_id=_decode(strata[kept], stratum_ids) if strata is not None else [None] * kept.size,
         subgroups={},
         runs=(runs[kept] if runs is not None else np.empty((kept.size, 0))).astype(np.int8),
         missing=None,

@@ -368,6 +368,9 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
     if not isinstance(subgroups, dict):
         fail("field 'subgroups': expected an object")
         return None
+    if record.get("stratum_id") is not None and not isinstance(record["stratum_id"], str):
+        fail("field 'stratum_id': expected a string")
+        return None
 
     for fieldname in ("predicted", "benchmark_predicted"):
         value = record.get(fieldname)
@@ -393,7 +396,7 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
 
 def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, EvaluationCase]]:
     cases: list[tuple[int, EvaluationCase]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -446,7 +449,7 @@ def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, Evaluat
 
 def _ingest_jsonl_rows(path: Path, problems: list[str]) -> list[tuple[int, EvaluationCase]]:
     cases: list[tuple[int, EvaluationCase]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for row_number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

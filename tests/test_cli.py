@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -183,6 +185,53 @@ class TestExitCodes:
             argv = ["scle", "aggregate", "--annotations", bad, "--sample", tmp_path / "nope.json"]
         code, error = self._exit(argv, capsys)
         assert (code, error["type"]) == (2, "input"), error
+
+    @pytest.mark.parametrize("case", ["sidecar_nan_metadata", "sample_nan_weight", "sheet_oversized_note"])
+    def test_non_standard_json_and_oversized_fields_exit_2_naming_the_file(self, case, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        rows = (f"c{i},{('negative', 'positive')[i % 2]},{i / 10}\n" for i in range(10))
+        data.write_text("case_id,reference,score\n" + "".join(rows))
+        if case == "sidecar_nan_metadata":
+            bad = Path(f"{data}.design.json")
+            bad.write_text('{"kind": "dataset_design", "design": [], "metadata": {"x": NaN}}')
+            argv = ["evaluate", "--input", data, "--threshold", 0.5, "--reproducible", "--out-dir", tmp_path / "out"]
+        else:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["scle", "sample", "--input", str(data), "--threshold", "0.5", "--n-fp", "2", "--n-tp", "2",
+                      "--reproducible", "--out-dir", str(tmp_path)])
+            sample, sheet = tmp_path / "scle_sample.json", tmp_path / "review_sheet.csv"
+            if case == "sample_nan_weight":
+                bad = sample
+                bad.write_text(bad.read_text().replace('"sampling_weight": 1.0', '"sampling_weight": NaN'))
+                (tmp_path / "ann.json").write_text('{"kind": "scle_annotations", "annotations": []}')
+                argv = ["scle", "aggregate", "--annotations", tmp_path / "ann.json", "--sample", bad,
+                        "--out-dir", tmp_path]
+            else:
+                bad = sheet
+                lines = bad.read_text().splitlines()
+                lines[4] = lines[4][:-1] + "x" * 200_000 + ","  # the note field, before the empty verdict
+                bad.write_text("\n".join(lines) + "\n")
+                argv = ["scle", "ingest", "--sheet", bad, "--sample", sample, "--out", tmp_path / "ann.json"]
+        code, error = self._exit(argv, capsys)
+        assert (code, error["type"]) == (2, "input"), error
+        assert str(bad) in error["message"]
+
+    @pytest.mark.parametrize("where", ["jsonl_record", "sidecar_design_entry"])
+    def test_non_string_stratum_id_exits_2(self, where, capsys, tmp_path):
+        data = tmp_path / "d.jsonl"
+        stratum = {"x": 1} if where == "jsonl_record" else "s"
+        records = [{"case_id": f"c{i}", "reference": "positive", "score": 0.5, "stratum_id": stratum} for i in (1, 2)]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        design = [{"stratum_id": ["s"] if where == "sidecar_design_entry" else "s", "inclusion_probability": 0.5}]
+        Path(f"{data}.design.json").write_text(json.dumps({"kind": "dataset_design", "design": design}))
+        argv = ["evaluate", "--input", data, "--format", "jsonl", "--threshold", 0.5, "--out-dir", tmp_path / "out"]
+        code, error = self._exit(argv, capsys)
+        assert (code, error["type"]) == (2, "input"), error
+        if where == "jsonl_record":
+            assert error["message"] == "row 1: field 'stratum_id': expected a string; " \
+                                       "row 2: field 'stratum_id': expected a string"
+        else:
+            assert "malformed design sidecar" in error["message"] and "stratum_id ['s']" in error["message"]
 
     @pytest.mark.parametrize("prevalence", [-3, 0, 1, 1.5])
     @pytest.mark.parametrize("selection", ["threshold", "k", "costs", "predictions"])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,11 @@ class TestDatasetInvariants:
         cases = [make_case("a", "positive", predicted=True, stratum_id="nope")]
         with pytest.raises(InputError, match="unknown stratum_id"):
             Dataset(cases, design=[StratumSpec("s1", 0.5)])
+
+    def test_rows_of_finds_rows_by_id_and_minus_one_for_unknown(self):
+        ds = Dataset([make_case(c, "positive", predicted=True) for c in ("a", "b", "c")])
+        assert ds.columns.rows_of(["c", "zz", "a", "c"]).tolist() == [2, -1, 0, 2]
+        assert ds.columns.rows_of([]).tolist() == []
 
     def test_zero_probability_stratum_rejected(self):
         with pytest.raises(InputError, match="inclusion_probability"):
@@ -126,6 +132,19 @@ class TestIngest:
         path.write_text("case_id,reference,predicted,run_1,run_x\nc1,positive,1,1,0\n")
         with pytest.raises(IngestError, match="run_x"):
             ingest(path, "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_byte_order_mark_is_accepted(self, tmp_path, fmt):
+        cases = [
+            make_case("a", "positive", score=0.9, stratum_id="s1", subgroups={"site": "north"}),
+            make_case("b", "negative", score=0.2, stratum_id="s2"),
+        ]
+        plain = tmp_path / f"plain.{fmt}"
+        emit(Dataset(cases, design=[StratumSpec("s1", 0.5), StratumSpec("s2", 1.0)]), plain, fmt)
+        marked = tmp_path / f"marked.{fmt}"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        Path(f"{marked}.design.json").write_bytes(Path(f"{plain}.design.json").read_bytes())
+        assert ingest(marked, fmt) == ingest(plain, fmt)
 
     def test_truth_sidecar_rejected(self, tmp_path):
         path = tmp_path / "truth.jsonl"

@@ -1,4 +1,4 @@
-"""Hostile but legal CSV and JSONL input through the dataset-reading commands, in process.
+"""Hostile but legal input files through the commands that read them, in process.
 
 Hypothesis writes CSV text with short and long rows, missing, repeated and
 misnumbered ``sg_``/``run_`` columns, unscored and unpredicted rows, junk
@@ -10,6 +10,11 @@ end in exit 0 or in an input error (exit 2), never in an internal error
 (exit 4) or an uncaught exception. ``resample`` may also answer exit 3:
 k-fold with more folds than evaluable cases, or a metric undefined in every
 resample, is an infeasible request, not a defect.
+
+The review round trip and design sidecars are fuzzed the same way: edited
+review sheets through ``scle ingest``, mutated sample and annotations JSON
+through ``scle aggregate`` and ``scle apply``, and mutated design sidecars
+through ``evaluate`` and ``scle sample``, each exiting 0 or 2.
 """
 
 import contextlib
@@ -175,3 +180,185 @@ def test_column_commands_answer_or_reject_hostile_csv(file, command):
                 code = exc.code
     allowed = (0, 2, 3) if argv[0] == "resample" else (0, 2)
     assert code in allowed, (code, err.getvalue())
+
+
+# --- review round trip and design sidecars ----------------------------------------
+#
+# One small scored dataset goes through ``scle sample``; hypothesis then
+# mutates what a reviewer or a user hands back: the review sheet text for
+# ``scle ingest``, the sample and annotations JSON for ``scle aggregate`` and
+# ``scle apply``, and the design sidecar's bytes for ``evaluate`` and
+# ``scle sample``. A mutation replaces or deletes a few values anywhere in a
+# document (with wrong types, non-finite numbers as text or as bare JSON
+# constants, unknown labels and ids), or damages the raw text.
+
+_HOSTILE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**20),
+    st.sampled_from([10**400, -(10**400)]),  # beyond a float
+    st.floats(),
+    st.sampled_from(["", "NaN", "inf", "-1", "x", "TP", "FP", "FN", "positive", "never_event", "trivial", "c1"]),
+    st.lists(st.sampled_from(["a", 1, None]), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "site"]), st.sampled_from(["x", 1, None]), max_size=2),
+)
+
+
+def _slots(doc) -> list:
+    """Every (container, key) of a JSON document, outermost first."""
+    found = []
+    for key in range(len(doc)) if isinstance(doc, list) else list(doc) if isinstance(doc, dict) else []:
+        found.append((doc, key))
+        found += _slots(doc[key])
+    return found
+
+
+@st.composite
+def _mutated_json(draw, doc) -> str:
+    doc = json.loads(json.dumps(doc))
+    slots = _slots(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and draw(st.integers(0, 4)) == 0:
+            container.pop(key, None)
+        else:
+            container[key] = draw(_HOSTILE_VALUES)
+    text = json.dumps(doc)  # non-finite floats become bare NaN/Infinity constants
+    return draw(_damaged(text))
+
+
+@st.composite
+def _damaged(draw, text: str) -> str:
+    """The text, sometimes cut short or behind a byte-order mark."""
+    damage = draw(st.integers(0, 9))
+    if damage == 0:
+        return text[: draw(st.integers(0, len(text)))]
+    if damage == 1:
+        return "\ufeff" + text
+    return text
+
+
+@pytest.fixture(scope="module")
+def review_run(tmp_path_factory):
+    """(directory, dataset path, sample JSON, annotations JSON, sheet text) of one small review."""
+    tmp = tmp_path_factory.mktemp("review")
+    rows = ["case_id,reference,score,stratum_id,sg_site"]
+    rows += [
+        f"c{i},{'positive' if i % 3 == 0 else 'negative'},{(i * 37 % 41) / 41!r},{('s1', 's2')[i % 2]},"
+        f"{('north', 'south', '')[i % 3]}"
+        for i in range(40)
+    ]
+    data = tmp / "d.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    design = [{"stratum_id": "s1", "inclusion_probability": 0.5}, {"stratum_id": "s2", "inclusion_probability": 1.0}]
+    Path(f"{data}.design.json").write_text(json.dumps({"kind": "dataset_design", "design": design, "metadata": {}}))
+    argv = ["scle", "sample", "--input", str(data), "--threshold", "0.5", "--n-fp", "3", "--n-fn", "3", "--n-tp", "3",
+            "--substratify-by", "site", "--reproducible", "--out-dir", str(tmp)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    sample = json.loads((tmp / "scle_sample.json").read_text(encoding="utf-8"))
+    sheet = (tmp / "review_sheet.csv").read_text(encoding="utf-8")
+    case_ids = [row["case_id"] for row in sample["rows"]]
+    annotations = {
+        "kind": "scle_annotations",
+        "annotations": [
+            {"case_id": case_ids[0], "reviewer": "r", "categories": ["never_event"], "triviality": None,
+             "note": "n", "verdict": "negative"},
+            {"case_id": case_ids[-1], "reviewer": "r", "categories": ["test_set_issue", "unexpected_error"],
+             "triviality": "trivial", "note": "", "verdict": None},
+        ],
+    }
+    return tmp, data, sample, annotations, sheet
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@st.composite
+def _hostile_sheets(draw, sheet: str) -> str:
+    """The review sheet with edited fields, rows, comment lines and text damage."""
+    lines = sheet.splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    header, *rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    cell = st.sampled_from(["", "1", "0", "true", "yes", "trivial", "non_trivial", "bogus", "negative", "c0", "TP",
+                            "x" * 140_000, "a\nb", "\x00"])
+    for _ in range(draw(st.integers(0, 4))):
+        if rows:
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, len(row) - 1))] = draw(cell)
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows.append(list(draw(st.sampled_from(rows))))  # a repeated case
+    if draw(st.integers(0, 4)) == 0:
+        header = draw(st.permutations(header))[: draw(st.integers(1, len(header)))]
+    if draw(st.integers(0, 5)) == 0:
+        comments = draw(st.lists(st.sampled_from(comments + ["# config_hash: 0", "#"]), max_size=3))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([header, *rows])
+    return draw(_damaged("".join(line + "\n" for line in comments) + buf.getvalue()))
+
+
+@pytest.mark.filterwarnings("ignore:row .* annotated without a triviality judgment")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_scle_ingest_answers_or_rejects_hostile_sheets(review_run, data):
+    tmp, _, _, _, sheet = review_run
+    with tempfile.TemporaryDirectory(dir=tmp) as work:
+        path = Path(work) / "sheet.csv"
+        path.write_text(data.draw(_hostile_sheets(sheet)), encoding="utf-8", newline="")
+        code, err = _exit_code(["scle", "ingest", "--sheet", path, "--sample", tmp / "scle_sample.json",
+                                "--out", Path(work) / "a.json"])
+    assert code in (0, 2), (code, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mutate=st.sampled_from(["sample", "annotations", "both"]))
+def test_scle_aggregate_and_apply_answer_or_reject_hostile_json(review_run, data, mutate):
+    tmp, dataset, sample, annotations, _ = review_run
+    with tempfile.TemporaryDirectory(dir=tmp) as work:
+        work = Path(work)
+        sample_text = data.draw(_mutated_json(sample)) if mutate != "annotations" else json.dumps(sample)
+        annotations_text = data.draw(_mutated_json(annotations)) if mutate != "sample" else json.dumps(annotations)
+        (work / "s.json").write_text(sample_text, encoding="utf-8")
+        (work / "a.json").write_text(annotations_text, encoding="utf-8")
+        codes = [
+            _exit_code(["scle", "aggregate", "--annotations", work / "a.json", "--sample", work / "s.json",
+                        "--out-dir", work]),
+            _exit_code(["scle", "apply", "--input", dataset, "--annotations", work / "a.json",
+                        "--out", work / "revised.csv"]),
+        ]
+    for code, err in codes:
+        assert code in (0, 2), (code, err)
+
+
+@pytest.mark.filterwarnings("ignore:cell .* requested cases available")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["evaluate", "scle"]))
+def test_commands_answer_or_reject_hostile_design_sidecars(review_run, data, command):
+    tmp, dataset, _, _, _ = review_run
+    design = {
+        "kind": "dataset_design",
+        "design": [
+            {"stratum_id": "s1", "inclusion_probability": 0.5, "description": "kept at random"},
+            {"stratum_id": "s2", "inclusion_probability": 1.0, "description": ""},
+        ],
+        "metadata": {"site": "fallback", "x": 1},
+    }
+    with tempfile.TemporaryDirectory(dir=tmp) as work:
+        work = Path(work)
+        path = work / "d.csv"
+        path.write_bytes(dataset.read_bytes())
+        Path(f"{path}.design.json").write_text(data.draw(_mutated_json(design)), encoding="utf-8")
+        if command == "evaluate":
+            argv = ["evaluate", "--input", path, "--threshold", "0.5", "--reproducible", "--out-dir", work]
+        else:
+            argv = ["scle", "sample", "--input", path, "--threshold", "0.5", "--n-fp", "2", "--n-tp", "2",
+                    "--context-fields", "site,x,stratum_id", "--reproducible", "--out-dir", work]
+        code, err = _exit_code(argv)
+    assert code in (0, 2), (code, err)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -67,15 +69,19 @@ def _user_file(path, errors=PARSE_ERRORS):
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
-def _write(path: Path, text: str) -> Path:
-    """Write ``text`` as UTF-8 bytes, untranslated, so a recorded digest of them holds."""
+def _write(path: Path, content: str | Iterable[bytes]) -> str:
+    """Write text, or UTF-8 chunks as they come, untranslated; returns the sha256 of the bytes written."""
+    digest = hashlib.sha256()
     with _user_file(path, OSError):
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(text.encode("utf-8"))
-    return path
+        with open(path, "wb") as fh:
+            for chunk in [content.encode("utf-8")] if isinstance(content, str) else content:
+                digest.update(chunk)
+                fh.write(chunk)
+    return digest.hexdigest()
 
 
-def _write_json(path: Path, obj) -> Path:
+def _write_json(path: Path, obj) -> str:
     return _write(path, canonical_json(obj))
 
 
@@ -160,15 +166,8 @@ def _cmd_evaluate(args) -> int:
     ds = datamodel.ingest(args.input, args.format)
     seed = args.seed
     costs_given = args.cost_fp is not None or args.cost_fn is not None
-    drivers = [
-        name
-        for name, given in (
-            ("threshold", args.threshold is not None),
-            ("k", args.k is not None),
-            ("costs", costs_given),
-        )
-        if given
-    ]
+    given = {"threshold": args.threshold is not None, "k": args.k is not None, "costs": costs_given}
+    drivers = [name for name, is_given in given.items() if is_given]
     cols = ds.columns
     scored = not np.isnan(cols.score[cols.evaluable]).any()
     if scored and len(drivers) > 1:
@@ -247,15 +246,12 @@ def _cmd_evaluate(args) -> int:
     if p_value is not None and r_value is not None:
         outputs.f1_value = metrics.f_beta(p_value, r_value, 1.0)
 
-    curve_csv = None
+    out_dir = Path(args.out_dir)
     if scored:
         sweep = sweep if sweep is not None else curves.pr_curve(ds)
-        curve_csv = curves.curve_to_csv(sweep)
         outputs.curve_n_points = len(sweep)
-        outputs.curve_file = {
-            "path": CURVE_FILE,
-            "sha256": hashlib.sha256(curve_csv.encode("utf-8")).hexdigest(),
-        }
+        sha256 = _write(out_dir / CURVE_FILE, curves.curve_csv_chunks(sweep))
+        outputs.curve_file = {"path": CURVE_FILE, "sha256": sha256}
         outputs.curve_points = [p.to_json_dict() for p in curves.report_points(sweep, decision_threshold)]
         outputs.auc_value = curves.auc(sweep)
         warning_list = curves.rare_event_warnings(
@@ -275,13 +271,11 @@ def _cmd_evaluate(args) -> int:
         generated_at=None if args.reproducible else _now(),
     )
 
-    out_dir = Path(args.out_dir)
     _write(out_dir / "report.json", json_text)
     _write(out_dir / "report.md", md_text)
     _write_json(out_dir / "metrics.json", metric_entries)
     _write_json(out_dir / "outputs.json", outputs.to_json_dict())
-    if curve_csv is not None:
-        _write(out_dir / CURVE_FILE, curve_csv)
+    if scored:
         _write_json(out_dir / "warnings.json", outputs.warnings)
 
     print(_metrics_table(metric_entries))
@@ -383,7 +377,7 @@ def _cmd_scle_sample(args) -> int:
     )
     sample = scle.draw_sample(ds, config)
     out_dir = Path(args.out_dir)
-    sample_path = _write_json(out_dir / "scle_sample.json", sample.to_json_dict())
+    _write_json(out_dir / "scle_sample.json", sample.to_json_dict())
     context = tuple(args.context_fields.split(",")) if args.context_fields else ()
     with _user_file(out_dir / "review_sheet.csv", OSError):
         sheet_path = scle.emit_review_sheet(
@@ -395,7 +389,7 @@ def _cmd_scle_sample(args) -> int:
         )
     _print_json(
         {
-            "sample": str(sample_path),
+            "sample": str(out_dir / "scle_sample.json"),
             "sheet": str(sheet_path),
             "cell_sample_sizes": dict(sample.cell_sample_sizes),
             "shortfalls": {k: list(v) for k, v in sample.shortfalls.items()},
@@ -436,7 +430,7 @@ def _cmd_scle_apply(args) -> int:
     revised = scle.apply_verdicts(ds, annotations)
     with _user_file(args.out, OSError):
         written = datamodel.emit(revised, args.out, args.out_format)
-    _print_json({"written": [str(p) for p in written], "verdicts": sum(1 for a in annotations if a.verdict)})
+    _print_json({"written": [str(p) for p in written], "verdicts": revised.metadata["verdicts_applied"]})
     return 0
 
 
@@ -710,6 +704,15 @@ def iter_flags() -> dict[str, list[str]]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code.
+
+    Called without ``argv`` (``python -m rareval.cli``, the ``rareval``
+    script), ``main`` owns the process and freezes the start-up heap, so the
+    collections a command triggers skip the objects imports made (numpy's
+    included). In-process callers pass ``argv`` and keep their heap.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .datamodel import POSITIVE, Dataset
+from .datamodel import POSITIVE, Dataset, _chunks
 from .errors import InputError
 from .provenance import slot_fields
 
@@ -288,13 +289,34 @@ def rare_event_warnings(
     return warnings
 
 
-def curve_to_csv(curve: Curve) -> str:
-    """Plot-ready CSV: threshold, recall, precision, specificity, fpr, count.
+def curve_csv_chunks(curve: Curve) -> Iterator[bytes]:
+    """Plot-ready CSV as UTF-8 chunks: the header, then ``_CHUNK_ROWS`` sweep points at a time.
 
-    Values are ``repr`` strings (``inf`` for the all-negative threshold, an
-    empty field for undefined precision); lines end in CRLF.
+    Columns: threshold, recall, precision, specificity, fpr, count. Values are
+    ``repr`` strings (``inf`` for the all-negative threshold, an empty field
+    for undefined precision); lines end in CRLF.
     """
-    columns = {name: map(repr, column.tolist()) for name, column in slot_fields(curve).items()}
-    columns["precision"] = ("" if math.isnan(p) else repr(p) for p in curve.precision.tolist())
-    rows = map(",".join, zip(*columns.values()))
-    return "\r\n".join([",".join(columns), *rows]) + "\r\n"
+    columns = slot_fields(curve)
+    yield (",".join(columns) + "\r\n").encode("utf-8")
+    for rows in _chunks(len(curve)):
+        text = {name: _reprs(column[rows]) for name, column in columns.items()}
+        text["precision"][np.isnan(curve.precision[rows])] = ""
+        lines = map(",".join, zip(*(column.tolist() for column in text.values())))
+        yield ("\r\n".join(lines) + "\r\n").encode("utf-8")
+
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every value, made once per run of equal adjacent values.
+
+    Values compare by bit pattern, so 0.0 and -0.0 never merge and NaN needs
+    no special case. Every sweep column but precision is monotone.
+    """
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    text = np.array(list(map(repr, values[starts].tolist())), dtype=object)
+    return np.repeat(text, np.diff(starts, append=values.size))
+
+
+def curve_to_csv(curve: Curve) -> str:
+    """The whole of :func:`curve_csv_chunks` as one string."""
+    return b"".join(curve_csv_chunks(curve)).decode("utf-8")

@@ -24,7 +24,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -285,7 +285,7 @@ def _case_fields(cases: tuple[EvaluationCase, ...]) -> dict:
     )
 
 
-_CHUNK_ROWS = 4096  # rows decoded at a time, so that decoding's own memory does not grow with the dataset
+_CHUNK_ROWS = 4096  # rows read or written at a time, so that their own memory does not grow with the dataset
 
 
 def _chunks(n: int) -> list[slice]:
@@ -576,9 +576,10 @@ def _is_real(text: str) -> bool:
 def _read_csv(path: Path, problems: list[str]) -> dict:
     """The file's fields as :func:`_build_columns` arguments; row problems and repeated ids go to ``problems``.
 
-    Each column is parsed in one step (``float()`` semantics for scores, a
-    lookup of the distinct texts for labels and flags). A row's problem is
-    the first check it fails, in the order a row-by-row reader meets them.
+    Rows are read ``_CHUNK_ROWS`` at a time into one list per column. Each
+    column is then parsed in one step (``float()`` semantics for scores, a
+    lookup of the distinct texts for labels and flags). A row's problem is the
+    first check it fails, in the order a row-by-row reader meets them.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig: a spreadsheet's BOM is not a header
         reader = csv.reader(fh)
@@ -600,17 +601,17 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
         repeated = [c for c, key in zip(header, keys) if keys.count(key) > 1]
         if repeated:
             raise IngestError([f"{path}: header repeats column(s): {repeated}"])
-        rows = list(reader)
+        width, lengths, fields = len(header), [], [[] for _ in header]
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            lengths += map(len, chunk)
+            for column, values in zip(fields, zip(*(row for row in chunk if len(row) == width))):
+                column += values
 
-    width = len(header)
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    lengths = np.array(lengths, np.intp)
     numbers = np.flatnonzero(lengths == width) + 2  # file row of every kept row
     short = np.flatnonzero(lengths != width) + 2
     found = [(r, f"row {r}: expected {width} fields, got {lengths[r - 2]}") for r in short]
-    if found:
-        rows = [row for row in rows if len(row) == width]
-    n, present = len(numbers), dict(zip(header, zip(*rows)))
-    del rows
+    n, present = len(numbers), dict(zip(header, fields))
     raw = {name: present.get(name, ("",) * n) for name in (*header, *_OPTIONAL_COLUMNS)}
 
     ids = np.array(raw["case_id"], dtype=object)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -114,6 +114,11 @@ class ChecklistItem:
     to_json_dict = slot_fields
 
 
+# the Python types of the JSON values that each name in a field's annotation admits
+_JSON_TYPES = {"dict": dict, "list": list, "str": str, "bool": bool, "int": int, "float": (int, float),
+               "None": type(None)}
+
+
 @dataclass(slots=True)
 class EvaluationOutputs:
     """Everything one evaluation run produced, in JSON-compatible form."""
@@ -151,11 +156,16 @@ class EvaluationOutputs:
     def from_json_dict(cls, data: dict) -> "EvaluationOutputs":
         if data.get("kind") != "evaluation_outputs":
             raise InputError("not a serialized evaluation-outputs document")
-        kwargs = {k: v for k, v in data.items() if k != "kind"}
+        kwargs, types = {k: v for k, v in data.items() if k != "kind"}, {f.name: f.type for f in fields(cls)}
         out = cls()
         for key, value in kwargs.items():
-            if not hasattr(out, key):
+            if key not in types:
                 raise InputError(f"unknown evaluation-outputs field {key!r}")
+            admitted = tuple(_JSON_TYPES[name] for name in types[key].split(" | "))
+            objects = not isinstance(value, list) or all(isinstance(v, dict) for v in value)
+            if not (isinstance(value, admitted) and objects):
+                expected = types[key].replace("list", "list of objects")
+                raise InputError(f"evaluation-outputs field {key!r} must be {expected}, got {type(value).__name__}")
             setattr(out, key, value)
         return out
 

@@ -726,9 +726,13 @@ def apply_verdicts(dataset: Dataset, annotations: Sequence[ScleAnnotation]) -> D
 
     The input dataset is untouched; this is the only sanctioned way reviewer
     corrections reach the reference standard, keeping it auditable. Every
-    column but ``reference`` is shared with ``dataset``.
+    column but ``reference`` is shared with ``dataset``. Two different
+    verdicts on one case are an input error.
     """
-    verdicts = {a.case_id: a.verdict for a in annotations if a.verdict is not None}
+    verdicts: dict = {}
+    for a in annotations:
+        if a.verdict is not None and verdicts.setdefault(a.case_id, a.verdict) is not a.verdict:
+            raise InputError(f"conflicting verdicts for case {a.case_id!r}")
     cols = dataset.columns
     rows = cols.rows_of(list(verdicts))
     if (rows < 0).any():

@@ -761,8 +761,14 @@ def emit_review_sheet(sample, dataset, context_fields=(), path="review_sheet.csv
 
 
 def apply_verdicts(dataset: Dataset, annotations) -> Dataset:
-    """A new ``Dataset`` of rebuilt cases, one per changed reference label."""
-    verdicts = {a.case_id: a.verdict for a in annotations if a.verdict is not None}
+    """A new ``Dataset`` of rebuilt cases, one per changed reference label; one verdict per case."""
+    verdicts = {}
+    for a in annotations:
+        if a.verdict is None:
+            continue
+        if a.case_id in verdicts and verdicts[a.case_id] is not a.verdict:
+            raise InputError(f"conflicting verdicts for case {a.case_id!r}")
+        verdicts[a.case_id] = a.verdict
     unknown = set(verdicts) - {c.case_id for c in dataset.cases}
     if unknown:
         raise InputError(f"verdicts for unknown case ids: {sorted(unknown)}")

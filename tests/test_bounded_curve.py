@@ -13,15 +13,18 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_loops as ref
+from rareval import datamodel
 from rareval.cli import main
 from rareval.curves import hull_indices, pr_curve, report_points
 from rareval.datamodel import Dataset, ReferenceLabel, StratumSpec, emit
-from rareval.synth import PopulationSpec, generate
+from rareval.synth import EnrichmentRule, PopulationSpec, generate
 
 from conftest import make_case
 
@@ -177,6 +180,16 @@ def test_size_does_not_grow_with_rows(tmp_path):
     points = check_curve_artifacts(out, dataset, ("threshold", 0.8))
     assert json.loads((out / "report.json").read_text())["curves"]["n_points"] == 5001
     assert len(points) < 5001 / 20
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_sweep_file_written_in_chunks_matches_its_digest_and_the_oracle(weighted, tmp_path):
+    enrichment = (EnrichmentRule("negative", 0.3),) if weighted else ()
+    dataset = generate(PopulationSpec(n=300, prevalence=0.1, enrichment=enrichment, seed=6)).dataset
+    with mock.patch.object(datamodel, "_CHUNK_ROWS", 7):
+        out = _run_evaluate(dataset, ("threshold", 0.5), tmp_path)
+    check_curve_artifacts(out, dataset, ("threshold", 0.5))  # the recorded sha256 is that of the file
+    assert (out / "pr_curve.csv").read_bytes() == ref.curve_to_csv(list(pr_curve(dataset))).encode("utf-8")
 
 
 def test_unscored_run_writes_no_curve(tmp_path):

@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import subprocess
+import re
 import sys
 from pathlib import Path
 
@@ -420,6 +422,24 @@ class TestScleWorkflow:
         assert revised.exists()
 
 
+    @pytest.mark.parametrize("second", ["negative", "positive"])
+    def test_apply_rejects_conflicting_verdicts_and_counts_what_it_applied(self, second, tmp_path, capsys):
+        data, annotations, revised = tmp_path / "d.csv", tmp_path / "a.json", tmp_path / "revised.csv"
+        data.write_text("case_id,reference,predicted\nc1,positive,1\nc2,negative,0\n", encoding="utf-8")
+        verdicts = [{"case_id": "c1", "reviewer": r, "verdict": v} for r, v in (("r1", "negative"), ("r2", second))]
+        annotations.write_text(json.dumps({"kind": "scle_annotations", "annotations": verdicts}), encoding="utf-8")
+        argv = ["scle", "apply", "--input", str(data), "--annotations", str(annotations), "--out", str(revised)]
+        if second == "positive":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "conflicting verdicts for case 'c1'" in json.loads(capsys.readouterr().err)["error"]["message"]
+            return
+        assert main(argv) == 0
+        sidecar = json.loads(Path(f"{revised}.design.json").read_text(encoding="utf-8"))
+        assert json.loads(capsys.readouterr().out)["verdicts"] == sidecar["metadata"]["verdicts_applied"] == 1
+
+
 class TestRobustnessCommands:
     def test_stability_roundtrip(self, tmp_path):
         data = tmp_path / "runs.csv"
@@ -471,6 +491,41 @@ def test_main_returns_zero_in_process(capsys):
     assert main(["adjust-precision", "--sensitivity", "0.9", "--specificity", "0.99", "--prevalence", "0.01"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert 0 < payload["adjusted_precision"] < 1
+
+
+# A program entry run as its own process; the last stdout line is its freeze count.
+_ENTRY_RUN = """
+import gc, sys
+sys.argv = ["rareval", "adjust-precision", "--sensitivity", "0.9", "--specificity", "0.99", "--prevalence", "0.01"]
+try:
+    {entry}
+except SystemExit as exc:
+    assert exc.code in (0, None), exc.code
+print(gc.get_freeze_count())
+"""
+# the console-script target declared under [project.scripts]
+_SCRIPT_MODULE, _SCRIPT_FUNCTION = re.search(
+    r'^rareval = "([\w.]+):(\w+)"$', (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"), re.M
+).groups()
+_ENTRIES = {
+    "python -m rareval.cli": "import runpy; runpy.run_module('rareval.cli', run_name='__main__', alter_sys=True)",
+    "rareval script": f"import {_SCRIPT_MODULE}; sys.exit({_SCRIPT_MODULE}.{_SCRIPT_FUNCTION}())",
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_program_entries_freeze_the_start_up_heap(entry):
+    code = _ENTRY_RUN.format(entry=_ENTRIES[entry])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < json.loads(proc.stdout.splitlines()[0])["adjusted_precision"] < 1
+    assert int(proc.stdout.splitlines()[-1]) > 0
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["adjust-precision", "--sensitivity", "0.9", "--specificity", "0.99", "--prevalence", "0.01"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def _strict_json(text):

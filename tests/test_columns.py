@@ -17,8 +17,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_loops as ref
-from rareval import robustness
-from rareval.curves import CostSpec, auc, curve_to_csv, expected_cost, pr_curve, select_operating_point
+from rareval import datamodel, robustness
+from rareval.curves import (
+    CostSpec, _reprs, auc, curve_csv_chunks, curve_to_csv, expected_cost, pr_curve, select_operating_point,
+)
 from rareval.errors import InfeasibleError, InputError
 from rareval.datamodel import CELLS, Dataset, ReferenceLabel, StratumSpec, confusion_cells
 from rareval.metrics import _class_table, _proportion, confusion, precision_at_k
@@ -218,9 +220,29 @@ class TestSweepColumns:
     """The column readers of a sweep against the point-by-point oracles."""
 
     @settings(max_examples=200, deadline=None)
-    @given(sweeps())
-    def test_csv_bytes_exact(self, curve):
-        assert curve_to_csv(curve).encode("utf-8") == ref.curve_to_csv(list(curve)).encode("utf-8")
+    @given(sweeps(), st.sampled_from([1, 2, 3, 5, 4096]))  # points per chunk
+    def test_csv_bytes_exact(self, curve, chunk_rows):
+        with mock.patch.object(datamodel, "_CHUNK_ROWS", chunk_rows):
+            assert curve_to_csv(curve).encode("utf-8") == ref.curve_to_csv(list(curve)).encode("utf-8")
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_run_of_equal_recall_across_chunks(self, weighted):
+        # one positive on top, six negatives at distinct scores, one positive last:
+        # recall is 0.5 on sweep points 1-7, across the boundaries after points 2 and 5
+        design = (StratumSpec("s", 0.3),) if weighted else ()
+        stratum = {"stratum_id": "s"} if weighted else {}
+        cases = [make_case("p0", "positive", score=0.99, **stratum), make_case("p1", "positive", score=0.05, **stratum)]
+        cases += [make_case(f"n{i}", "negative", score=0.9 - i / 10, **stratum) for i in range(6)]
+        curve = pr_curve(Dataset(cases, design))
+        assert np.unique(curve.recall[1:8]).size == 1
+        with mock.patch.object(datamodel, "_CHUNK_ROWS", 3):
+            chunks = list(curve_csv_chunks(curve))
+        assert len(chunks) == 1 + 3  # the header, then 9 points 3 at a time
+        assert b"".join(chunks).decode("utf-8") == ref.curve_to_csv(list(curve))
+
+    def test_reprs_compare_values_by_bit_pattern(self):
+        values = np.array([0.0, -0.0, -0.0, np.nan, np.nan, 1.0, 1.0, np.inf])
+        assert _reprs(values).tolist() == ["0.0", "-0.0", "-0.0", "nan", "nan", "1.0", "1.0", "inf"]
 
     @settings(max_examples=200, deadline=None)
     @given(sweeps())

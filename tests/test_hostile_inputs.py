@@ -13,8 +13,10 @@ resample, is an infeasible request, not a defect.
 
 The review round trip and design sidecars are fuzzed the same way: edited
 review sheets through ``scle ingest``, mutated sample and annotations JSON
-through ``scle aggregate`` and ``scle apply``, and mutated design sidecars
-through ``evaluate`` and ``scle sample``, each exiting 0 or 2.
+through ``scle aggregate`` and ``scle apply``, mutated design sidecars
+through ``evaluate`` and ``scle sample``, and an ``outputs.json`` whose
+top-level fields are given wrong types through ``checklist --outputs``, each
+exiting 0 or 2.
 """
 
 import contextlib
@@ -361,4 +363,45 @@ def test_commands_answer_or_reject_hostile_design_sidecars(review_run, data, com
             argv = ["scle", "sample", "--input", path, "--threshold", "0.5", "--n-fp", "2", "--n-tp", "2",
                     "--context-fields", "site,x,stratum_id", "--reproducible", "--out-dir", work]
         code, err = _exit_code(argv)
+    assert code in (0, 2), (code, err)
+
+
+@st.composite
+def _mutated_fields(draw, doc: dict) -> str:
+    """The document with a few top-level fields replaced, dropped or added, as (damaged) text."""
+    doc = dict(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from([*doc, "unknown_field"]))
+        if draw(st.integers(0, 4)) == 0:
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_HOSTILE_VALUES)
+    return draw(_damaged(json.dumps(doc)))
+
+
+@pytest.fixture(scope="module")
+def evaluate_outputs(review_run) -> dict:
+    tmp, dataset, _, _, _ = review_run
+    code, err = _exit_code(["evaluate", "--input", dataset, "--threshold", "0.5", "--reproducible",
+                            "--out-dir", tmp / "evaluate"])
+    assert code == 0, err
+    return json.loads((tmp / "evaluate" / "outputs.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("field, value", [("metrics", 5), ("scle_summary", [1]), ("warnings", [1])])
+def test_checklist_names_a_wrong_typed_outputs_field(evaluate_outputs, tmp_path, field, value):
+    path = tmp_path / "outputs.json"
+    path.write_text(json.dumps({**evaluate_outputs, field: value}), encoding="utf-8")
+    code, err = _exit_code(["checklist", "--outputs", path, "--out-dir", tmp_path])
+    assert code == 2 and f"field {field!r}" in json.loads(err)["error"]["message"], err
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_checklist_answers_or_rejects_hostile_outputs(review_run, evaluate_outputs, data):
+    tmp = review_run[0]
+    with tempfile.TemporaryDirectory(dir=tmp) as work:
+        path = Path(work) / "outputs.json"
+        path.write_text(data.draw(_mutated_fields(evaluate_outputs)), encoding="utf-8")
+        code, err = _exit_code(["checklist", "--outputs", path, "--out-dir", work])
     assert code in (0, 2), (code, err)

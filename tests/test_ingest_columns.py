@@ -14,13 +14,14 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_loops as ref
-from rareval import cli
+from rareval import cli, datamodel
 from rareval.datamodel import (
     CaseColumns,
     Dataset,
@@ -183,7 +184,7 @@ def _assert_same_outcome(text: str, design: dict | None, fmt: str) -> None:
 
 class TestIngestMatchesRowOracle:
     @settings(max_examples=300, deadline=None)
-    @given(csv_files())
+    @given(csv_files(), st.sampled_from([1, 2, 3, 4096]))  # rows read per chunk
     @example((  # rows failing several checks at once: each reports the first a row-by-row reader meets
         "case_id,reference,score,predicted,run_2,run_1\n"
         "a,maybe,abc,,,\n"
@@ -193,9 +194,21 @@ class TestIngestMatchesRowOracle:
         "e,negative,nan,,x,\n"
         "f,negative,,,,\n",
         None,
-    ))
-    def test_csv(self, file):
-        _assert_same_outcome(*file, "csv")
+    ), 4096)
+    @example((  # a short row, bad fields and a repeated id on both sides of chunk boundaries
+        "case_id,reference,score\n"
+        "a,positive,0.5\n"
+        "b,negative\n"
+        "c,maybe,0.2\n"
+        "a,negative,0.1\n"
+        "d,negative,abc,extra\n"
+        "e,negative,inf\n"
+        "c,negative,0.3\n",
+        None,
+    ), 2)
+    def test_csv(self, file, chunk_rows):
+        with mock.patch.object(datamodel, "_CHUNK_ROWS", chunk_rows):
+            _assert_same_outcome(*file, "csv")
 
     @settings(max_examples=200, deadline=None)
     @given(jsonl_files())

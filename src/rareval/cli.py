@@ -124,7 +124,7 @@ def _load_config_file(path: str) -> dict:
         value = value.strip()
         try:
             config[key.strip()] = json.loads(value)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # also an over-long integer or too deep a nesting
             config[key.strip()] = value.strip("\"'")
     return config
 
@@ -173,17 +173,9 @@ def _cmd_evaluate(args) -> int:
     if scored and len(drivers) > 1:
         raise InputError(f"exactly one of threshold/k/cost selection may be given, got {drivers}")
 
-    run_config = {
-        "input": str(args.input),
-        "format": args.format,
-        "threshold": args.threshold,
-        "k": args.k,
-        "cost_fp": args.cost_fp,
-        "cost_fn": args.cost_fn,
-        "assumed_prevalence": args.assumed_prevalence,
-        "seed": seed,
-        "reproducible": bool(args.reproducible),
-    }
+    run_config = {key: getattr(args, key) for key in ("format", "threshold", "k", "cost_fp", "cost_fn",
+                                                      "assumed_prevalence", "seed")}
+    run_config.update(input=str(args.input), reproducible=bool(args.reproducible))
 
     outputs = report.EvaluationOutputs(seed=seed, config_hash=config_hash(run_config))
     outputs.attestations = _parse_attestations(args.attest)

@@ -24,7 +24,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -228,15 +228,8 @@ def _stratum_codes(
     return np.fromiter(map(index.__getitem__, stratum_id), np.intp, n)
 
 
-def _build_columns(
-    design: tuple[StratumSpec, ...],
-    case_id: Sequence,
-    stratum_id: Sequence,
-    subgroups: Mapping[str, Sequence],
-    runs: np.ndarray,
-    missing,
-    **arrays: np.ndarray,
-) -> CaseColumns:
+def _build_columns(design: tuple[StratumSpec, ...], case_id: Sequence, stratum_id: Sequence,
+                   subgroups: Mapping[str, Sequence], runs: np.ndarray, missing, **arrays: np.ndarray) -> CaseColumns:
     """The one column builder: check the strata against ``design`` and assemble the view.
 
     ``missing`` marks an absent stratum or subgroup value (``""`` in CSV text,
@@ -265,23 +258,25 @@ def _build_columns(
     )
 
 
-def _case_fields(cases: tuple[EvaluationCase, ...]) -> dict:
-    """The cases as the keyword arguments of :func:`_build_columns` (without the design)."""
-    labels = [tuple(c.repeated_labels or ()) for c in cases]
-    width = max(map(len, labels), default=0)
-    names = {name for c in cases for name in c.subgroups}
+def _case_fields(case_id, reference, score, predicted, benchmark_predicted, stratum_id, subgroups, repeated_labels):
+    """Checked case values as :func:`_build_columns` arguments (without the design): the one converter to columns.
+
+    Each argument holds one :class:`EvaluationCase` field per case, None where
+    absent, except that ``reference`` holds reference codes and ``subgroups``
+    may be empty when no case has any.
+    """
+    n, width = len(case_id), max(map(len, filter(None, repeated_labels)), default=0)
+    padded = [(*(r or ()), *(-1,) * width)[:width] for r in repeated_labels] if width else []
     return dict(
-        case_id=[c.case_id for c in cases],
-        stratum_id=[c.stratum_id for c in cases],
-        subgroups={name: [c.subgroups.get(name) for c in cases] for name in names},
-        runs=np.array([r + (-1,) * (width - len(r)) for r in labels], dtype=np.int8).reshape(len(cases), width),
+        case_id=case_id,
+        stratum_id=stratum_id,
+        subgroups={name: [s.get(name) for s in subgroups] for name in set().union(*subgroups)},
+        runs=np.array(padded, dtype=np.int8).reshape(n, width),
         missing=None,
-        score=np.array([math.nan if c.score is None else c.score for c in cases], dtype=float),
-        reference=np.array([_REFERENCE_CODE[c.reference] for c in cases], dtype=np.int8),
-        predicted=np.array([-1 if c.predicted is None else c.predicted for c in cases], dtype=np.int8),
-        benchmark_predicted=np.array(
-            [-1 if c.benchmark_predicted is None else c.benchmark_predicted for c in cases], dtype=np.int8
-        ),
+        score=np.array(score, dtype=float),
+        reference=np.array(reference, dtype=np.int8),
+        predicted=np.array([-1 if p is None else p for p in predicted], dtype=np.int8),
+        benchmark_predicted=np.array([-1 if p is None else p for p in benchmark_predicted], dtype=np.int8),
     )
 
 
@@ -328,18 +323,16 @@ class Dataset:
 
     __slots__ = ("_cases", "_design", "_metadata", "_columns")
 
-    def __init__(
-        self,
-        cases: Iterable[EvaluationCase],
-        design: Iterable[StratumSpec] = (),
-        metadata: Mapping[str, object] | None = None,
-    ):
+    def __init__(self, cases: Iterable[EvaluationCase], design: Iterable[StratumSpec] = (),
+                 metadata: Mapping[str, object] | None = None):
         cases = tuple(cases)
-        duplicates = _duplicate_ids([c.case_id for c in cases], range(1, len(cases) + 1))
+        values = {name: [getattr(c, name) for c in cases] for name in EvaluationCase.__slots__}
+        duplicates = _duplicate_ids(values["case_id"], range(1, len(cases) + 1))
         if duplicates:
             raise InputError(duplicates[0])
+        values["reference"] = list(map(_REFERENCE_CODE.__getitem__, values["reference"]))
         self._design = tuple(design)
-        self._columns = _build_columns(self._design, **_case_fields(cases))  # runs the design checks
+        self._columns = _build_columns(self._design, **_case_fields(**values))  # runs the design checks
         self._metadata = dict(metadata or {})
         self._cases: tuple[EvaluationCase, ...] | None = cases
 
@@ -423,67 +416,8 @@ _BINARY = {"1": 1, "true": 1, "0": 0, "false": 0}
 _LABEL = {label.value: code for label, code in _REFERENCE_CODE.items()}
 _BAD = -2
 _OPTIONAL_COLUMNS = ("score", "predicted", "benchmark_predicted", "stratum_id")
-
-
-def _case_from_record(record: dict, *, row: int, problems: list[str]) -> EvaluationCase | None:
-    def fail(msg: str) -> None:
-        problems.append(f"row {row}: {msg}")
-
-    if "case_id" not in record or not str(record["case_id"]).strip():
-        fail("field 'case_id': missing")
-        return None
-    if "reference" not in record:
-        fail("field 'reference': missing")
-        return None
-    try:
-        reference = ReferenceLabel.parse(str(record["reference"]))
-    except InputError as exc:
-        fail(f"field 'reference': {exc}")
-        return None
-
-    score = record.get("score")
-    if score is not None:
-        try:
-            score = float(score)
-        except (TypeError, ValueError):
-            fail(f"field 'score': not a real number: {record['score']!r}")
-            return None
-
-    repeated = record.get("repeated_labels")
-    if repeated is not None:
-        if not isinstance(repeated, (list, tuple)) or not all(isinstance(x, bool) for x in repeated):
-            fail("field 'repeated_labels': expected a list of booleans")
-            return None
-        repeated = tuple(repeated)
-
-    subgroups = record.get("subgroups") or {}
-    if not isinstance(subgroups, dict):
-        fail("field 'subgroups': expected an object")
-        return None
-    if not isinstance(record.get("stratum_id"), (str, type(None))):
-        fail("field 'stratum_id': expected a string")
-        return None
-
-    for fieldname in ("predicted", "benchmark_predicted"):
-        value = record.get(fieldname)
-        if value is not None and not isinstance(value, bool):
-            fail(f"field {fieldname!r}: expected a boolean")
-            return None
-
-    try:
-        return EvaluationCase(
-            case_id=str(record["case_id"]),
-            reference=reference,
-            score=score,
-            predicted=record.get("predicted"),
-            benchmark_predicted=record.get("benchmark_predicted"),
-            stratum_id=record.get("stratum_id"),
-            subgroups={str(k): str(v) for k, v in subgroups.items()},
-            repeated_labels=repeated,
-        )
-    except InputError as exc:
-        fail(str(exc))
-        return None
+_NO_REFERENCE = object()  # a JSONL record without "reference", which is not "reference": null
+_NONE, _TEXT = type(None), (str, int, float)  # the JSON values that read as text: strings and numbers
 
 
 def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
@@ -565,12 +499,66 @@ def _codes(fields: Sequence[str], table: Mapping[str, int], empty: int) -> np.nd
     return np.fromiter(map(code.__getitem__, fields), np.int8, len(fields))
 
 
-def _is_real(text: str) -> bool:
+def _real(value) -> float | None:
+    """``float(value)``, None when float() refuses it; an integer beyond float range is infinite, as its text is."""
     try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        return None
+
+
+def _reals(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """(every value as a float, NaN for None; mask of the values other than None that :func:`_real` refuses)."""
+    try:
+        return np.fromiter(values, float, len(values)), np.zeros(len(values), dtype=bool)
+    except (TypeError, ValueError, OverflowError):  # name the values float() refuses
+        reals = list(map(_real, values))
+        return np.fromiter(reals, float, len(reals)), _of((_NONE,), reals) & ~_of((_NONE,), values)
+
+
+def _of(types: tuple, values: Sequence) -> np.ndarray:
+    """Mask of the values whose exact type is one of ``types`` (so a JSON ``true`` is not a number)."""
+    absent = not any(values) and values.count(None) == len(values)  # a key no record has: found fastest this way
+    kinds, types = {_NONE} if absent else set(map(type, values)), set(types)
+    if kinds <= types or kinds.isdisjoint(types):  # one answer for every value
+        return np.full(len(values), kinds <= types)
+    return np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
+
+
+def _blank(texts: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(operator.not_, map(str.strip, texts)), bool, len(texts))
+
+
+def _reference_problem(text: str) -> str:
+    try:
+        ReferenceLabel.parse(text)
+    except InputError as exc:
+        return f"field 'reference': {exc}"
+
+
+def _value_checks(case_id: Sequence[str], no_score: np.ndarray, score: np.ndarray, unpredicted: np.ndarray) -> list:
+    """The rules every reader applies to a case's values, as :func:`_report_rows` checks."""
+    return [
+        (no_score & unpredicted, lambda i: f"case {case_id[i]!r}: needs a score or a predicted label"),
+        (~no_score & ~np.isfinite(score), lambda i: f"case {case_id[i]!r}: score must be finite"),
+    ]
+
+
+def _report_rows(checks: list, numbers: Sequence[int], case_id: Sequence, found: list, problems: list[str]) -> None:
+    """Each row's first failing check, by file row, then the repeated ids of the rows that pass, into ``problems``.
+
+    ``checks`` are (failing rows, message of row i) pairs in the order a row-by-row reader meets them;
+    ``numbers`` are the rows' file rows, and ``found`` the (file row, message) problems of lines that are no row.
+    """
+    numbers, failed = np.asarray(numbers, np.intp), np.zeros(len(numbers), dtype=bool)
+    for rows_failing, message in checks:
+        found += [(numbers[i], f"row {numbers[i]}: {message(i)}") for i in np.flatnonzero(rows_failing & ~failed)]
+        failed |= rows_failing
+    problems += [message for _, message in sorted(found)]
+    passed = list(compress(case_id, (~failed).tolist())) if failed.any() else case_id
+    problems += _duplicate_ids(passed, numbers[~failed])
 
 
 def _read_csv(path: Path, problems: list[str]) -> dict:
@@ -593,9 +581,7 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
         try:
             run_number = {c: int(c[4:]) for c in run_cols}
         except ValueError:
-            raise IngestError(
-                [f"{path}: repeated-run columns need a run number after 'run_': {run_cols}"]
-            ) from None
+            raise IngestError([f"{path}: repeated-run columns need a run number after 'run_': {run_cols}"]) from None
         run_cols.sort(key=run_number.get)
         keys = [run_number.get(c, c) for c in header]
         repeated = [c for c, key in zip(header, keys) if keys.count(key) > 1]
@@ -614,54 +600,22 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
     n, present = len(numbers), dict(zip(header, fields))
     raw = {name: present.get(name, ("",) * n) for name in (*header, *_OPTIONAL_COLUMNS)}
 
-    ids = np.array(raw["case_id"], dtype=object)
-    reference = _codes(raw["reference"], _LABEL, _BAD)
+    ids, reference = raw["case_id"], _codes(raw["reference"], _LABEL, _BAD)
     flag_cols = ["predicted", "benchmark_predicted", *run_cols]
     flags = {name: _codes(raw[name], _BINARY, -1) for name in flag_cols}
     no_score = np.fromiter(map(operator.not_, raw["score"]), bool, n)
-    filled = raw["score"]
-    if no_score.any():
-        filled = ["nan" if empty else text for text, empty in zip(filled, no_score)]
-    try:
-        score, unreadable = np.array(filled, dtype=float), np.zeros(n, dtype=bool)
-    except ValueError:  # name the fields float() rejects
-        unreadable = ~np.fromiter(map(_is_real, filled), bool, n)
-        score = np.array(["nan" if bad else text for text, bad in zip(filled, unreadable)], dtype=float)
-
-    def problem(name: str, template: str):
-        """Message of row i: ``template`` with the row's ``name`` field and case id filled in."""
-        return lambda i: template.format(name=name, text=raw[name][i], id=raw["case_id"][i])
-
-    def reference_problem(i: int) -> str:
-        try:
-            ReferenceLabel.parse(raw["reference"][i])
-        except InputError as exc:
-            return f"field 'reference': {exc}"
-
-    # (rows failing, message of row i), in the order a row-by-row reader meets them
+    score, unreadable = _reals([text or None for text in raw["score"]] if no_score.any() else raw["score"])
     checks = [
-        (flags[name] == _BAD, problem(name, "field {name!r}: expected a binary label, got {text!r}"))
+        (flags[name] == _BAD, lambda i, name=name: f"field {name!r}: expected a binary label, got {raw[name][i]!r}")
         for name in flag_cols
     ]
     checks += [
-        (
-            (ids == "") | np.fromiter(map(str.isspace, raw["case_id"]), bool, n),
-            problem("case_id", "field 'case_id': missing"),
-        ),
-        (reference == _BAD, reference_problem),
-        (unreadable, problem("score", "field 'score': not a real number: {text!r}")),
-        (
-            no_score & (flags["predicted"] < 0),
-            problem("score", "case {id!r}: needs a score or a predicted label"),
-        ),
-        (~no_score & ~np.isfinite(score), problem("score", "case {id!r}: score must be finite")),
+        (_blank(ids), lambda i: "field 'case_id': missing"),
+        (reference == _BAD, lambda i: _reference_problem(raw["reference"][i])),
+        (unreadable, lambda i: f"field 'score': not a real number: {raw['score'][i]!r}"),
+        *_value_checks(ids, no_score, score, flags["predicted"] < 0),
     ]
-    failed = np.zeros(n, dtype=bool)
-    for rows_failing, message in checks:
-        found += [(numbers[i], f"row {numbers[i]}: {message(i)}") for i in np.flatnonzero(rows_failing & ~failed)]
-        failed |= rows_failing
-    problems += [message for _, message in sorted(found)]
-    problems += _duplicate_ids(ids[~failed].tolist() if failed.any() else raw["case_id"], numbers[~failed])
+    _report_rows(checks, numbers, ids, found, problems)
     return dict(
         case_id=ids,
         stratum_id=raw["stratum_id"],
@@ -676,33 +630,75 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
 
 
 def _read_jsonl(path: Path, problems: list[str]) -> dict:
-    """The file's fields as :func:`_build_columns` arguments; problems go to ``problems`` as in :func:`_read_csv`."""
-    cases: list[EvaluationCase] = []
-    numbers: list[int] = []
+    """The file's fields as :func:`_build_columns` arguments; problems go to ``problems`` as in :func:`_read_csv`.
+
+    Each record's values are appended to one list per key, and the lists are
+    checked as columns in the order a record-by-record reader meets the checks.
+    """
+    found, numbers = [], []
+    ids, references, scores, predicted, benchmark, strata, groups, runs = [[] for _ in range(8)]
     with open(path, encoding="utf-8-sig") as fh:
         for row_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not (line := line.strip()):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(f"row {row_number}: invalid JSON: {exc.msg}")
+            except (ValueError, RecursionError) as exc:  # also an integer of too many digits, or too deep a nesting
+                found.append((row_number, f"row {row_number}: invalid JSON: {getattr(exc, 'msg', exc)}"))
                 continue
             if not isinstance(record, dict):
-                problems.append(f"row {row_number}: expected a JSON object")
+                found.append((row_number, f"row {row_number}: expected a JSON object"))
                 continue
-            if record.get("kind") == "truth_sidecar":
-                raise IngestError(
-                    [f"row {row_number}: this is a truth sidecar (oracle data), not an evaluation input"]
-                )
-            case = _case_from_record(record, row=row_number, problems=problems)
-            if case is not None:
-                cases.append(case)
-                numbers.append(row_number)
-    fields = _case_fields(tuple(cases))
-    problems += _duplicate_ids(fields["case_id"], numbers)
-    return fields
+            get = record.get
+            if get("kind") == "truth_sidecar":
+                raise IngestError([f"row {row_number}: this is a truth sidecar (oracle data), not an evaluation input"])
+            numbers.append(row_number)
+            ids.append(get("case_id"))
+            references.append(get("reference", _NO_REFERENCE))
+            scores.append(get("score"))
+            predicted.append(get("predicted"))
+            benchmark.append(get("benchmark_predicted"))
+            strata.append(get("stratum_id"))
+            groups.append(get("subgroups"))
+            runs.append(get("repeated_labels"))
+
+    n, no_id, bad_id = len(ids), _of((_NONE,), ids), ~_of((*_TEXT, _NONE), ids)
+    no_reference = np.fromiter(map(operator.is_, references, repeat(_NO_REFERENCE)), bool, n)
+    ids, references = (
+        v if _of((str,), v).all() else [x if type(x) is str else str(x) for x in v] for v in (ids, references)
+    )
+    no_score = _of((_NONE,), scores)
+    reference, (score, unreadable) = _codes(references, _LABEL, _BAD), _reals(scores)
+    bad_runs = empty_runs = np.zeros(n, dtype=bool)
+    if runs.count(None) < n:  # some record has repeated labels
+        bad_runs = np.fromiter(
+            (r is not None and (type(r) is not list or any(type(x) is not bool for x in r)) for r in runs), bool, n
+        )
+        empty_runs = np.fromiter(map(operator.eq, runs, repeat([])), bool, n)
+    not_object = ~_of((dict, _NONE), groups) & np.fromiter(map(bool, groups), bool, n)  # false: no subgroups
+    odd = [None] * n  # each record's first subgroup name whose value is neither text nor null
+    groups = [g if type(g) is dict else {} for g in groups] if any(groups) else []  # [] when no case has any
+    if set(map(type, chain.from_iterable(map(dict.values, groups)))) - {str}:
+        odd = [next((k for k, v in g.items() if type(v) not in (*_TEXT, _NONE)), None) for g in groups]
+        groups = [{k: v if type(v) is str else str(v) for k, v in g.items() if v is not None} for g in groups]
+    checks = [
+        (no_id | _blank(ids), lambda i: "field 'case_id': missing"),
+        (bad_id, lambda i: "field 'case_id': expected a string or a number"),
+        (no_reference, lambda i: "field 'reference': missing"),
+        (reference == _BAD, lambda i: _reference_problem(references[i])),
+        (unreadable, lambda i: f"field 'score': not a real number: {scores[i]!r}"),
+        (bad_runs, lambda i: "field 'repeated_labels': expected a list of booleans"),
+        (not_object, lambda i: "field 'subgroups': expected an object"),
+        (~_of((_NONE,), odd), lambda i: f"field 'subgroups': expected a string, a number or null for {odd[i]!r}"),
+        (~_of((str, _NONE), strata), lambda i: "field 'stratum_id': expected a string"),
+        (~_of((bool, _NONE), predicted), lambda i: "field 'predicted': expected a boolean"),
+        (~_of((bool, _NONE), benchmark), lambda i: "field 'benchmark_predicted': expected a boolean"),
+        *_value_checks(ids, no_score, score, _of((_NONE,), predicted)),
+        (empty_runs, lambda i: f"case {ids[i]!r}: repeated_labels must be non-empty when present"),
+    ]
+    _report_rows(checks, numbers, ids, found, problems)
+    # values with problems are not fit to convert, and ingest reports the problems
+    return {} if problems else _case_fields(ids, reference, score, predicted, benchmark, strata, groups, runs)
 
 
 def ingest(path: str | Path, format: str = "csv") -> Dataset:
@@ -723,12 +719,10 @@ def ingest(path: str | Path, format: str = "csv") -> Dataset:
         if '"kind"' in head and "truth_sidecar" in head:
             raise InputError(f"{path}: this is a truth sidecar (oracle data), not an evaluation input")
 
-        if format == "csv":
-            fields = _read_csv(path, problems)
-        elif format == "jsonl":
-            fields = _read_jsonl(path, problems)
-        else:
+        read = {"csv": _read_csv, "jsonl": _read_jsonl}.get(format)
+        if read is None:
             raise InputError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
+        fields = read(path, problems)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: cannot read: {type(exc).__name__}: {exc}") from None
     if problems:

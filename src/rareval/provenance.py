@@ -52,8 +52,11 @@ def _finite(text: str) -> float:
 
 
 def strict_json(text: str):
-    """Parse JSON as strict parsers do: ``NaN``, ``(-)Infinity`` and numbers beyond a float raise ``ValueError``."""
-    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    """Parse JSON as strict parsers do: NaN, (-)Infinity, numbers beyond a float and deep nesting raise ValueError."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from None
 
 
 def slot_fields(obj) -> dict:

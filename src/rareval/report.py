@@ -161,13 +161,23 @@ class EvaluationOutputs:
         for key, value in kwargs.items():
             if key not in types:
                 raise InputError(f"unknown evaluation-outputs field {key!r}")
-            admitted = tuple(_JSON_TYPES[name] for name in types[key].split(" | "))
-            objects = not isinstance(value, list) or all(isinstance(v, dict) for v in value)
-            if not (isinstance(value, admitted) and objects):
-                expected = types[key].replace("list", "list of objects")
-                raise InputError(f"evaluation-outputs field {key!r} must be {expected}, got {type(value).__name__}")
+            _check_json_type(key, value, types[key])
             setattr(out, key, value)
+        for key, inner in (("metrics", "metric"), ("warnings", "code")):  # the nested values the checklist reads
+            for i, item in enumerate(getattr(out, key)):
+                _check_json_type(f"{key}[{i}].{inner}", item.get(inner), "str | None")
+        if out.scle_summary:
+            _check_json_type("scle_summary.never_events", out.scle_summary.get("never_events"), "list | None")
         return out
+
+
+def _check_json_type(path: str, value, annotation: str) -> None:
+    """Reject an evaluation-outputs value whose JSON type ``annotation`` does not admit; a list must hold objects."""
+    admitted = tuple(_JSON_TYPES[name] for name in annotation.split(" | "))
+    objects = not isinstance(value, list) or all(isinstance(v, dict) for v in value)
+    if not (isinstance(value, admitted) and objects):
+        expected = annotation.replace("list", "list of objects")
+        raise InputError(f"evaluation-outputs field {path!r} must be {expected}, got {type(value).__name__}")
 
 
 def summarize_dataset(dataset: Dataset) -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings as _warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -320,6 +321,7 @@ def chi2_sf(x, df):
 
 # --- per-row ingest ------------------------------------------------------------
 
+_TEXT = (str, int, float)  # the JSON values a case id or subgroup value reads as text
 _TRUE = {"1", "true"}
 _FALSE = {"0", "false"}
 
@@ -337,8 +339,12 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
     def fail(msg: str) -> None:
         problems.append(f"row {row}: {msg}")
 
-    if "case_id" not in record or not str(record["case_id"]).strip():
+    case_id = record.get("case_id")  # numbers read as text; null is no id
+    if case_id is None or type(case_id) in _TEXT and not str(case_id).strip():
         fail("field 'case_id': missing")
+        return None
+    if type(case_id) not in _TEXT:
+        fail("field 'case_id': expected a string or a number")
         return None
     if "reference" not in record:
         fail("field 'reference': missing")
@@ -353,6 +359,8 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
     if score is not None:
         try:
             score = float(score)
+        except OverflowError:  # an integer beyond float range is infinite, as its text is
+            score = math.inf if score > 0 else -math.inf
         except (TypeError, ValueError):
             fail(f"field 'score': not a real number: {record['score']!r}")
             return None
@@ -368,6 +376,10 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
     if not isinstance(subgroups, dict):
         fail("field 'subgroups': expected an object")
         return None
+    for name, value in subgroups.items():  # numbers read as text; null is no value
+        if value is not None and type(value) not in _TEXT:
+            fail(f"field 'subgroups': expected a string, a number or null for {name!r}")
+            return None
     if record.get("stratum_id") is not None and not isinstance(record["stratum_id"], str):
         fail("field 'stratum_id': expected a string")
         return None
@@ -380,13 +392,13 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
 
     try:
         return EvaluationCase(
-            case_id=str(record["case_id"]),
+            case_id=str(case_id),
             reference=reference,
             score=score,
             predicted=record.get("predicted"),
             benchmark_predicted=record.get("benchmark_predicted"),
             stratum_id=record.get("stratum_id"),
-            subgroups={str(k): str(v) for k, v in subgroups.items()},
+            subgroups={str(k): str(v) for k, v in subgroups.items() if v is not None},
             repeated_labels=repeated,
         )
     except InputError as exc:
@@ -458,6 +470,9 @@ def _ingest_jsonl_rows(path: Path, problems: list[str]) -> list[tuple[int, Evalu
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 problems.append(f"row {row_number}: invalid JSON: {exc.msg}")
+                continue
+            except (ValueError, RecursionError) as exc:  # an integer of too many digits; too deep a nesting
+                problems.append(f"row {row_number}: invalid JSON: {exc}")
                 continue
             if not isinstance(record, dict):
                 problems.append(f"row {row_number}: expected a JSON object")

@@ -15,8 +15,11 @@ The review round trip and design sidecars are fuzzed the same way: edited
 review sheets through ``scle ingest``, mutated sample and annotations JSON
 through ``scle aggregate`` and ``scle apply``, mutated design sidecars
 through ``evaluate`` and ``scle sample``, and an ``outputs.json`` whose
-top-level fields are given wrong types through ``checklist --outputs``, each
-exiting 0 or 2.
+top-level fields, or the values the checklist reads inside them, are given
+wrong types through ``checklist --outputs``, each exiting 0 or 2. JSON
+literals that Python reads but a strict parser would not (integers beyond a
+float or of too many digits, nesting deeper than the recursion limit) are
+input errors in JSONL datasets and in every JSON file a user hands in.
 """
 
 import contextlib
@@ -366,13 +369,25 @@ def test_commands_answer_or_reject_hostile_design_sidecars(review_run, data, com
     assert code in (0, 2), (code, err)
 
 
+_READ_INSIDE = ["metrics.metric", "warnings.code", "scle_summary.never_events"]  # what the checklist reads in a field
+
+
 @st.composite
 def _mutated_fields(draw, doc: dict) -> str:
-    """The document with a few top-level fields replaced, dropped or added, as (damaged) text."""
-    doc = dict(doc)
+    """The document with a few top-level fields replaced, dropped or added, or a value the checklist reads
+    inside a field replaced, as (damaged) text."""
+    base, doc = doc, dict(doc)
     for _ in range(draw(st.integers(1, 3))):
-        key = draw(st.sampled_from([*doc, "unknown_field"]))
-        if draw(st.integers(0, 4)) == 0:
+        key = draw(st.sampled_from([*doc, "unknown_field", *_READ_INSIDE]))
+        if key in _READ_INSIDE:
+            field, inner = key.split(".")
+            if field == "scle_summary":
+                doc[field] = {"no_findings": False, inner: draw(_HOSTILE_VALUES)}
+            else:
+                items = [dict(item) for item in base[field]] or [{}]
+                items[draw(st.integers(0, len(items) - 1))][inner] = draw(_HOSTILE_VALUES)
+                doc[field] = items
+        elif draw(st.integers(0, 4)) == 0:
             doc.pop(key, None)
         else:
             doc[key] = draw(_HOSTILE_VALUES)
@@ -396,6 +411,21 @@ def test_checklist_names_a_wrong_typed_outputs_field(evaluate_outputs, tmp_path,
     assert code == 2 and f"field {field!r}" in json.loads(err)["error"]["message"], err
 
 
+@pytest.mark.parametrize("path, field, value", [
+    ("metrics[0].metric", "metrics", [{"metric": [1]}]),
+    ("warnings[0].code", "warnings", [{"code": [1], "message": "m"}]),
+    ("scle_summary.never_events", "scle_summary", {"no_findings": False, "never_events": 5}),
+])
+def test_checklist_names_a_wrong_typed_value_inside_an_outputs_field(evaluate_outputs, tmp_path, path, field, value):
+    doc = {**evaluate_outputs, field: value}
+    if field == "metrics":
+        doc["metrics"] = value + evaluate_outputs["metrics"][1:]
+    file = tmp_path / "outputs.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _exit_code(["checklist", "--outputs", file, "--out-dir", tmp_path])
+    assert code == 2 and f"field {path!r}" in json.loads(err)["error"]["message"], err
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_checklist_answers_or_rejects_hostile_outputs(review_run, evaluate_outputs, data):
@@ -405,3 +435,56 @@ def test_checklist_answers_or_rejects_hostile_outputs(review_run, evaluate_outpu
         path.write_text(data.draw(_mutated_fields(evaluate_outputs)), encoding="utf-8")
         code, err = _exit_code(["checklist", "--outputs", path, "--out-dir", work])
     assert code in (0, 2), (code, err)
+
+
+# --- hostile JSON literals -----------------------------------------------------------
+#
+# Numbers and nesting that Python's json module reads differently from a
+# strict parser: an integer beyond a float, an integer of more digits than
+# ``int()`` converts, and arrays nested deeper than the recursion limit.
+
+_BEYOND_FLOAT = "9" * 400
+_TOO_MANY_DIGITS = "9" * 5000
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("score, problem", [
+    (_BEYOND_FLOAT, "row 1: case 'a': score must be finite"),
+    ("-" + _BEYOND_FLOAT, "row 1: case 'a': score must be finite"),
+    (_TOO_MANY_DIGITS, "row 1: invalid JSON: Exceeds the limit (4300 digits)"),
+    (_TOO_DEEP, "row 1: invalid JSON: maximum recursion depth exceeded"),
+], ids=["beyond-float", "negative-beyond-float", "too-many-digits", "too-deep"])
+def test_jsonl_hostile_literals_are_row_problems(tmp_path, score, problem):
+    path = tmp_path / "d.jsonl"
+    path.write_text(f'{{"case_id": "a", "reference": "positive", "score": {score}}}\n', encoding="utf-8")
+    argv = ["evaluate", "--input", path, "--format", "jsonl", "--threshold", "0.5", "--out-dir", tmp_path]
+    code, err = _exit_code(argv)
+    assert code == 2 and json.loads(err)["error"]["message"].startswith(problem), err
+
+
+def test_csv_score_beyond_float_reads_as_jsonl_does(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(f"case_id,reference,score\na,positive,{_BEYOND_FLOAT}\n", encoding="utf-8")
+    code, err = _exit_code(["evaluate", "--input", path, "--threshold", "0.5", "--out-dir", tmp_path])
+    assert code == 2 and json.loads(err)["error"]["message"] == "row 2: case 'a': score must be finite", err
+
+
+@pytest.mark.parametrize("where", ["outputs", "sidecar", "json config", "config line"])
+def test_json_nested_too_deeply_exits_2(review_run, tmp_path, where):
+    _, dataset, _, _, _ = review_run
+    if where == "outputs":
+        path = tmp_path / "outputs.json"
+        path.write_text(f'{{"kind": "evaluation_outputs", "metrics": {_TOO_DEEP}}}', encoding="utf-8")
+        argv = ["checklist", "--outputs", path, "--out-dir", tmp_path]
+    elif where == "sidecar":
+        path = tmp_path / "d.csv"
+        path.write_bytes(dataset.read_bytes())
+        Path(f"{path}.design.json").write_text(f'{{"kind": "dataset_design", "design": {_TOO_DEEP}}}')
+        argv = ["evaluate", "--input", path, "--threshold", "0.5", "--out-dir", tmp_path]
+    else:
+        path = tmp_path / "spec.cfg"
+        text = f'{{"n": {_TOO_DEEP}}}' if where == "json config" else f"n = {_TOO_DEEP}\nprevalence = x\n"
+        path.write_text(text, encoding="utf-8")
+        argv = ["synth", "--spec", path, "--out", tmp_path / "s.csv"]
+    code, err = _exit_code(argv)
+    assert code == 2, err

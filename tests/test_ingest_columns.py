@@ -115,20 +115,30 @@ def csv_files(draw):
 
 # (valid, invalid) values of each record key
 _JSON_VALUES = {
-    "case_id": (["j1", "j2", " j3", 2, None], ["", "  "]),
-    "reference": (["positive", "negative", " Ambiguous", "EXCLUDED"], ["", "nope", True]),
-    "score": ([0.1, 0.9, 0.5, 1e300, "0.5", " 1_0 ", None, True], [float("nan"), "abc", "inf", [1]]),
+    "case_id": (["j1", "j2", " j3", 2], ["", "  ", None, True, [1]]),
+    "reference": (["positive", "negative", " Ambiguous", "EXCLUDED"], ["", "nope", True, None]),
+    "score": (
+        [0.1, 0.9, 0.5, 1e300, "0.5", " 1_0 ", None, True, False],
+        [float("nan"), "abc", "inf", "nan", [1], {"x": 1}, 10**400, -(10**400)],
+    ),
     "predicted": ([True, False, None], [1, "1"]),
     "benchmark_predicted": ([True, False, None], [0]),
     "stratum_id": (["s1", "s2"], ["zz", "", None, 3]),
-    "subgroups": ([{"site": "north"}, {"site": ""}, {"a": 1, "b": "x"}, {}, [], None], [["x"], "s"]),
+    "subgroups": (
+        [{"site": "north"}, {"site": ""}, {"a": 1, "b": "x"}, {"site": None, "b": 2.5}, {}, [], None],
+        [["x"], "s", {"site": True}, {"a": "x", "site": [1]}, {"site": {"x": 1}}],
+    ),
     "repeated_labels": ([[True, False], [True], None, [False, False, True]], [[], [1], "x"]),
 }
 
 
 @st.composite
 def jsonl_files(draw):
-    """(jsonl text, design sidecar payload or None); clean files hold valid records only."""
+    """(jsonl text, design sidecar payload or None); clean files hold valid records only.
+
+    A dirty file's record may start from a valid id and reference, so that
+    the checks after those fields are reached more often.
+    """
     clean, stratified = draw(st.booleans()), draw(st.booleans())
     lines = []
     for i in range(draw(st.integers(0, 10))):
@@ -137,7 +147,7 @@ def jsonl_files(draw):
             lines.append(draw(st.sampled_from(["", "not json", "[1, 2]", "   "])))
             continue
         keys = draw(st.lists(st.sampled_from(sorted(_JSON_VALUES)), unique=True))
-        record = {}
+        record = {"case_id": f"r{i}", "reference": "negative"} if not clean and draw(st.booleans()) else {}
         for key in keys:
             valid, invalid = _JSON_VALUES[key]
             record[key] = draw(st.sampled_from(valid if clean else valid + invalid))
@@ -212,6 +222,27 @@ class TestIngestMatchesRowOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(jsonl_files())
+    @example((  # records failing several checks at once: each reports the first a record-by-record reader meets
+        "".join(json.dumps(record) + "\n" for record in [
+            {"case_id": True},
+            {"reference": "positive", "score": 0.5},
+            {"case_id": "a", "reference": "maybe", "score": "abc"},
+            {"case_id": "b", "reference": "positive", "score": [1], "repeated_labels": [1]},
+            {"case_id": "c", "reference": "positive", "repeated_labels": [1], "subgroups": "s"},
+            {"case_id": "d", "reference": "positive", "subgroups": "s", "stratum_id": 3},
+            {"case_id": "e", "reference": "positive", "subgroups": {"x": [1]}, "stratum_id": 3},
+            {"case_id": "f", "reference": "positive", "stratum_id": 3, "predicted": 1},
+            {"case_id": "g", "reference": "positive", "predicted": "1", "benchmark_predicted": 0},
+            {"case_id": "h", "reference": "positive", "benchmark_predicted": 0, "repeated_labels": []},
+            {"case_id": "i", "reference": "positive", "repeated_labels": []},
+            {"case_id": "j", "reference": "positive", "score": float("nan"), "repeated_labels": []},
+            {"case_id": "k", "reference": "positive", "score": 0.5, "repeated_labels": []},
+            {"case_id": "a", "reference": "positive", "score": 0.5},
+            {"case_id": 7, "reference": "positive", "score": 0.5},
+            {"case_id": "7", "reference": "positive", "score": 0.5},
+        ]) + "\n   \nnot json\n[1]\n",
+        None,
+    ))
     def test_jsonl(self, file):
         _assert_same_outcome(*file, "jsonl")
 
@@ -315,6 +346,49 @@ class TestColumnsAreTheStorage:
         flipped = np.array(cols.runs)
         flipped[0, 0] = 1 - flipped[0, 0]
         assert cols != type(cols)(**{**slot_fields(cols), "runs": flipped})
+
+    def test_jsonl_ingest_builds_no_case(self, enriched_csv, tmp_path, monkeypatch):
+        ds = ingest(enriched_csv)
+        rich = ds.replace_cases(
+            EvaluationCase(**{**slot_fields(c), "subgroups": {"site": f"s{i % 3}"}, "benchmark_predicted": i % 2 == 0})
+            for i, c in enumerate(ds.cases)
+        )
+        path = tmp_path / "rich.jsonl"
+        emit(rich, path, "jsonl")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("JSONL ingest built an EvaluationCase")
+
+        monkeypatch.setattr(datamodel, "EvaluationCase", refuse)
+        assert ingest(path, "jsonl") == rich
+
+    def test_jsonl_value_rules(self, tmp_path):
+        """Numbers read as text, a null subgroup value is no value, and other non-text values are row problems."""
+        path = tmp_path / "d.jsonl"
+        records = [
+            {"case_id": 7, "reference": "positive", "score": 0.5, "subgroups": {"site": 3, "era": None}},
+            {"case_id": "b", "reference": "negative", "score": 0.25, "subgroups": {"site": "north", "era": 1.5}},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        cols = ingest(path, "jsonl").columns
+        assert cols.case_id.tolist() == ["7", "b"]
+        assert cols.subgroup_names == ("era", "site") and cols.subgroup_categories == (("1.5",), ("3", "north"))
+        assert cols.subgroups.tolist() == [[-1, 0], [0, 1]]
+        records = [
+            {"case_id": None, "reference": "positive", "score": 0.5},
+            {"case_id": [1], "reference": "positive", "score": 0.5},
+            {"case_id": "c", "reference": "positive", "score": 0.5, "subgroups": {"era": "x", "site": {"x": 1}}},
+            {"case_id": "d", "reference": "positive", "score": 0.5, "subgroups": {"site": True}},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(IngestError) as excinfo:
+            ingest(path, "jsonl")
+        assert excinfo.value.problems == [
+            "row 1: field 'case_id': missing",
+            "row 2: field 'case_id': expected a string or a number",
+            "row 3: field 'subgroups': expected a string, a number or null for 'site'",
+            "row 4: field 'subgroups': expected a string, a number or null for 'site'",
+        ]
 
     def test_evaluate_builds_no_case(self, tmp_path, monkeypatch):
         """No command builds an EvaluationCase from a CSV input, nor synth on its way to a file."""

@@ -101,10 +101,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _read_json(path: str, parse):
-    """A user-named JSON file, passed through ``parse`` (e.g. a ``from_json_dict``)."""
-    with _user_file(path):
-        return parse(strict_json(Path(path).read_text(encoding="utf-8")))
+def _read_user_file(path: str, parse, data=None):
+    """``parse`` of the JSON in user file ``path``, or of ``data`` read from it; its input errors name the file."""
+    if data is None:
+        with _user_file(path):
+            data = strict_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse(data)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -309,29 +314,16 @@ def _cmd_pair_prevalence(args) -> int:
 
 def _cmd_size_study(args) -> int:
     from . import design
-    values = {
-        "sample_size": args.sample_size,
-        "flag_rate_a": args.flag_rate_a,
-        "flag_rate_b": args.flag_rate_b,
-        "overlap_rate": args.overlap_rate,
-        "precision_a": args.precision_a,
-        "precision_b": args.precision_b,
-        "alpha": args.alpha,
-        "n_replicates": args.replicates,
-        "seed": args.seed,
-    }
+    flags = ("sample_size", "flag_rate_a", "flag_rate_b", "overlap_rate", "precision_a", "precision_b", "alpha", "seed")
+    values = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
+    values["n_replicates"] = args.replicates
     if args.config:
         values.update(_load_config_file(args.config))
-    missing = [k for k, v in values.items() if v is None and k != "sample_size"]
-    if missing:
-        raise InputError(f"missing study assumptions: {missing}")
-    if args.target_power is None and values.get("sample_size") is None:
+    if args.target_power is not None:
+        values["sample_size"] = 1  # the sample-size search ignores it
+    elif values.get("sample_size") is None:
         raise InputError("give --sample-size to simulate power, or --target-power to solve")
-    with _user_file(args.config or "size-study"):  # config values are still untyped here
-        # the sample-size search ignores sample_size
-        assumptions = design.PrecisionStudyAssumptions.from_dict(
-            values if args.target_power is None else {**values, "sample_size": 1}
-        )
+    assumptions = _read_user_file(args.config or "size-study", design.PrecisionStudyAssumptions.from_dict, values)
     if args.target_power is not None:
         size = design.solve_sample_size(assumptions, args.target_power)
         result = design.simulate_precision_power(dataclasses.replace(assumptions, sample_size=size))
@@ -394,7 +386,7 @@ def _cmd_scle_sample(args) -> int:
 
 def _cmd_scle_ingest(args) -> int:
     from . import scle
-    sample = _read_json(args.sample, scle.ScleSample.from_json_dict)
+    sample = _read_user_file(args.sample, scle.ScleSample.from_json_dict)
     with _user_file(args.sheet):
         annotations = scle.ingest_annotations(args.sheet, sample)
     payload = scle.annotations_to_json_dict(annotations)
@@ -405,8 +397,8 @@ def _cmd_scle_ingest(args) -> int:
 
 def _cmd_scle_aggregate(args) -> int:
     from . import scle
-    sample = _read_json(args.sample, scle.ScleSample.from_json_dict)
-    annotations = _read_json(args.annotations, scle.annotations_from_json_dict)
+    sample = _read_user_file(args.sample, scle.ScleSample.from_json_dict)
+    annotations = _read_user_file(args.annotations, scle.annotations_from_json_dict)
     summary = scle.aggregate(annotations, sample, seed=args.seed)
     out_dir = Path(args.out_dir)
     _write_json(out_dir / "scle_summary.json", summary.to_json_dict())
@@ -418,7 +410,7 @@ def _cmd_scle_aggregate(args) -> int:
 def _cmd_scle_apply(args) -> int:
     from . import datamodel, scle
     ds = _load_dataset(args)
-    annotations = _read_json(args.annotations, scle.annotations_from_json_dict)
+    annotations = _read_user_file(args.annotations, scle.annotations_from_json_dict)
     revised = scle.apply_verdicts(ds, annotations)
     with _user_file(args.out, OSError):
         written = datamodel.emit(revised, args.out, args.out_format)
@@ -470,10 +462,8 @@ def _cmd_resample(args) -> int:
 def _cmd_synth(args) -> int:
     from . import datamodel, synth
     if args.spec:
-        spec_dict = _load_config_file(args.spec)
-        with _user_file(args.spec):
-            spec_dict.setdefault("seed", args.seed)
-            spec = synth.PopulationSpec.from_dict(spec_dict)
+        spec_dict = {"seed": args.seed, **_load_config_file(args.spec)}
+        spec = _read_user_file(args.spec, synth.PopulationSpec.from_dict, spec_dict)
     else:
         if args.n is None or args.prevalence is None:
             raise InputError("give --spec FILE or both --n and --prevalence")
@@ -519,7 +509,7 @@ def _cmd_synth(args) -> int:
 def _cmd_checklist(args) -> int:
     from . import report
     if args.outputs:
-        outputs = _read_json(args.outputs, report.EvaluationOutputs.from_json_dict)
+        outputs = _read_user_file(args.outputs, report.EvaluationOutputs.from_json_dict)
     else:
         outputs = report.EvaluationOutputs()
     outputs.attestations = {**outputs.attestations, **_parse_attestations(args.attest)}

@@ -315,8 +315,3 @@ def _reprs(values: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     text = np.array(list(map(repr, values[starts].tolist())), dtype=object)
     return np.repeat(text, np.diff(starts, append=values.size))
-
-
-def curve_to_csv(curve: Curve) -> str:
-    """The whole of :func:`curve_csv_chunks` as one string."""
-    return b"".join(curve_csv_chunks(curve)).decode("utf-8")

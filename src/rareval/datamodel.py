@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PARSE_ERRORS, IngestError, InputError
-from .provenance import canonical_json, slot_fields, strict_json
+from .provenance import canonical_json, read_record, show, slot_fields, strict_json
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
 
@@ -52,12 +52,16 @@ class ReferenceLabel(enum.Enum):
     EXCLUDED = "excluded"
 
     @classmethod
-    def parse(cls, text: str) -> "ReferenceLabel":
+    def _missing_(cls, value):  # a label's text in any case, between blanks
+        return next((label for label in cls if isinstance(value, str) and label.value == value.strip().lower()), None)
+
+    @classmethod
+    def parse(cls, text) -> "ReferenceLabel":
         try:
-            return cls(text.strip().lower())
+            return cls(text)
         except ValueError:
             allowed = ", ".join(m.value for m in cls)
-            raise InputError(f"unknown reference label {text!r} (expected one of: {allowed})") from None
+            raise InputError(f"unknown reference label {show(text)} (expected one of: {allowed})") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -475,22 +479,30 @@ def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
     return written
 
 
+@dataclass(frozen=True, slots=True)
+class _Sidecar:
+    """The JSON form of a design sidecar, without its ``kind``."""
+
+    design: tuple[StratumSpec, ...] = ()
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        count = self.metadata.get("verdicts_applied", 0)
+        if type(count) is not int or count < 0:
+            raise InputError(f"field 'metadata.verdicts_applied': expected a count of 0 or more, got {show(count)}")
+
+
 def _load_sidecar(path: Path) -> tuple[tuple[StratumSpec, ...], dict]:
     sidecar = path.with_name(path.name + DESIGN_SIDECAR_SUFFIX)
     if not sidecar.exists():
         return (), {}
     try:
-        payload = strict_json(sidecar.read_text(encoding="utf-8"))
-        if payload.get("kind") != "dataset_design":
-            raise InputError(f"{sidecar}: not a dataset design sidecar")
-        design = []
-        for s in payload.get("design", []):
-            if not isinstance(s["stratum_id"], str):
-                raise TypeError(f"stratum_id {s['stratum_id']!r} is not a string")
-            design.append(StratumSpec(s["stratum_id"], float(s["inclusion_probability"]), s.get("description", "")))
-        return tuple(design), dict(payload.get("metadata", {}))
+        payload = read_record(_Sidecar, strict_json(sidecar.read_text(encoding="utf-8")), kind="dataset_design")
     except PARSE_ERRORS as exc:
         raise InputError(f"{sidecar}: malformed design sidecar: {type(exc).__name__}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{sidecar}: malformed design sidecar: {exc}") from None
+    return payload.design, payload.metadata
 
 
 def _codes(fields: Sequence[str], table: Mapping[str, int], empty: int) -> np.ndarray:
@@ -531,9 +543,9 @@ def _blank(texts: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(operator.not_, map(str.strip, texts)), bool, len(texts))
 
 
-def _reference_problem(text: str) -> str:
+def _reference_problem(value) -> str:
     try:
-        ReferenceLabel.parse(text)
+        ReferenceLabel.parse(value)
     except InputError as exc:
         return f"field 'reference': {exc}"
 
@@ -612,7 +624,7 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
     checks += [
         (_blank(ids), lambda i: "field 'case_id': missing"),
         (reference == _BAD, lambda i: _reference_problem(raw["reference"][i])),
-        (unreadable, lambda i: f"field 'score': not a real number: {raw['score'][i]!r}"),
+        (unreadable, lambda i: f"field 'score': not a real number: {show(raw['score'][i])}"),
         *_value_checks(ids, no_score, score, flags["predicted"] < 0),
     ]
     _report_rows(checks, numbers, ids, found, problems)
@@ -664,11 +676,11 @@ def _read_jsonl(path: Path, problems: list[str]) -> dict:
 
     n, no_id, bad_id = len(ids), _of((_NONE,), ids), ~_of((*_TEXT, _NONE), ids)
     no_reference = np.fromiter(map(operator.is_, references, repeat(_NO_REFERENCE)), bool, n)
-    ids, references = (
+    ids, texts = (
         v if _of((str,), v).all() else [x if type(x) is str else str(x) for x in v] for v in (ids, references)
     )
     no_score = _of((_NONE,), scores)
-    reference, (score, unreadable) = _codes(references, _LABEL, _BAD), _reals(scores)
+    reference, (score, unreadable) = _codes(texts, _LABEL, _BAD), _reals(scores)
     bad_runs = empty_runs = np.zeros(n, dtype=bool)
     if runs.count(None) < n:  # some record has repeated labels
         bad_runs = np.fromiter(
@@ -686,7 +698,7 @@ def _read_jsonl(path: Path, problems: list[str]) -> dict:
         (bad_id, lambda i: "field 'case_id': expected a string or a number"),
         (no_reference, lambda i: "field 'reference': missing"),
         (reference == _BAD, lambda i: _reference_problem(references[i])),
-        (unreadable, lambda i: f"field 'score': not a real number: {scores[i]!r}"),
+        (unreadable, lambda i: f"field 'score': not a real number: {show(scores[i])}"),
         (bad_runs, lambda i: "field 'repeated_labels': expected a list of booleans"),
         (not_object, lambda i: "field 'subgroups': expected an object"),
         (~_of((_NONE,), odd), lambda i: f"field 'subgroups': expected a string, a number or null for {odd[i]!r}"),

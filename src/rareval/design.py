@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .provenance import replicate_rng, slot_fields
+from .provenance import read_record, replicate_rng, slot_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,19 +80,7 @@ class PrecisionStudyAssumptions:
             raise InputError("flag rates sum to more than 1 after accounting for overlap")
         return p_both, a_only, b_only, neither
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PrecisionStudyAssumptions":
-        return cls(
-            sample_size=int(data.get("sample_size", 1)),
-            flag_rate_a=float(data["flag_rate_a"]),
-            flag_rate_b=float(data["flag_rate_b"]),
-            overlap_rate=float(data["overlap_rate"]),
-            precision_a=float(data["precision_a"]),
-            precision_b=float(data["precision_b"]),
-            alpha=float(data.get("alpha", 0.05)),
-            n_replicates=int(data.get("n_replicates", 2000)),
-            seed=int(data.get("seed", 0)),
-        )
+    from_dict = classmethod(read_record)
 
 
 @dataclass(frozen=True, slots=True)

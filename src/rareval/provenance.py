@@ -1,4 +1,4 @@
-"""Seed derivation, canonical and strict JSON, Markdown tables, and config hashing.
+"""Seed derivation, canonical and strict JSON, the record reader, Markdown tables, and config hashing.
 
 Every randomized operation takes an explicit integer seed. A single run-level
 seed fans out to per-module streams via ``derive_seed(seed, label)`` and to
@@ -8,12 +8,18 @@ stream depends only on (seed, i) and results are independent of scheduling.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
 import math
-from typing import Iterable, Sequence
+import types
+from collections.abc import Mapping
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints, is_typeddict
 
 import numpy as np
+
+from .errors import InputError
 
 _MASK63 = (1 << 63) - 1
 
@@ -57,6 +63,93 @@ def strict_json(text: str):
         return json.loads(text, parse_float=_finite, parse_constant=_finite)
     except RecursionError as exc:
         raise ValueError(f"JSON nested too deeply: {exc}") from None
+
+
+def show(value) -> str:
+    """A JSON value as messages show it: a string quoted as ``repr`` quotes it, any other value as JSON text."""
+    return repr(value) if isinstance(value, str) else json.dumps(value)
+
+
+def read_record(cls, data, kind: str | None = None, derived: tuple[str, ...] = ()):
+    """The dataclass ``cls`` built from its JSON form ``data``: the one reader of the records users hand back.
+
+    Each field is read by its annotation. A key must name a field, and a field
+    without a default must be present; a document's ``kind`` (checked when
+    given) and keys ``derived`` from the fields are no fields. An integer is
+    never a boolean or a fraction; a real may be written as an integer and is
+    read as a float; an enum is read by its value. Arrays fill tuples and
+    lists; objects fill mappings, dataclasses and ``TypedDict`` objects, which
+    are open: keys they do not declare pass as they are. Any other value, and
+    a failed check of a nested record, is an :class:`InputError` that names
+    the field path and shows the value as JSON text.
+    """
+    if kind is not None and isinstance(data, dict):
+        if data.get("kind") != kind:
+            raise _error(("kind",), f"expected {show(kind)}, got {show(data['kind'])}" if "kind" in data else "missing")
+        data = {key: value for key, value in data.items() if key not in ("kind", *derived)}
+    return _read(cls, data, ())
+
+
+_SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def _expected(tp) -> str:
+    """The JSON values that type ``tp`` admits, in words."""
+    origin, args = get_origin(tp) or tp, get_args(tp)
+    if isinstance(tp, enum.EnumMeta):
+        return "one of " + ", ".join(show(member.value) for member in tp)
+    if origin is types.UnionType:
+        return " or ".join(map(_expected, args))
+    if origin is tuple and args[-1] is not ...:
+        return f"an array of {len(args)} items"
+    return _SCALARS.get(tp) or ("an array" if origin in (tuple, list) else "an object")
+
+
+def _error(path: tuple, problem: str) -> InputError:
+    """The reader's error: the field path (an array item by its number after the array's path), then the problem."""
+    field, item = (path[:-1], f"item {path[-1]}: ") if path and type(path[-1]) is int else (path, "")
+    name = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in field)[1:]
+    return InputError(f"field {name!r}: {item}{problem}" if path else problem)
+
+
+def _read(tp, value, path: tuple, expected: str | None = None):
+    """``value`` read as ``tp`` by :func:`read_record`'s rule; ``path`` locates it, ``expected`` words a mismatch."""
+    origin, args = get_origin(tp) or tp, get_args(tp)
+    if origin is types.UnionType:  # X | None
+        option = next(arg for arg in args if arg is not type(None))
+        return None if value is None else _read(option, value, path, _expected(tp))
+    if tp in _SCALARS or isinstance(tp, enum.EnumMeta):
+        try:
+            if isinstance(tp, enum.EnumMeta):
+                return tp(value)
+            if isinstance(value, (int, float) if tp is float else tp) and isinstance(value, bool) is (tp is bool):
+                return float(value) if tp is float else value
+        except (ValueError, OverflowError):  # not a member; an integer beyond the range of a float
+            pass
+    elif not isinstance(value, (list, tuple) if origin in (tuple, list) else dict):
+        pass  # not the JSON type of the container
+    elif origin in (tuple, list):
+        items = args if origin is tuple and args[-1] is not ... else args[:1] * len(value)
+        if len(items) == len(value):
+            return origin(_read(t, v, (*path, i)) for i, (t, v) in enumerate(zip(items, value)))
+    elif origin in (dict, Mapping):
+        return {key: _read(args[1], v, (*path, key)) for key, v in value.items()} if args else value
+    else:  # a TypedDict or a dataclass
+        hints = get_type_hints(tp)
+        if is_typeddict(tp):
+            return {key: _read(hints[key], v, (*path, key)) if key in hints else v for key, v in value.items()}
+        unknown = [key for key in value if key not in hints]
+        missing = [f.name for f in dataclasses.fields(tp) if f.name not in value and f.default is f.default_factory
+                   is dataclasses.MISSING]
+        if unknown or missing:
+            raise _error((*path, (unknown + missing)[0]), f"unknown; the fields are {', '.join(hints)}" if unknown
+                         else "missing")
+        fields = {key: _read(hints[key], v, (*path, key)) for key, v in value.items()}
+        try:
+            return tp(**fields)
+        except InputError as exc:  # a check of the record's own, under its path
+            raise _error(path, str(exc)) from None
+    raise _error(path, f"expected {expected or _expected(tp)}, got {show(value)}")
 
 
 def slot_fields(obj) -> dict:

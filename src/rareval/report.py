@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import TypedDict
 
 import numpy as np
 
 from .datamodel import Dataset
 from .errors import InputError
-from .provenance import canonical_json, markdown_table, slot_fields
+from .provenance import canonical_json, markdown_table, read_record, slot_fields
 
 SCHEMA_VERSION = "2"
 
@@ -114,9 +115,10 @@ class ChecklistItem:
     to_json_dict = slot_fields
 
 
-# the Python types of the JSON values that each name in a field's annotation admits
-_JSON_TYPES = {"dict": dict, "list": list, "str": str, "bool": bool, "int": int, "float": (int, float),
-               "None": type(None)}
+# the values the checklist reads inside a metric entry, a warning and a review summary; other keys pass as they are
+_Metric = TypedDict("_Metric", {"metric": str | None}, total=False)
+_Warning = TypedDict("_Warning", {"code": str | None}, total=False)
+_Review = TypedDict("_Review", {"never_events": list[dict] | None}, total=False)
 
 
 @dataclass(slots=True)
@@ -124,12 +126,12 @@ class EvaluationOutputs:
     """Everything one evaluation run produced, in JSON-compatible form."""
 
     dataset_summary: dict | None = None
-    metrics: list = field(default_factory=list)
+    metrics: list[_Metric] = field(default_factory=list)
     test_set_prevalence: float | None = None
     assumed_deployment_prevalence: float | None = None
     enrichment_accounted: bool = False
     enrichment_justification: str | None = None
-    curve_points: list | None = None  # bounded: ROC hull vertices plus the operating point
+    curve_points: list[dict] | None = None  # bounded: ROC hull vertices plus the operating point
     curve_n_points: int = 0  # the full sweep, written to curve_file
     curve_file: dict | None = None  # {"path": ..., "sha256": ...}
     auc_value: float | None = None
@@ -137,15 +139,15 @@ class EvaluationOutputs:
     costs: dict | None = None
     operating_point: dict | None = None
     threshold: float | None = None
-    warnings: list = field(default_factory=list)
-    scle_summary: dict | None = None
-    subset_reports: list = field(default_factory=list)
+    warnings: list[_Warning] = field(default_factory=list)
+    scle_summary: _Review | None = None
+    subset_reports: list[dict] = field(default_factory=list)
     stability_report: dict | None = None
-    resampling_reports: list = field(default_factory=list)
+    resampling_reports: list[dict] = field(default_factory=list)
     benchmark_present: bool = False
     concordance: dict | None = None
     power_results: dict | None = None
-    attestations: dict = field(default_factory=dict)
+    attestations: dict[str, str] = field(default_factory=dict)
     seed: int | None = None
     config_hash: str | None = None
 
@@ -154,30 +156,7 @@ class EvaluationOutputs:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EvaluationOutputs":
-        if data.get("kind") != "evaluation_outputs":
-            raise InputError("not a serialized evaluation-outputs document")
-        kwargs, types = {k: v for k, v in data.items() if k != "kind"}, {f.name: f.type for f in fields(cls)}
-        out = cls()
-        for key, value in kwargs.items():
-            if key not in types:
-                raise InputError(f"unknown evaluation-outputs field {key!r}")
-            _check_json_type(key, value, types[key])
-            setattr(out, key, value)
-        for key, inner in (("metrics", "metric"), ("warnings", "code")):  # the nested values the checklist reads
-            for i, item in enumerate(getattr(out, key)):
-                _check_json_type(f"{key}[{i}].{inner}", item.get(inner), "str | None")
-        if out.scle_summary:
-            _check_json_type("scle_summary.never_events", out.scle_summary.get("never_events"), "list | None")
-        return out
-
-
-def _check_json_type(path: str, value, annotation: str) -> None:
-    """Reject an evaluation-outputs value whose JSON type ``annotation`` does not admit; a list must hold objects."""
-    admitted = tuple(_JSON_TYPES[name] for name in annotation.split(" | "))
-    objects = not isinstance(value, list) or all(isinstance(v, dict) for v in value)
-    if not (isinstance(value, admitted) and objects):
-        expected = annotation.replace("list", "list of objects")
-        raise InputError(f"evaluation-outputs field {path!r} must be {expected}, got {type(value).__name__}")
+        return read_record(cls, data, kind="evaluation_outputs")
 
 
 def summarize_dataset(dataset: Dataset) -> dict:

@@ -18,7 +18,7 @@ import csv
 import enum
 import math
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,7 +28,7 @@ from . import datamodel, metrics
 from .datamodel import CELLS as CONFUSION_CELLS
 from .datamodel import Dataset, ReferenceLabel, _decode
 from .errors import InputError
-from .provenance import config_hash, derive_seed, markdown_table, replicate_rng, slot_fields
+from .provenance import config_hash, derive_seed, markdown_table, read_record, replicate_rng, show, slot_fields
 
 CELLS = ("FP", "FN", "TP", "TN")
 BENCHMARK_CELLS = (
@@ -97,29 +97,22 @@ class ScleConfig:
         return self.n_fp + self.n_fn + self.n_tp + self.n_tn
 
     to_json_dict = slot_fields
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScleConfig":
-        return cls(
-            n_fp=int(data.get("n_fp", 0)),
-            n_fn=int(data.get("n_fn", 0)),
-            n_tp=int(data.get("n_tp", 0)),
-            n_tn=int(data.get("n_tn", 0)),
-            substratify_by=tuple(data.get("substratify_by", ()) or ()),
-            boundary_bins=int(data["boundary_bins"]) if data.get("boundary_bins") else None,
-            benchmark_mode=bool(data.get("benchmark_mode", False)),
-            disagreement_oversample_factor=float(data.get("disagreement_oversample_factor", 1.0)),
-            seed=int(data.get("seed", 0)),
-        )
+    from_dict = classmethod(read_record)
 
 
 @dataclass(frozen=True, slots=True)
 class ScleRow:
     case_id: str
     cell: str
-    benchmark_cell: str | None
-    strata: Mapping[str, str]
     sampling_weight: float
+    benchmark_cell: str | None = None
+    strata: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        cell, benchmark_cell, weight = self.cell, self.benchmark_cell, self.sampling_weight
+        if cell not in CELLS or benchmark_cell not in (None, *BENCHMARK_CELLS) or not 0 < weight < math.inf:
+            raise InputError(f"not a review sample row: cell {show(cell)}, benchmark_cell {show(benchmark_cell)}, "
+                             f"sampling_weight {show(weight)}")
 
     to_json_dict = slot_fields
 
@@ -159,31 +152,7 @@ class ScleSample:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScleSample":
-        if data.get("kind") != "scle_sample":
-            raise InputError("not a serialized review sample")
-        rows = tuple(
-            ScleRow(
-                case_id=r["case_id"],
-                cell=r["cell"],
-                benchmark_cell=r.get("benchmark_cell"),
-                strata=dict(r.get("strata", {})),
-                sampling_weight=float(r["sampling_weight"]),
-            )
-            for r in data["rows"]
-        )
-        for row in rows:
-            texts = (row.case_id, *row.strata, *row.strata.values())
-            if not (all(isinstance(text, str) for text in texts) and row.cell in CELLS
-                    and row.benchmark_cell in (None, *BENCHMARK_CELLS) and 0.0 < row.sampling_weight < math.inf):
-                raise InputError(f"malformed review sample row {slot_fields(row)!r}")
-        return cls(
-            rows=rows,
-            config=ScleConfig.from_dict(data["config"]),
-            seed=int(data["seed"]),
-            cell_population_sizes={k: int(v) for k, v in data["cell_population_sizes"].items()},
-            cell_sample_sizes={k: int(v) for k, v in data["cell_sample_sizes"].items()},
-            shortfalls={k: (int(v[0]), int(v[1])) for k, v in data["shortfalls"].items()},
-        )
+        return read_record(cls, data, kind="scle_sample", derived=("config_hash",))
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +160,7 @@ class ScleAnnotation:
     """One reviewed case: category tags, triviality, note, optional verdict."""
 
     case_id: str
-    reviewer: str
+    reviewer: str = ""
     categories: tuple[TagCategory, ...] = ()
     triviality: Triviality | None = None
     note: str = ""
@@ -701,24 +670,15 @@ def annotations_to_json_dict(annotations: Sequence[ScleAnnotation]) -> dict:
     }
 
 
+@dataclass(frozen=True, slots=True)
+class _Annotations:
+    """The JSON form of an annotations document, without its ``kind``."""
+
+    annotations: tuple[ScleAnnotation, ...]
+
+
 def annotations_from_json_dict(data: dict) -> list[ScleAnnotation]:
-    if data.get("kind") != "scle_annotations":
-        raise InputError("not a serialized annotations document")
-    out = []
-    for a in data["annotations"]:
-        if not all(isinstance(a.get(key, ""), str) for key in ("case_id", "reviewer", "note")):
-            raise InputError(f"malformed annotation {a!r}: case_id, reviewer and note must be text")
-        out.append(
-            ScleAnnotation(
-                case_id=a["case_id"],
-                reviewer=a.get("reviewer", ""),
-                categories=tuple(TagCategory(c) for c in a.get("categories", [])),
-                triviality=Triviality(a["triviality"]) if a.get("triviality") else None,
-                note=a.get("note", ""),
-                verdict=ReferenceLabel.parse(a["verdict"]) if a.get("verdict") else None,
-            )
-        )
-    return out
+    return list(read_record(_Annotations, data, kind="scle_annotations").annotations)
 
 
 def apply_verdicts(dataset: Dataset, annotations: Sequence[ScleAnnotation]) -> Dataset:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .datamodel import NEGATIVE, POSITIVE, Dataset, StratumSpec, _build_columns, _decode
 from .errors import InfeasibleError, InputError
-from .provenance import canonical_json, strict_json
+from .provenance import canonical_json, read_record, strict_json
 
 REST_STRATUM_ID = "rest"
 
@@ -68,30 +68,11 @@ class PopulationSpec:
             raise InputError("n_runs must be >= 1 when present")
         if not (0.0 <= self.flip_probability <= 1.0):
             raise InputError("flip_probability must be in [0, 1]")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         object.__setattr__(self, "enrichment", tuple(self.enrichment))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PopulationSpec":
-        rules = tuple(
-            EnrichmentRule(
-                select=r["select"],
-                inclusion_probability=float(r["inclusion_probability"]),
-                stratum_id=r.get("stratum_id", ""),
-            )
-            for r in data.get("enrichment", [])
-        )
-        return cls(
-            n=int(data["n"]),
-            prevalence=float(data["prevalence"]),
-            separation=float(data.get("separation", 2.0)),
-            spread=float(data.get("spread", 1.0)),
-            enrichment=rules,
-            label_noise=float(data.get("label_noise", 0.0)),
-            n_runs=int(data["n_runs"]) if data.get("n_runs") is not None else None,
-            flip_probability=float(data.get("flip_probability", 0.0)),
-            exact_positive_count=bool(data.get("exact_positive_count", False)),
-            seed=int(data.get("seed", 0)),
-        )
+    from_dict = classmethod(read_record)
 
 
 class TruthSidecar:
@@ -189,7 +170,8 @@ def generate(spec: PopulationSpec) -> SynthResult:
     scores = rng.normal(loc=0.0, scale=spec.spread, size=n)
     np.add(scores, spec.separation / 2.0, out=scores, where=truth)
     np.subtract(scores, spec.separation / 2.0, out=scores, where=~truth)
-    np.exp(np.negative(scores, out=scores), out=scores)
+    with np.errstate(over="ignore"):  # exp(-x) beyond float range is inf, and the score is 0
+        np.exp(np.negative(scores, out=scores), out=scores)
     scores += 1.0
     np.divide(1.0, scores, out=scores)
 

@@ -335,6 +335,11 @@ def _parse_bool(text: str, *, row: int, fieldname: str) -> bool:
     raise IngestError([f"row {row}: field {fieldname!r}: expected a binary label, got {text!r}"])
 
 
+def _shown(value) -> str:
+    """A JSON value as a message shows it: a string as ``repr`` quotes it, anything else as JSON text."""
+    return repr(value) if isinstance(value, str) else json.dumps(value)
+
+
 def _case_from_record(record: dict, *, row: int, problems: list[str]) -> EvaluationCase | None:
     def fail(msg: str) -> None:
         problems.append(f"row {row}: {msg}")
@@ -350,7 +355,7 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
         fail("field 'reference': missing")
         return None
     try:
-        reference = ReferenceLabel.parse(str(record["reference"]))
+        reference = ReferenceLabel.parse(record["reference"])
     except InputError as exc:
         fail(f"field 'reference': {exc}")
         return None
@@ -362,7 +367,7 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
         except OverflowError:  # an integer beyond float range is infinite, as its text is
             score = math.inf if score > 0 else -math.inf
         except (TypeError, ValueError):
-            fail(f"field 'score': not a real number: {record['score']!r}")
+            fail(f"field 'score': not a real number: {_shown(record['score'])}")
             return None
 
     repeated = record.get("repeated_labels")

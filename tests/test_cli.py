@@ -233,7 +233,8 @@ class TestExitCodes:
             assert error["message"] == "row 1: field 'stratum_id': expected a string; " \
                                        "row 2: field 'stratum_id': expected a string"
         else:
-            assert "malformed design sidecar" in error["message"] and "stratum_id ['s']" in error["message"]
+            assert error["message"] == f"{data}.design.json: malformed design sidecar: " \
+                                       "field 'design[0].stratum_id': expected a string, got [\"s\"]"
 
     @pytest.mark.parametrize("prevalence", [-3, 0, 1, 1.5])
     @pytest.mark.parametrize("selection", ["threshold", "k", "costs", "predictions"])

@@ -146,7 +146,7 @@ class TestScle:
             return
         if foreign_row:  # a sampled id the dataset does not hold
             sample = scle.ScleSample(
-                sample.rows + (scle.ScleRow("zz-9", "FP", None, {}, 1.0),), sample.config, sample.seed,
+                sample.rows + (scle.ScleRow(case_id="zz-9", cell="FP", sampling_weight=1.0),), sample.config, sample.seed,
                 sample.cell_population_sizes, sample.cell_sample_sizes, sample.shortfalls,
             )
         with tempfile.TemporaryDirectory() as tmp:

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_loops as ref
 from rareval import datamodel, robustness
 from rareval.curves import (
-    CostSpec, _reprs, auc, curve_csv_chunks, curve_to_csv, expected_cost, pr_curve, select_operating_point,
+    CostSpec, _reprs, auc, curve_csv_chunks, expected_cost, pr_curve, select_operating_point,
 )
 from rareval.errors import InfeasibleError, InputError
 from rareval.datamodel import CELLS, Dataset, ReferenceLabel, StratumSpec, confusion_cells
@@ -223,7 +223,7 @@ class TestSweepColumns:
     @given(sweeps(), st.sampled_from([1, 2, 3, 5, 4096]))  # points per chunk
     def test_csv_bytes_exact(self, curve, chunk_rows):
         with mock.patch.object(datamodel, "_CHUNK_ROWS", chunk_rows):
-            assert curve_to_csv(curve).encode("utf-8") == ref.curve_to_csv(list(curve)).encode("utf-8")
+            assert b"".join(curve_csv_chunks(curve)) == ref.curve_to_csv(list(curve)).encode("utf-8")
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_run_of_equal_recall_across_chunks(self, weighted):

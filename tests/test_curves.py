@@ -5,7 +5,7 @@ from rareval.curves import (
     CostSpec,
     WarningConfig,
     auc,
-    curve_to_csv,
+    curve_csv_chunks,
     expected_cost,
     pr_curve,
     rare_event_warnings,
@@ -216,7 +216,7 @@ class TestWarnings:
 class TestCsvEmission:
     def test_round_numbers_and_header(self):
         ds = Dataset([make_case("p", "positive", score=0.75), make_case("n", "negative", score=0.25)])
-        text = curve_to_csv(pr_curve(ds))
+        text = b"".join(curve_csv_chunks(pr_curve(ds))).decode("utf-8")
         lines = text.strip().splitlines()
         assert lines[0] == "threshold,recall,precision,specificity,fpr,predicted_positive_count"
         assert lines[1].startswith("inf,")

@@ -26,6 +26,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -488,3 +489,139 @@ def test_json_nested_too_deeply_exits_2(review_run, tmp_path, where):
         argv = ["synth", "--spec", path, "--out", tmp_path / "s.csv"]
     code, err = _exit_code(argv)
     assert code == 2, err
+
+
+# --- one reader for every record a user hands back ------------------------------------
+#
+# Review samples, annotations documents, design sidecars, population specs,
+# study configs and ``--outputs`` files are read by one typed reader. A value
+# that Python would coerce into another meaning (a fraction or a boolean in a
+# count, text in a flag, a misspelt key) is an input error that names the file
+# and the field.
+
+_STUDY = ["--flag-rate-a", "0.05", "--flag-rate-b", "0.06", "--overlap-rate", "0.5", "--precision-a", "0.7",
+          "--precision-b", "0.85", "--sample-size", "100", "--replicates", "10"]
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("synth", "n = 1000.7\nprevalence = 0.1\n", "n"),
+    ("synth", "n = 1000\nprevalence = 0.1\nexact_positive_count = no\n", "exact_positive_count"),
+    ("synth", '{"n": 1000, "prevalence": 0.1, "seed": true}', "seed"),
+    ("synth", "n = 1000\nprevalence = 0.1\nseperation = 9\n", "seperation"),
+    ("size-study", "n_replicates = 20.9\n", "n_replicates"),
+    ("size-study", "replicates = 50\n", "replicates"),
+    ("checklist", {"annotation_process": True}, "attestations.annotation_process"),
+], ids=["fractional-n", "text-flag", "boolean-seed", "misspelt-key", "fractional-replicates", "flag-name-as-key",
+        "boolean-attestation"])
+def test_a_value_that_would_change_what_a_run_means_exits_2(evaluate_outputs, tmp_path, command, text, field):
+    path = tmp_path / "input.cfg"
+    if command == "checklist":
+        path.write_text(json.dumps({**evaluate_outputs, "attestations": text}), encoding="utf-8")
+        argv = ["checklist", "--outputs", path, "--out-dir", tmp_path]
+    else:
+        path.write_text(text, encoding="utf-8")
+        argv = ["synth", "--spec", path, "--out", tmp_path / "s.csv"] if command == "synth" else \
+            ["size-study", *_STUDY, "--config", path]
+    code, err = _exit_code(argv)
+    assert code == 2 and json.loads(err)["error"]["message"].startswith(f"{path}: field {field!r}: "), err
+
+
+@pytest.mark.parametrize("count", ["3", 1.5, -1, True])
+def test_scle_apply_rejects_a_sidecar_verdict_count_that_is_no_count(review_run, tmp_path, count):
+    _, dataset, _, annotations, _ = review_run
+    path, sidecar = tmp_path / "d.csv", tmp_path / "d.csv.design.json"
+    path.write_bytes(dataset.read_bytes())
+    design = json.loads(Path(f"{dataset}.design.json").read_text(encoding="utf-8"))
+    sidecar.write_text(json.dumps({**design, "metadata": {"verdicts_applied": count}}), encoding="utf-8")
+    (tmp_path / "a.json").write_text(json.dumps(annotations), encoding="utf-8")
+    code, err = _exit_code(["scle", "apply", "--input", path, "--annotations", tmp_path / "a.json",
+                            "--out", tmp_path / "revised.csv"])
+    expected = f"{sidecar}: malformed design sidecar: field 'metadata.verdicts_applied': expected a count"
+    assert code == 2 and json.loads(err)["error"]["message"].startswith(expected), err
+
+
+def _paths(doc, path=()) -> list[tuple]:
+    """The path of every value inside a JSON document, outermost first."""
+    items = enumerate(doc) if isinstance(doc, list) else doc.items() if isinstance(doc, dict) else ()
+    return [p for key, value in items for p in [(*path, key), *_paths(value, (*path, key))]]
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _named(path: tuple) -> str:
+    """How the reader's messages name the value at ``path``: its field path, an array item by its number."""
+    field, item = (path[:-1], f": item {path[-1]}") if type(path[-1]) is int else (path, "")
+    return f"field {''.join(f'[{k}]' if type(k) is int else f'.{k}' for k in field)[1:]!r}{item}"
+
+
+@st.composite
+def _retyped(draw, doc: dict, values, open_paths) -> tuple[str, tuple | None]:
+    """(the document with one to three values replaced, dropped or added anywhere, as text; the path of the one
+    change when it was the only one and swapped a value for another JSON type at a path outside ``open_paths``)."""
+    doc, swapped = json.loads(json.dumps(doc)), []
+    changes = draw(st.integers(1, 3))
+    for _ in range(changes):
+        path = draw(st.sampled_from([*_paths(doc), ("unknown_field",)]))
+        container = doc
+        for key in path[:-1]:
+            container = container[key]
+        old = container.get(path[-1]) if isinstance(container, dict) else container[path[-1]]
+        if isinstance(container, dict) and path in _paths(doc) and draw(st.integers(0, 4)) == 0:
+            del container[path[-1]]
+            continue
+        container[path[-1]] = new = draw(values)
+        strict = not isinstance(new, float) or math.isfinite(new)  # NaN and Infinity make the text no strict JSON
+        if None not in (old, new) and strict and _json_type(old) != _json_type(new) and not open_paths(path):
+            swapped.append(path)
+    return json.dumps(doc), swapped[0] if changes == 1 and swapped else None
+
+
+# a population holds as many cases and runs as its integers ask, so the spec's integers stay small
+_SMALL_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 400), st.floats(),
+    st.sampled_from(["", "x", "positive", "negative", "rest"]),
+    st.lists(st.sampled_from(["a", 1, None]), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "select"]), st.sampled_from(["x", 1, None]), max_size=2),
+)
+_SPEC = {"n": 300, "prevalence": 0.1, "separation": 2.0, "spread": 1.0, "label_noise": 0.0, "n_runs": 2,
+         "enrichment": [{"select": "negative", "inclusion_probability": 0.3, "stratum_id": "neg"}],
+         "flip_probability": 0.1, "exact_positive_count": False, "seed": 1}
+_SIDECAR = {
+    "kind": "dataset_design",
+    "design": [{"stratum_id": "s1", "inclusion_probability": 0.5, "description": "kept at random"},
+               {"stratum_id": "s2", "inclusion_probability": 1.0, "description": ""}],
+    "metadata": {"site": "fallback", "x": 1},
+}
+
+
+@pytest.mark.filterwarnings("ignore:cell .* requested cases available")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), document=st.sampled_from(["sample", "annotations", "sidecar", "spec"]))
+def test_user_records_answer_or_name_the_field_whose_type_was_swapped(review_run, data, document):
+    tmp, dataset, sample, annotations, _ = review_run
+    with tempfile.TemporaryDirectory(dir=tmp) as work:
+        work = Path(work)
+        if document in ("sample", "annotations"):
+            base, open_paths = (sample, ("config_hash",)) if document == "sample" else (annotations, ())
+            text, swapped = data.draw(_retyped(base, _HOSTILE_VALUES, lambda path: path in open_paths))
+            docs = {"sample": json.dumps(sample), "annotations": json.dumps(annotations), document: text}
+            (work / "s.json").write_text(docs["sample"], encoding="utf-8")
+            (work / "a.json").write_text(docs["annotations"], encoding="utf-8")
+            argv = ["scle", "aggregate", "--annotations", work / "a.json", "--sample", work / "s.json", "--out-dir", work]
+        elif document == "sidecar":
+            text, swapped = data.draw(_retyped(_SIDECAR, _HOSTILE_VALUES, lambda path: path[:1] == ("metadata",)
+                                               and len(path) > 1))
+            path = work / "d.csv"
+            path.write_bytes(dataset.read_bytes())
+            Path(f"{path}.design.json").write_text(text, encoding="utf-8")
+            argv = ["evaluate", "--input", path, "--threshold", "0.5", "--reproducible", "--out-dir", work]
+        else:
+            text, swapped = data.draw(_retyped(_SPEC, _SMALL_VALUES, lambda path: False))
+            (work / "spec.json").write_text(text, encoding="utf-8")
+            argv = ["synth", "--spec", work / "spec.json", "--out", work / "s.csv"]
+        code, err = _exit_code(argv)
+    assert code in ((0, 2, 3) if document == "spec" else (0, 2)), (code, err)  # 3: an enrichment stratum left empty
+    if swapped is not None:
+        assert code == 2 and f"{_named(swapped)}: expected" in json.loads(err)["error"]["message"], (swapped, err)

@@ -1,8 +1,17 @@
+import collections.abc
+import dataclasses
+import enum
 import hashlib
+import json
+import types
+import typing
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rareval.provenance import derive_seed
+from rareval import datamodel, design, report, scle, synth
+from rareval.errors import InputError
+from rareval.provenance import derive_seed, read_record, show
 
 MASK63 = (1 << 63) - 1
 
@@ -31,3 +40,110 @@ class TestDeriveSeed:
             value = derive_seed(seed, "heterogeneity")
             assert value == derive_seed(seed, "heterogeneity")
             assert 0 <= value <= MASK63
+
+
+# --- the record reader ----------------------------------------------------------------
+#
+# Every record class the reader serves, built by hypothesis from its own
+# annotations, must come back equal from its JSON text. ``_values`` knows the
+# annotations the reader knows; a field added later with an annotation neither
+# knows fails here at once. Numbers are drawn where the records' own range
+# checks accept them, and the few fields with narrower ranges are named.
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+_NARROW = {
+    "cell": st.sampled_from(scle.CELLS),
+    "benchmark_cell": st.none() | st.sampled_from(scle.BENCHMARK_CELLS),
+    "boundary_bins": st.none() | st.integers(2, 20),
+    "disagreement_oversample_factor": st.floats(1.0, 10.0),
+    "select": st.sampled_from(["positive", "negative"]),
+}
+_RECORDS = [scle.ScleConfig, scle.ScleSample, scle._Annotations, design.PrecisionStudyAssumptions,
+            synth.PopulationSpec, datamodel._Sidecar, report.EvaluationOutputs]
+
+
+def _values(tp):
+    """A strategy for the values of annotation ``tp``."""
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    simple = {int: st.integers(1, 10**6), float: st.floats(0.01, 0.99), str: st.text(), bool: st.booleans()}
+    if tp in simple:
+        return simple[tp]
+    if isinstance(tp, enum.EnumMeta):
+        return st.sampled_from(tp)
+    if origin is types.UnionType:
+        return st.one_of([st.none() if arg is type(None) else _values(arg) for arg in args])
+    if origin is tuple:
+        return st.lists(_values(args[0]), max_size=3).map(tuple) if args[-1] is ... else st.tuples(*map(_values, args))
+    if origin is list:
+        return st.lists(_values(args[0]), max_size=3)
+    if origin in (dict, collections.abc.Mapping):
+        return st.dictionaries(st.text(max_size=5), _values(args[1]) if args else _JSON_SCALARS, max_size=3)
+    hints = typing.get_type_hints(tp)
+    if typing.is_typeddict(tp):
+        return st.fixed_dictionaries({}, optional={key: _values(hint) for key, hint in hints.items()})
+    assert dataclasses.is_dataclass(tp), f"no strategy for {tp!r}"
+    return st.builds(tp, **{key: _NARROW[key] if key in _NARROW else _values(hint) for key, hint in hints.items()})
+
+
+def _json_form(value):
+    """A record as JSON values: a dataclass as the object of its fields, an enum as its value."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_form(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return list(map(_json_form, value))
+    return {key: _json_form(v) for key, v in value.items()} if isinstance(value, dict) else value
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_record_survives_its_json_text(cls, data):
+    record = data.draw(_values(cls))
+    assert read_record(cls, json.loads(json.dumps(_json_form(record), allow_nan=False))) == record
+
+
+@pytest.mark.parametrize("tp, value, message", [
+    (int, True, "expected an integer, got true"),
+    (int, 2.5, "expected an integer, got 2.5"),
+    (float, True, "expected a number, got true"),
+    (float, 10**400, "expected a number, got 1" + "0" * 400),
+    (str, None, "expected a string, got null"),
+    (bool, "no", "expected a boolean, got 'no'"),
+    (datamodel.ReferenceLabel, "maybe", "expected one of 'positive', 'negative', 'ambiguous', 'excluded', got 'maybe'"),
+    (tuple[int, int], [1], "expected an array of 2 items, got [1]"),
+    (dict, [], "expected an object, got []"),
+])
+def test_a_value_of_the_wrong_json_type_names_its_field(tp, value, message):
+    @dataclasses.dataclass
+    class Record:
+        field: tp
+
+    with pytest.raises(InputError) as exc:
+        read_record(Record, {"field": value})
+    assert str(exc.value) == f"field 'field': {message}"
+
+
+def test_reader_rules():
+    spec = read_record(synth.PopulationSpec, {"n": 10, "prevalence": 0.5, "separation": 3})
+    assert type(spec.separation) is float and spec.enrichment == ()  # a real written as an integer; a default
+    annotation = read_record(scle.ScleAnnotation, {"case_id": "c", "verdict": "Negative"})  # no reviewer: ""
+    assert annotation.verdict is datamodel.ReferenceLabel.NEGATIVE and annotation.reviewer == ""
+    for data, message in [
+        ({"n": 10}, "field 'prevalence': missing"),
+        ({"n": 10, "prevalence": 0.5, "seperation": 9}, "field 'seperation': unknown; the fields are n, prevalence,"),
+        ({"n": 10, "prevalence": 0.5, "enrichment": [{"select": "x", "inclusion_probability": 1}]},
+         "field 'enrichment': item 0: enrichment selector must be 'positive' or 'negative', got 'x'"),
+        ({"n": 10, "prevalence": 0.5, "enrichment": [{"select": "positive", "inclusion_probability": "1"}]},
+         "field 'enrichment[0].inclusion_probability': expected a number, got '1'"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            read_record(synth.PopulationSpec, data)
+        assert str(exc.value).startswith(message), exc.value
+    with pytest.raises(InputError, match="^field 'kind': expected 'scle_sample', got 'scle_annotations'$"):
+        read_record(scle.ScleSample, {"kind": "scle_annotations"}, kind="scle_sample")
+
+
+def test_show_writes_json_values_as_json_text():
+    assert [show(v) for v in ("a", None, True, {"x": 1}, [1.5])] == ["'a'", "null", "true", '{"x": 1}', "[1.5]"]

@@ -135,15 +135,15 @@ def _load_config_file(path: str) -> dict:
 
 
 def _parse_attestations(pairs: list[str] | None) -> dict:
+    """The ``--attest`` pairs as attestations, checked at once so that a run with a bad one does no work."""
     from . import report
     attestations = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise InputError(f"--attest expects consideration=text, got {pair!r}")
         key, _, value = pair.partition("=")
-        if key not in report.CONSIDERATIONS:
-            raise InputError(f"unknown checklist consideration {key!r}")
         attestations[key] = value
+    report.check_attestations(attestations)
     return attestations
 
 
@@ -701,6 +701,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InfeasibleError as exc:
         _fail(3, "infeasible", str(exc))
+    except MemoryError as exc:  # a size that passed every check but does not fit this machine
+        _fail(3, "infeasible", f"out of memory: {exc}")
     except InputError as exc:
         _fail(2, "input", str(exc))
     except EvaluationError as exc:

@@ -573,6 +573,48 @@ def _report_rows(checks: list, numbers: Sequence[int], case_id: Sequence, found:
     problems += _duplicate_ids(passed, numbers[~failed])
 
 
+def _csv_header(path: Path, reader, required: Sequence[str], run_numbers: bool = False) -> list[str]:
+    """The header row of a user's CSV file: it is there, holds every ``required`` column and no column twice.
+
+    With ``run_numbers``, a ``run_`` column needs a run number, and two with the same number are the same column.
+    """
+    header = next(reader, None)
+    if header is None:
+        raise IngestError([f"{path}: empty file"])
+    missing = set(required) - set(header)
+    if missing:
+        raise IngestError([f"{path}: header missing required column(s): {sorted(missing)}"])
+    keys = header
+    if run_numbers:
+        try:
+            keys = [int(c[4:]) if c.startswith("run_") else c for c in header]
+        except ValueError:
+            run_cols = [c for c in header if c.startswith("run_")]
+            raise IngestError([f"{path}: repeated-run columns need a run number after 'run_': {run_cols}"]) from None
+    repeated = [c for c, key in zip(header, keys) if keys.count(key) > 1]
+    if repeated:
+        raise IngestError([f"{path}: header repeats column(s): {repeated}"])
+    return header
+
+
+def _csv_fields(rows: Iterable[list[str]], width: int, numbers: Sequence[int] | None = None):
+    """The width rule: (the fields of the rows of ``width`` fields, one list per column; their file rows; problems).
+
+    Rows are read ``_CHUNK_ROWS`` at a time. ``numbers`` are the rows' file rows, by default 2, 3, ... (a line
+    each after the header); a row of another width is a (file row, message) problem for :func:`_report_rows`.
+    """
+    lengths, fields, rows = [], [[] for _ in range(width)], iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        lengths += map(len, chunk)
+        for column, values in zip(fields, zip(*(row for row in chunk if len(row) == width))):
+            column += values
+    lengths = np.array(lengths, np.intp)
+    numbers = np.arange(2, len(lengths) + 2) if numbers is None else np.array(numbers, np.intp)
+    wrong = lengths != width
+    found = [(r, f"row {r}: expected {width} fields, got {k}") for r, k in zip(numbers[wrong], lengths[wrong])]
+    return fields, numbers[~wrong], found
+
+
 def _read_csv(path: Path, problems: list[str]) -> dict:
     """The file's fields as :func:`_build_columns` arguments; row problems and repeated ids go to ``problems``.
 
@@ -583,32 +625,9 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig: a spreadsheet's BOM is not a header
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError([f"{path}: empty file"])
-        missing = {"case_id", "reference"} - set(header)
-        if missing:
-            raise IngestError([f"{path}: header missing required column(s): {sorted(missing)}"])
-        run_cols = [c for c in header if c.startswith("run_")]
-        try:
-            run_number = {c: int(c[4:]) for c in run_cols}
-        except ValueError:
-            raise IngestError([f"{path}: repeated-run columns need a run number after 'run_': {run_cols}"]) from None
-        run_cols.sort(key=run_number.get)
-        keys = [run_number.get(c, c) for c in header]
-        repeated = [c for c, key in zip(header, keys) if keys.count(key) > 1]
-        if repeated:
-            raise IngestError([f"{path}: header repeats column(s): {repeated}"])
-        width, lengths, fields = len(header), [], [[] for _ in header]
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            lengths += map(len, chunk)
-            for column, values in zip(fields, zip(*(row for row in chunk if len(row) == width))):
-                column += values
-
-    lengths = np.array(lengths, np.intp)
-    numbers = np.flatnonzero(lengths == width) + 2  # file row of every kept row
-    short = np.flatnonzero(lengths != width) + 2
-    found = [(r, f"row {r}: expected {width} fields, got {lengths[r - 2]}") for r in short]
+        header = _csv_header(path, reader, ("case_id", "reference"), run_numbers=True)
+        fields, numbers, found = _csv_fields(reader, len(header))
+    run_cols = sorted((c for c in header if c.startswith("run_")), key=lambda c: int(c[4:]))
     n, present = len(numbers), dict(zip(header, fields))
     raw = {name: present.get(name, ("",) * n) for name in (*header, *_OPTIONAL_COLUMNS)}
 

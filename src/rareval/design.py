@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .provenance import read_record, replicate_rng, slot_fields
+from .provenance import MOST_ARRAY_VALUES, read_record, replicate_rng, slot_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +51,8 @@ class PrecisionStudyAssumptions:
     def __post_init__(self):
         if self.sample_size <= 0:
             raise InputError("sample_size must be positive")
+        if self.sample_size > np.iinfo(np.int64).max:  # the multinomial draw takes a 64-bit count
+            raise InputError(f"sample_size must be at most {np.iinfo(np.int64).max}")
         for name in ("flag_rate_a", "flag_rate_b", "precision_a", "precision_b", "alpha"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
@@ -59,6 +61,8 @@ class PrecisionStudyAssumptions:
             raise InputError("overlap_rate must be in [0, 1]")
         if self.n_replicates <= 0:
             raise InputError("n_replicates must be positive")
+        if self.n_replicates > MOST_ARRAY_VALUES:
+            raise InputError(f"n_replicates must be at most {MOST_ARRAY_VALUES}, the most values an array can hold")
 
     @property
     def shared_flag_rate(self) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InputError
 
 _MASK63 = (1 << 63) - 1
+MOST_ARRAY_VALUES = np.iinfo(np.intp).max // 8  # the most 8-byte values one numpy array can address
 
 
 def derive_seed(seed: int, label: str) -> int:

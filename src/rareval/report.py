@@ -302,9 +302,19 @@ def _finish(
     )
 
 
+def check_attestations(attestations: dict) -> None:
+    """The attestation rule: each attestation names a checklist row and says something."""
+    for consideration, text in attestations.items():
+        if consideration not in KEY_QUESTIONS:
+            raise InputError(f"unknown checklist consideration {consideration!r}")
+        if not text.strip():
+            raise InputError(f"empty attestation for checklist consideration {consideration!r}")
+
+
 def prefill_checklist(outputs: EvaluationOutputs) -> list[ChecklistItem]:
-    """Deterministically map run outputs onto the twelve checklist rows."""
+    """Deterministically map run outputs onto the twelve checklist rows; an attestation must pass the rule."""
     attestations = outputs.attestations or {}
+    check_attestations(attestations)
     items = [_finish(row, *_prefill_row(row, outputs), attestations) for row in CONSIDERATIONS]
     for item in items:
         # numbers alone never satisfy a qualitative row; only attestation can

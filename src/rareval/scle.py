@@ -19,6 +19,7 @@ import enum
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import datamodel, metrics
 from .datamodel import CELLS as CONFUSION_CELLS
-from .datamodel import Dataset, ReferenceLabel, _decode
-from .errors import InputError
+from .datamodel import _BAD, Dataset, ReferenceLabel, _decode
+from .errors import IngestError, InputError
 from .provenance import config_hash, derive_seed, markdown_table, read_record, replicate_rng, show, slot_fields
 
 CELLS = ("FP", "FN", "TP", "TN")
@@ -39,16 +40,6 @@ BENCHMARK_CELLS = (
 )
 DISAGREEMENT_CELLS = ("model+/benchmark-", "model-/benchmark+")
 _CELL_NAMES = tuple(c.upper() for c in CONFUSION_CELLS)  # by confusion-cell code
-
-TAG_COLUMNS = ("never_event", "unexpected_error", "input_data_issue", "test_set_issue")
-SHEET_COLUMNS_FIXED = ("reviewer",) + TAG_COLUMNS + ("triviality", "note", "verdict")
-
-REMEDIAL_ACTIONS = {
-    "test_set_issue": "update annotations/guidelines",
-    "input_data_issue": "data quality improvement",
-    "unexpected_error": "re-training/threshold review",
-    "never_event": "escalate",
-}
 
 
 class TagCategory(enum.Enum):
@@ -62,6 +53,17 @@ class Triviality(enum.Enum):
     TRIVIAL = "trivial"
     NON_TRIVIAL = "non_trivial"
     UNCLEAR = "unclear"
+
+
+TAG_COLUMNS = tuple(tag.value for tag in TagCategory)
+SHEET_COLUMNS_FIXED = ("reviewer",) + TAG_COLUMNS + ("triviality", "note", "verdict")
+
+REMEDIAL_ACTIONS = {
+    "test_set_issue": "update annotations/guidelines",
+    "input_data_issue": "data quality improvement",
+    "unexpected_error": "re-training/threshold review",
+    "never_event": "escalate",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -378,109 +380,65 @@ def emit_review_sheet(
 def ingest_annotations(sheet: str | Path, sample: ScleSample) -> list[ScleAnnotation]:
     """Parse an annotated review sheet back into annotations.
 
-    Rows left completely untouched yield no annotation. Unknown tag values
-    and duplicate or unknown case ids are rejected with their row numbers;
-    a true-positive row that was annotated without a triviality judgment is
-    flagged with a warning.
+    The sheet is read with the dataset CSV reader's rules: its header holds
+    ``case_id`` and the annotation columns once each, and every row has the
+    header's width. A row's problem is the first check it fails (membership
+    in the sample, each tag, triviality, verdict); rows are numbered by the
+    file line on which they end, and blank lines are skipped. Rows left
+    completely untouched yield no annotation; a true-positive row annotated
+    without a triviality judgment is flagged with a warning.
     """
     # utf-8-sig and newline="" accept sheets re-saved by spreadsheets (BOM,
-    # CRLF); csv reads the file itself so quoted notes keep their newlines
+    # CRLF); csv reads the lines itself so quoted notes keep their newlines
     with open(sheet, newline="", encoding="utf-8-sig") as fh:
-        header_meta: dict[str, str] = {}
-        comment_lines = 0
-        while True:
-            start = fh.tell()
-            line = fh.readline()
-            if not line.startswith("#"):
-                fh.seek(start)
-                break
-            comment_lines += 1
-            if ":" in line:
-                key, _, value = line[1:].partition(":")
-                header_meta[key.strip()] = value.strip()
-        sheet_hash = header_meta.get("config_hash", "")
-        if sheet_hash != sample.config_hash:
-            raise InputError(
-                f"sheet config_hash {sheet_hash!r} does not match sample config_hash "
-                f"{sample.config_hash!r}"
-            )
-        reader = csv.DictReader(fh)
-        # file line on which each row ends
-        numbered_rows = [(comment_lines + reader.line_num, raw) for raw in reader]
+        lines = fh.readlines()
+    comments = list(takewhile(lambda line: line.startswith("#"), lines))
+    pairs = (line[1:].partition(":") for line in comments if ":" in line)
+    sheet_hash = {key.strip(): value.strip() for key, _, value in pairs}.get("config_hash", "")
+    if sheet_hash != sample.config_hash:
+        raise InputError(
+            f"sheet config_hash {sheet_hash!r} does not match sample config_hash "
+            f"{sample.config_hash!r}"
+        )
+    columns, reader = ("case_id", *SHEET_COLUMNS_FIXED), csv.reader(lines[len(comments):])
+    header = datamodel._csv_header(sheet, reader, columns)
+    numbered = [(len(comments) + reader.line_num, row) for row in reader if row]  # a blank line is no row
+    fields, numbers, found = datamodel._csv_fields([r for _, r in numbered], len(header), [n for n, _ in numbered])
+    # the cells of the columns read, without surrounding blanks, so that a blank cell is an empty one
+    raw = {column: [text.strip() for text in values] for column, values in zip(header, fields) if column in columns}
 
     cells_by_id = {r.case_id: r.cell for r in sample.rows}
-    annotations: list[ScleAnnotation] = []
-    seen: set[str] = set()
+    ids = raw["case_id"]
+    tags = {column: datamodel._codes(raw[column], datamodel._BINARY, 0) for column in TAG_COLUMNS}
+    triviality = datamodel._codes(raw["triviality"], {t.value: k for k, t in enumerate(Triviality)}, -1)
+    verdict = datamodel._codes(raw["verdict"], datamodel._LABEL, -1)
+    unknown = np.array([case_id not in cells_by_id for case_id in ids], dtype=bool)
+    checks = [
+        (unknown, lambda i: f"case_id {ids[i]!r} is not part of the sample"),
+        *((tags[c] == _BAD, lambda i, c=c: f"field {c!r}: unknown tag value {raw[c][i]!r}") for c in TAG_COLUMNS),
+        (triviality == _BAD, lambda i: f"field 'triviality': unknown value {raw['triviality'][i]!r}"),
+        (verdict == _BAD, lambda i: f"field 'verdict': unknown value {raw['verdict'][i]!r}"),
+    ]
     problems: list[str] = []
-    for row_number, raw in numbered_rows:
-        case_id = (raw.get("case_id") or "").strip()
-        if case_id not in cells_by_id:
-            problems.append(f"row {row_number}: case_id {case_id!r} is not part of the sample")
-            continue
-        if case_id in seen:
-            problems.append(f"row {row_number}: duplicate case_id {case_id!r}")
-            continue
-        seen.add(case_id)
+    datamodel._report_rows(checks, numbers, ids, found, problems)
+    if problems:
+        raise IngestError(problems)
 
-        categories: list[TagCategory] = []
-        bad = False
-        for column in TAG_COLUMNS:
-            flag = datamodel._BINARY.get((raw.get(column) or "").strip().lower() or "0")  # empty is false
-            if flag:
-                categories.append(TagCategory(column))
-            elif flag is None:
-                problems.append(
-                    f"row {row_number}: field {column!r}: unknown tag value {raw.get(column)!r}"
-                )
-                bad = True
-
-        triviality_raw = (raw.get("triviality") or "").strip().lower()
-        triviality: Triviality | None = None
-        if triviality_raw:
-            try:
-                triviality = Triviality(triviality_raw)
-            except ValueError:
-                problems.append(
-                    f"row {row_number}: field 'triviality': unknown value {raw.get('triviality')!r}"
-                )
-                bad = True
-
-        verdict_raw = (raw.get("verdict") or "").strip()
-        verdict: ReferenceLabel | None = None
-        if verdict_raw:
-            try:
-                verdict = ReferenceLabel.parse(verdict_raw)
-            except InputError:
-                problems.append(
-                    f"row {row_number}: field 'verdict': unknown value {verdict_raw!r}"
-                )
-                bad = True
-
-        if bad:
+    judged, labels = _decode(triviality, (*Triviality, None)), _decode(verdict, (*ReferenceLabel, None))
+    annotations: list[ScleAnnotation] = []
+    for i, (case_id, row_number) in enumerate(zip(ids, numbers.tolist())):
+        categories = tuple(tag for tag in TagCategory if tags[tag.value][i])
+        note, reviewer = raw["note"][i], raw["reviewer"][i]
+        if not (categories or judged[i] or note or labels[i] or reviewer):
             continue
-        note = (raw.get("note") or "").strip()
-        reviewer = (raw.get("reviewer") or "").strip()
-        touched = bool(categories or triviality or note or verdict or reviewer)
-        if not touched:
-            continue
-        if cells_by_id[case_id] == "TP" and triviality is None:
+        if cells_by_id[case_id] == "TP" and judged[i] is None:
             _warnings.warn(
                 f"row {row_number}: true-positive case {case_id!r} annotated without a "
                 "triviality judgment",
                 stacklevel=2,
             )
-        annotations.append(
-            ScleAnnotation(
-                case_id=case_id,
-                reviewer=reviewer,
-                categories=tuple(categories),
-                triviality=triviality,
-                note=note,
-                verdict=verdict,
-            )
-        )
-    if problems:
-        raise InputError("; ".join(problems))
+        annotations.append(ScleAnnotation(case_id=case_id, reviewer=reviewer, categories=categories,
+                                          triviality=judged[i], note=note, verdict=labels[i]))
     return annotations
 
 

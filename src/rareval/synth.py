@@ -18,7 +18,7 @@ import numpy as np
 
 from .datamodel import NEGATIVE, POSITIVE, Dataset, StratumSpec, _build_columns, _decode
 from .errors import InfeasibleError, InputError
-from .provenance import canonical_json, read_record, strict_json
+from .provenance import MOST_ARRAY_VALUES, canonical_json, read_record, strict_json
 
 REST_STRATUM_ID = "rest"
 
@@ -58,6 +58,8 @@ class PopulationSpec:
     def __post_init__(self):
         if self.n <= 0:
             raise InputError("population size must be positive")
+        if self.n > MOST_ARRAY_VALUES:
+            raise InputError(f"n must be at most {MOST_ARRAY_VALUES}, the most values an array can hold")
         if not (0.0 < self.prevalence < 1.0):
             raise InputError("prevalence must be in (0, 1)")
         if self.spread <= 0:
@@ -66,6 +68,8 @@ class PopulationSpec:
             raise InputError("label_noise must be in [0, 1)")
         if self.n_runs is not None and self.n_runs < 1:
             raise InputError("n_runs must be >= 1 when present")
+        if self.n_runs is not None and self.n_runs > MOST_ARRAY_VALUES // self.n:
+            raise InputError(f"n_runs must be at most {MOST_ARRAY_VALUES // self.n} for n = {self.n}")
         if not (0.0 <= self.flip_probability <= 1.0):
             raise InputError("flip_probability must be in [0, 1]")
         if self.seed < 0:

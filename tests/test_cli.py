@@ -236,6 +236,18 @@ class TestExitCodes:
             assert error["message"] == f"{data}.design.json: malformed design sidecar: " \
                                        "field 'design[0].stratum_id': expected a string, got [\"s\"]"
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["synth", "--n", 10**20, "--prevalence", 0.1], 2, "n must be at most"),
+        (["synth", "--n", 2**62, "--prevalence", 0.1], 2, "n must be at most"),
+        (["size-study", "--flag-rate-a", 0.05, "--flag-rate-b", 0.06, "--overlap-rate", 0.5, "--precision-a", 0.7,
+          "--precision-b", 0.85, "--replicates", 10, "--sample-size", 10**20], 2, "size-study: sample_size must be"),
+        (["synth", "--n", 2**50, "--prevalence", 0.1], 3, "out of memory: "),  # 8 PiB: no allocation succeeds
+    ], ids=["n-beyond-an-array-dimension", "n-beyond-an-array-size", "sample-size-beyond-64-bits", "n-beyond-memory"])
+    def test_a_size_the_program_cannot_hold_is_no_internal_error(self, argv, code, message, capsys, tmp_path):
+        out = ["--out", tmp_path / "s.csv"] if argv[0] == "synth" else []
+        exit_code, error = self._exit([*argv, *out], capsys)
+        assert exit_code == code and error["message"].startswith(message), error
+
     @pytest.mark.parametrize("prevalence", [-3, 0, 1, 1.5])
     @pytest.mark.parametrize("selection", ["threshold", "k", "costs", "predictions"])
     def test_assumed_prevalence_outside_unit_interval_exits_2(self, selection, prevalence, capsys, tmp_path):

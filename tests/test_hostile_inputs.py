@@ -35,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from rareval import cli
 from rareval.provenance import canonical_json
+from rareval.scle import SHEET_COLUMNS_FIXED, TAG_COLUMNS
 
 _OPTIONAL = ["score", "predicted", "benchmark_predicted", "stratum_id", "sg_site", "sg_era", "run_1", "run_2",
              "run_3", "note"]
@@ -287,18 +288,31 @@ def _exit_code(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+_ANNOTATION_COLUMNS = ("case_id", *SHEET_COLUMNS_FIXED)
+
+
 @st.composite
-def _hostile_sheets(draw, sheet: str) -> str:
-    """The review sheet with edited fields, rows, comment lines and text damage."""
+def _hostile_sheets(draw, sheet: str) -> tuple[str, bool]:
+    """(the review sheet with edited fields, rows, columns, comment lines and text damage; whether an
+    annotation column was repeated or renamed)."""
     lines = sheet.splitlines()
     comments = [line for line in lines if line.startswith("#")]
     header, *rows = list(csv.reader(line for line in lines if not line.startswith("#")))
     cell = st.sampled_from(["", "1", "0", "true", "yes", "trivial", "non_trivial", "bogus", "negative", "c0", "TP",
-                            "x" * 140_000, "a\nb", "\x00"])
+                            "x" * 140_000, "a\nb", "\x00", " ", "TRUE", "Negative"])
     for _ in range(draw(st.integers(0, 4))):
         if rows:
             row = draw(st.sampled_from(rows))
             row[draw(st.integers(0, len(row) - 1))] = draw(cell)
+    column_edited = draw(st.integers(0, 5)) == 0
+    if column_edited:
+        j = header.index(draw(st.sampled_from(_ANNOTATION_COLUMNS)))
+        if draw(st.booleans()):  # a repeated column, as a spreadsheet's copied column leaves it
+            header.append(header[j])
+            for row in rows:
+                row.append(draw(cell))
+        else:
+            header[j] = draw(st.sampled_from([header[j] + "s", header[j].upper(), f" {header[j]}", "notes"]))
     if rows and draw(st.integers(0, 4)) == 0:
         rows.append(list(draw(st.sampled_from(rows))))  # a repeated case
     if draw(st.integers(0, 4)) == 0:
@@ -307,7 +321,33 @@ def _hostile_sheets(draw, sheet: str) -> str:
         comments = draw(st.lists(st.sampled_from(comments + ["# config_hash: 0", "#"]), max_size=3))
     buf = io.StringIO()
     csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([header, *rows])
-    return draw(_damaged("".join(line + "\n" for line in comments) + buf.getvalue()))
+    return draw(_damaged("".join(line + "\n" for line in comments) + buf.getvalue())), column_edited
+
+
+def _annotations_by_dict_reader(text: str) -> list[dict]:
+    """The annotations a sheet that passed ingest holds, as JSON, read on their own with ``csv.DictReader``."""
+    body = text.removeprefix("\ufeff")
+    while body.startswith("#"):
+        body = body.partition("\n")[2]
+    reader = csv.DictReader(io.StringIO(body, newline=""))
+    rows, header = list(reader), reader.fieldnames or []
+    assert set(_ANNOTATION_COLUMNS) <= set(header), header
+    assert len(set(header)) == len(header), header  # no column read twice
+    assert all(None not in row and None not in row.values() for row in rows)  # every row of the header's width
+    annotations = []
+    for row in rows:
+        value = {column: row[column].strip() for column in _ANNOTATION_COLUMNS}
+        annotation = {
+            "case_id": value["case_id"],
+            "reviewer": value["reviewer"],
+            "categories": [tag for tag in TAG_COLUMNS if value[tag].lower() in ("1", "true")],
+            "triviality": value["triviality"].lower() or None,
+            "note": value["note"],
+            "verdict": value["verdict"].lower() or None,
+        }
+        if any(annotation[key] for key in ("reviewer", "categories", "triviality", "note", "verdict")):
+            annotations.append(annotation)
+    return annotations
 
 
 @pytest.mark.filterwarnings("ignore:row .* annotated without a triviality judgment")
@@ -315,12 +355,59 @@ def _hostile_sheets(draw, sheet: str) -> str:
 @given(data=st.data())
 def test_scle_ingest_answers_or_rejects_hostile_sheets(review_run, data):
     tmp, _, _, _, sheet = review_run
+    text, column_edited = data.draw(_hostile_sheets(sheet))
     with tempfile.TemporaryDirectory(dir=tmp) as work:
         path = Path(work) / "sheet.csv"
-        path.write_text(data.draw(_hostile_sheets(sheet)), encoding="utf-8", newline="")
+        path.write_text(text, encoding="utf-8", newline="")
         code, err = _exit_code(["scle", "ingest", "--sheet", path, "--sample", tmp / "scle_sample.json",
                                 "--out", Path(work) / "a.json"])
+        written = json.loads((Path(work) / "a.json").read_text(encoding="utf-8")) if code == 0 else None
     assert code in (0, 2), (code, err)
+    if column_edited:
+        assert code == 2, err
+    if code == 0:
+        assert written["annotations"] == _annotations_by_dict_reader(text)
+
+
+def _sheet_losing_a_finding(sheet: str, edit: str) -> str:
+    """The review sheet with a reviewer's finding on its first row (file line 5), edited as ``edit`` says."""
+    comments, rows = sheet.splitlines()[:3], [line.split(",") for line in sheet.splitlines()[3:]]
+    header, first = rows[0], rows[1]
+    tag, verdict = header.index("never_event"), header.index("verdict")
+    first[tag] = "1"
+    if edit == "misspelt tag column":
+        header[tag] = "never_events"
+    elif edit == "deleted tag column":
+        for row in rows:
+            del row[tag]
+    elif edit == "repeated verdict column":
+        first[verdict] = "negative"
+        for row in rows:
+            row.append("verdict" if row is header else "")
+    elif edit == "row with an extra field":
+        first.append("x")
+    elif edit == "no case_id column":
+        header[0] = "id"
+    elif edit == "no header line":
+        rows = []
+    return "\n".join(comments + [",".join(row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("edit, named", [
+    ("misspelt tag column", "header missing required column(s): ['never_event']"),
+    ("deleted tag column", "header missing required column(s): ['never_event']"),
+    ("repeated verdict column", "header repeats column(s): ['verdict', 'verdict']"),
+    ("row with an extra field", "row 5: expected 11 fields, got 12"),
+    ("no case_id column", "header missing required column(s): ['case_id']"),
+    ("no header line", "sheet.csv: empty file"),
+])
+def test_a_sheet_that_would_lose_a_finding_exits_2_naming_the_column_or_row(review_run, tmp_path, edit, named):
+    tmp, _, _, _, sheet = review_run
+    path = tmp_path / "sheet.csv"
+    path.write_text(_sheet_losing_a_finding(sheet, edit), encoding="utf-8")
+    code, err = _exit_code(["scle", "ingest", "--sheet", path, "--sample", tmp / "scle_sample.json",
+                            "--out", tmp_path / "a.json"])
+    assert code == 2 and named in json.loads(err)["error"]["message"], err
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,6 +512,17 @@ def test_checklist_names_a_wrong_typed_value_inside_an_outputs_field(evaluate_ou
     file.write_text(json.dumps(doc), encoding="utf-8")
     code, err = _exit_code(["checklist", "--outputs", file, "--out-dir", tmp_path])
     assert code == 2 and f"field {path!r}" in json.loads(err)["error"]["message"], err
+
+
+@pytest.mark.parametrize("attestations, attest, message", [
+    ({"anotation_process": "reviewed"}, [], "unknown checklist consideration 'anotation_process'"),
+    ({}, ["--attest", "metrics="], "empty attestation for checklist consideration 'metrics'"),
+], ids=["misspelt-row-in-outputs", "empty-attest-text"])
+def test_checklist_rejects_an_attestation_it_would_drop(evaluate_outputs, tmp_path, attestations, attest, message):
+    path = tmp_path / "outputs.json"
+    path.write_text(json.dumps({**evaluate_outputs, "attestations": attestations}), encoding="utf-8")
+    code, err = _exit_code(["checklist", "--outputs", path, *attest, "--out-dir", tmp_path])
+    assert code == 2 and json.loads(err)["error"]["message"] == message, err
 
 
 @settings(max_examples=150, deadline=None)
@@ -604,7 +702,7 @@ def test_user_records_answer_or_name_the_field_whose_type_was_swapped(review_run
     with tempfile.TemporaryDirectory(dir=tmp) as work:
         work = Path(work)
         if document in ("sample", "annotations"):
-            base, open_paths = (sample, ("config_hash",)) if document == "sample" else (annotations, ())
+            base, open_paths = (sample, [("config_hash",)]) if document == "sample" else (annotations, [])
             text, swapped = data.draw(_retyped(base, _HOSTILE_VALUES, lambda path: path in open_paths))
             docs = {"sample": json.dumps(sample), "annotations": json.dumps(annotations), document: text}
             (work / "s.json").write_text(docs["sample"], encoding="utf-8")

@@ -139,6 +139,15 @@ class TestPrefill:
         items = {i.consideration: i for i in prefill_checklist(outputs)}
         assert items["annotation_process"].status == "partial"
 
+    @pytest.mark.parametrize("attestations, message", [
+        ({"anotation_process": "reviewed"}, "unknown checklist consideration 'anotation_process'"),
+        ({"metrics": " "}, "empty attestation for checklist consideration 'metrics'"),
+    ])
+    def test_attestation_names_a_row_and_says_something(self, attestations, message):
+        with pytest.raises(InputError) as exc:
+            prefill_checklist(EvaluationOutputs(attestations=attestations))
+        assert str(exc.value) == message
+
     def test_recall_partial_without_enrichment_accounting(self):
         outputs = full_run_outputs()
         outputs.enrichment_accounted = False

@@ -26,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rareval import cli, datamodel, synth
 
@@ -148,7 +149,8 @@ def output_digests() -> dict[str, dict[str, str]]:
 
 def test_reproducible_outputs_match_golden_digests():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    digests = output_digests()
+    with pytest.warns(UserWarning, match=r"cell model\+/benchmark-: only 9 of 10 requested cases available"):
+        digests = output_digests()
     assert digests.keys() == golden.keys()
     for name in golden:
         assert digests[name] == golden[name], name

@@ -34,6 +34,7 @@ from rareval.report import EvaluationOutputs, prefill_checklist, render_report
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "rendered_sha256.json"
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "report_library.md"
 PINNED = (
+    "annotations.json",
     "subsets_site.json",
     "subsets_site.md",
     "scle_summary.json",

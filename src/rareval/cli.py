@@ -29,7 +29,7 @@ import numpy as np
 # imported as modules, not names: calls go through module attributes, which a
 # test or a tracer may replace.
 from .errors import PARSE_ERRORS, EvaluationError, InfeasibleError, InputError
-from .provenance import canonical_json, config_hash, derive_seed, strict_json
+from .provenance import canonical_json, config_hash, derive_seed, strict_json, write_record
 
 
 # The full threshold sweep; reports name it with its sha256 and embed a bounded part.
@@ -110,6 +110,16 @@ def _read_user_file(path: str, parse, data=None):
         return parse(data)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _record(cls, args, values: dict, source: str | None = None):
+    """``cls.from_dict`` of the flags named as the record's fields (a None flag is not given), overridden by ``values``.
+
+    With ``source``, its input errors name that source, as :func:`_read_user_file` names a file.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    data = {**{key: getattr(args, key) for key in names if getattr(args, key, None) is not None}, **values}
+    return _read_user_file(source, cls.from_dict, data) if source else cls.from_dict(data)
 
 
 def _load_config_file(path: str) -> dict:
@@ -314,16 +324,12 @@ def _cmd_pair_prevalence(args) -> int:
 
 def _cmd_size_study(args) -> int:
     from . import design
-    flags = ("sample_size", "flag_rate_a", "flag_rate_b", "overlap_rate", "precision_a", "precision_b", "alpha", "seed")
-    values = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
-    values["n_replicates"] = args.replicates
-    if args.config:
-        values.update(_load_config_file(args.config))
+    values = _load_config_file(args.config) if args.config else {}
     if args.target_power is not None:
         values["sample_size"] = 1  # the sample-size search ignores it
-    elif values.get("sample_size") is None:
+    elif values.get("sample_size", args.sample_size) is None:
         raise InputError("give --sample-size to simulate power, or --target-power to solve")
-    assumptions = _read_user_file(args.config or "size-study", design.PrecisionStudyAssumptions.from_dict, values)
+    assumptions = _record(design.PrecisionStudyAssumptions, args, values, args.config or "size-study")
     if args.target_power is not None:
         size = design.solve_sample_size(assumptions, args.target_power)
         result = design.simulate_precision_power(dataclasses.replace(assumptions, sample_size=size))
@@ -348,20 +354,12 @@ def _load_dataset(args):
 def _cmd_scle_sample(args) -> int:
     from . import scle
     ds = _load_dataset(args)
-    config = scle.ScleConfig(
-        n_fp=args.n_fp,
-        n_fn=args.n_fn,
-        n_tp=args.n_tp,
-        n_tn=args.n_tn,
-        substratify_by=tuple((args.substratify_by or "").split(",")) if args.substratify_by else (),
-        boundary_bins=args.boundary_bins,
-        benchmark_mode=args.benchmark_mode,
-        disagreement_oversample_factor=args.oversample_factor,
-        seed=args.seed,
-    )
+    strata = args.substratify_by.split(",") if args.substratify_by else []
+    config = _record(scle.ScleConfig, args, {"substratify_by": strata})
     sample = scle.draw_sample(ds, config)
     out_dir = Path(args.out_dir)
-    _write_json(out_dir / "scle_sample.json", sample.to_json_dict())
+    document = sample.to_json_dict()
+    _write_json(out_dir / "scle_sample.json", document)
     context = tuple(args.context_fields.split(",")) if args.context_fields else ()
     with _user_file(out_dir / "review_sheet.csv", OSError):
         sheet_path = scle.emit_review_sheet(
@@ -375,10 +373,7 @@ def _cmd_scle_sample(args) -> int:
         {
             "sample": str(out_dir / "scle_sample.json"),
             "sheet": str(sheet_path),
-            "cell_sample_sizes": dict(sample.cell_sample_sizes),
-            "shortfalls": {k: list(v) for k, v in sample.shortfalls.items()},
-            "seed": args.seed,
-            "config_hash": sample.config_hash,
+            **{key: document[key] for key in ("cell_sample_sizes", "shortfalls", "seed", "config_hash")},
         }
     )
     return 0
@@ -461,32 +456,15 @@ def _cmd_resample(args) -> int:
 
 def _cmd_synth(args) -> int:
     from . import datamodel, synth
-    if args.spec:
-        spec_dict = {"seed": args.seed, **_load_config_file(args.spec)}
-        spec = _read_user_file(args.spec, synth.PopulationSpec.from_dict, spec_dict)
-    else:
-        if args.n is None or args.prevalence is None:
-            raise InputError("give --spec FILE or both --n and --prevalence")
-        rules = []
-        for rule in args.enrich or []:
-            select, _, prob = rule.partition(":")
-            try:
-                probability = float(prob)
-            except ValueError:
-                raise InputError(f"--enrich expects select:probability, got {rule!r}") from None
-            rules.append(synth.EnrichmentRule(select=select, inclusion_probability=probability))
-        spec = synth.PopulationSpec(
-            n=args.n,
-            prevalence=args.prevalence,
-            separation=args.separation,
-            spread=args.spread,
-            enrichment=tuple(rules),
-            label_noise=args.label_noise,
-            n_runs=args.n_runs,
-            flip_probability=args.flip_probability,
-            exact_positive_count=args.exact_positive_count,
-            seed=args.seed,
-        )
+    rules = []
+    for rule in args.enrich or []:
+        select, _, prob = rule.partition(":")
+        try:
+            rules.append(synth.EnrichmentRule(select=select, inclusion_probability=float(prob)))
+        except ValueError:
+            raise InputError(f"--enrich expects select:probability, got {rule!r}") from None
+    values = {"enrichment": write_record(rules), **(_load_config_file(args.spec) if args.spec else {})}
+    spec = _record(synth.PopulationSpec, args, values, args.spec)
     result = synth.generate(spec)
     truth_path = args.truth_out or f"{args.out}.truth.json"
     with _user_file(args.out, OSError):
@@ -565,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision-a", type=_finite_float)
     p.add_argument("--precision-b", type=_finite_float)
     p.add_argument("--alpha", type=_finite_float, default=0.05)
-    p.add_argument("--replicates", type=int, default=2000)
+    p.add_argument("--replicates", dest="n_replicates", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-power", type=_finite_float, help="solve for the smallest adequate sample size")
     p.add_argument("--config", help="JSON or key=value assumptions file; overrides flags")
@@ -589,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--substratify-by", help="comma-separated subgroup attributes")
     p.add_argument("--boundary-bins", type=int)
     p.add_argument("--benchmark-mode", action="store_true")
-    p.add_argument("--oversample-factor", type=_finite_float, default=1.0)
+    p.add_argument("--oversample-factor", dest="disagreement_oversample_factor", type=_finite_float, default=1.0)
     p.add_argument("--context-fields", help="comma-separated sheet context columns")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=_default_out_dir())

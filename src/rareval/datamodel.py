@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PARSE_ERRORS, IngestError, InputError
-from .provenance import canonical_json, read_record, show, slot_fields, strict_json
+from .provenance import canonical_json, read_record, show, slot_fields, strict_json, write_record
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
 
@@ -434,6 +434,7 @@ def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
     """
     path = Path(path)
     cols, design = dataset.columns, dataset.design
+    design_record = _Sidecar(design, dataset.metadata)  # its checks run before any file is written
     chunks = _chunks(len(dataset))
     if format == "csv":
         header = ["case_id", "reference", "score", "predicted", "benchmark_predicted", "stratum_id"]
@@ -471,10 +472,9 @@ def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
         raise InputError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
 
     written = [path]
-    if dataset.design or dataset.metadata:
+    if design or design_record.metadata:
         sidecar = path.with_name(path.name + DESIGN_SIDECAR_SUFFIX)
-        payload = {"kind": "dataset_design", "design": list(map(slot_fields, design)), "metadata": dataset.metadata}
-        sidecar.write_text(canonical_json(payload), encoding="utf-8")
+        sidecar.write_text(canonical_json(write_record(design_record, "dataset_design")), encoding="utf-8")
         written.append(sidecar)
     return written
 

@@ -118,9 +118,11 @@ def _pvalues_vectorized(xa: np.ndarray, na: np.ndarray, xb: np.ndarray, nb: np.n
     window of the support. Hoeffding's bound for sampling without replacement,
     P(|X - mean| >= d) <= 2 exp(-2 d^2 / m) with m the least of t, na, nb and
     na + nb - t, puts the mass outside mean +- sqrt(375 m) below e^-750,
-    beyond double range, so the window stops there.
+    beyond double range, so the window stops there. The counts are float64, so
+    the recurrence's products are rounded once instead of overflowing int64 at
+    counts near 3e9; below 2^53 every product is exact, as in integers.
     """
-    xa, na, xb, nb = (np.asarray(v, dtype=np.int64) for v in (xa, na, xb, nb))
+    xa, na, xb, nb = (np.asarray(v, dtype=np.float64) for v in (xa, na, xb, nb))
     t = xa + xb
     half = np.ceil(np.sqrt(375.0 * np.minimum(np.minimum(t, na + nb - t), np.minimum(na, nb))))
     mean = t * na / np.maximum(na + nb, 1)
@@ -305,6 +307,8 @@ class PairPrevalenceSpec:
     def __post_init__(self):
         if self.n_records < 2:
             raise InputError("n_records must be >= 2")
+        if self.n_records > np.iinfo(np.int64).max:  # a 64-bit count, as a study's sample_size
+            raise InputError(f"n_records must be at most {np.iinfo(np.int64).max}")
         if not (0.0 <= self.duplicate_fraction <= 1.0):
             raise InputError("duplicate_fraction must be in [0, 1]")
 

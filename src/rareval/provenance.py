@@ -1,4 +1,4 @@
-"""Seed derivation, canonical and strict JSON, the record reader, Markdown tables, and config hashing.
+"""Seed derivation, canonical and strict JSON, the record reader and writer, Markdown tables, and config hashing.
 
 Every randomized operation takes an explicit integer seed. A single run-level
 seed fans out to per-module streams via ``derive_seed(seed, label)`` and to
@@ -89,6 +89,26 @@ def read_record(cls, data, kind: str | None = None, derived: tuple[str, ...] = (
             raise _error(("kind",), f"expected {show(kind)}, got {show(data['kind'])}" if "kind" in data else "missing")
         data = {key: value for key, value in data.items() if key not in ("kind", *derived)}
     return _read(cls, data, ())
+
+
+def write_record(record, kind: str | None = None, derived: tuple[str, ...] = ()):
+    """The JSON form of ``record``: the mirror of :func:`read_record`, and the one writer of the documents it reads.
+
+    A dataclass is the object of its fields, nested records too; an enum is
+    its value; tuples and lists are arrays and mappings are objects. The
+    document's ``kind`` and the properties ``derived`` from its fields, which
+    the reader drops, are added. Any other value passes unchanged, so a NaN
+    still fails :func:`canonical_json`: the writer never turns a value into null.
+    """
+    if dataclasses.is_dataclass(record):
+        names = [f.name for f in dataclasses.fields(record)] + list(derived)
+        data = {name: write_record(getattr(record, name)) for name in names}
+        return data if kind is None else {"kind": kind, **data}
+    if isinstance(record, enum.Enum):
+        return record.value
+    if isinstance(record, (tuple, list)):
+        return [write_record(value) for value in record]
+    return {key: write_record(v) for key, v in record.items()} if isinstance(record, Mapping) else record
 
 
 _SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", type(None): "null"}

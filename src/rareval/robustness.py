@@ -24,7 +24,7 @@ from . import metrics as metrics_mod  # subset_metrics has a parameter named met
 from .datamodel import CELLS, EXCLUDED, FN, FP, Dataset
 from .errors import InfeasibleError, InputError
 from .metrics import _class_table, _metric_vector
-from .provenance import derive_seed, markdown_table, replicate_rng, slot_fields
+from .provenance import MOST_ARRAY_VALUES, derive_seed, markdown_table, replicate_rng, slot_fields
 
 UNKNOWN_CATEGORY = "unknown"
 
@@ -33,16 +33,11 @@ UNKNOWN_CATEGORY = "unknown"
 class HeterogeneityResult:
     flagged: bool
     p_value: float
-    test_name: str
+    test: str
     alpha: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "flagged": self.flagged,
-            "p_value": self.p_value,
-            "test": self.test_name,
-            "alpha": self.alpha,
-        }
+    to_json_dict = slot_fields
+    test_name = property(lambda self: self.test)  # the name benchmarks/spans.py reads
 
 
 @dataclass(slots=True)
@@ -140,7 +135,7 @@ def _heterogeneity_screen(
     expected = np.outer(table.sum(axis=1), nj) / nj.sum()
     chi2 = _chi2_from_error_counts(table[1], nj, expected)
     if expected.min() < 5:
-        test_name = "permutation (Monte Carlo)"
+        test = "permutation (Monte Carlo)"
         rng = replicate_rng(derive_seed(seed, "heterogeneity"), 0)
         draws = rng.multivariate_hypergeometric(nj.astype(np.int64), int(table[1].sum()), size=n_permutations)
         stats = _chi2_from_error_counts(draws, nj, expected)
@@ -148,9 +143,9 @@ def _heterogeneity_screen(
         count_ge = int(np.count_nonzero(stats >= chi2 * (1.0 - 1e-12)))
         p_value = (1 + count_ge) / (1 + n_permutations)
     else:
-        test_name = "chi-squared"
+        test = "chi-squared"
         p_value = _chi2_sf(chi2, table.shape[1] - 1)
-    return HeterogeneityResult(p_value < alpha, p_value, test_name, alpha)
+    return HeterogeneityResult(p_value < alpha, p_value, test, alpha)
 
 
 def subset_metrics(
@@ -299,6 +294,9 @@ def resampling_variability(
     if scheme == "bootstrap":
         if n < 1:
             raise InputError("bootstrap needs n >= 1")
+        if n > MOST_ARRAY_VALUES // counts.size:  # the draws hold n rows of one count per class
+            raise InputError(f"bootstrap n must be at most {MOST_ARRAY_VALUES // counts.size}, "
+                             "the most resamples an array can hold")
         rng = replicate_rng(derive_seed(seed, "resample-bootstrap"), 0)
         draws = rng.multinomial(int(counts.sum()), counts / counts.sum(), size=n)
     elif scheme == "k_fold":

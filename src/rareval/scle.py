@@ -29,7 +29,7 @@ from . import datamodel, metrics
 from .datamodel import CELLS as CONFUSION_CELLS
 from .datamodel import _BAD, Dataset, ReferenceLabel, _decode
 from .errors import IngestError, InputError
-from .provenance import config_hash, derive_seed, markdown_table, read_record, replicate_rng, show, slot_fields
+from .provenance import config_hash, derive_seed, markdown_table, read_record, replicate_rng, show, write_record
 
 CELLS = ("FP", "FN", "TP", "TN")
 BENCHMARK_CELLS = (
@@ -88,6 +88,8 @@ class ScleConfig:
             raise InputError("at least one of n_fp, n_fn, n_tp must be positive")
         if self.boundary_bins is not None and self.boundary_bins < 2:
             raise InputError("boundary_bins must be >= 2 when given")
+        if self.boundary_bins is not None and self.boundary_bins > np.iinfo(np.int64).max:
+            raise InputError(f"boundary_bins must be at most {np.iinfo(np.int64).max}")
         if not self.disagreement_oversample_factor >= 1.0:  # NaN too
             raise InputError("disagreement_oversample_factor must be >= 1")
         object.__setattr__(self, "substratify_by", tuple(self.substratify_by))
@@ -98,7 +100,7 @@ class ScleConfig:
     def total_requested(self) -> int:
         return self.n_fp + self.n_fn + self.n_tp + self.n_tn
 
-    to_json_dict = slot_fields
+    to_json_dict = write_record
     from_dict = classmethod(read_record)
 
 
@@ -115,8 +117,6 @@ class ScleRow:
         if cell not in CELLS or benchmark_cell not in (None, *BENCHMARK_CELLS) or not 0 < weight < math.inf:
             raise InputError(f"not a review sample row: cell {show(cell)}, benchmark_cell {show(benchmark_cell)}, "
                              f"sampling_weight {show(weight)}")
-
-    to_json_dict = slot_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,16 +141,7 @@ class ScleSample:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "scle_sample",
-            "seed": self.seed,
-            "config": self.config.to_json_dict(),
-            "config_hash": self.config_hash,
-            "cell_population_sizes": dict(self.cell_population_sizes),
-            "cell_sample_sizes": dict(self.cell_sample_sizes),
-            "shortfalls": {k: list(v) for k, v in self.shortfalls.items()},
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
+        return write_record(self, "scle_sample", derived=("config_hash",))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScleSample":
@@ -248,9 +239,11 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
         # every member's stratum labels, and its boundary bin by rank of distance from the threshold
         labels = [values[population].tolist() for values in attributes]
         bins = None
-        if config.boundary_bins is not None:
+        if config.boundary_bins is not None and pop_size:
             ranks = np.argsort(np.lexsort((cols.case_id[population], np.abs(cols.score[population] - threshold))))
-            bins = np.minimum(config.boundary_bins - 1, ranks * config.boundary_bins // pop_size).tolist()
+            # rank * bins // pop_size without its int64 overflow: each term stays below bins or pop_size^2
+            q, r = divmod(config.boundary_bins, pop_size)
+            bins = (ranks * q + ranks * r // pop_size).tolist()
         if pop_size <= requested:
             chosen = list(range(pop_size))
             if pop_size < requested:
@@ -452,8 +445,6 @@ class TagProjection:
     ci_low: float
     ci_high: float
 
-    to_json_dict = slot_fields
-
 
 @dataclass(slots=True)
 class ScleSummary:
@@ -472,15 +463,7 @@ class ScleSummary:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "scle_summary",
-            **slot_fields(self),
-            "per_cell_tags": {
-                cell: {tag: proj.to_json_dict() for tag, proj in tags.items()}
-                for cell, tags in self.per_cell_tags.items()
-            },
-            "triviality_ci": list(self.triviality_ci) if self.triviality_ci else None,
-        }
+        return write_record(self, "scle_summary")
 
     def to_markdown(self) -> str:
         return summary_markdown(self.to_json_dict())
@@ -613,26 +596,15 @@ def aggregate(
     )
 
 
-def annotations_to_json_dict(annotations: Sequence[ScleAnnotation]) -> dict:
-    return {
-        "kind": "scle_annotations",
-        "annotations": [
-            {
-                **slot_fields(a),
-                "categories": [c.value for c in a.categories],
-                "triviality": a.triviality.value if a.triviality else None,
-                "verdict": a.verdict.value if a.verdict else None,
-            }
-            for a in annotations
-        ],
-    }
-
-
 @dataclass(frozen=True, slots=True)
 class _Annotations:
     """The JSON form of an annotations document, without its ``kind``."""
 
     annotations: tuple[ScleAnnotation, ...]
+
+
+def annotations_to_json_dict(annotations: Sequence[ScleAnnotation]) -> dict:
+    return write_record(_Annotations(tuple(annotations)), "scle_annotations")
 
 
 def annotations_from_json_dict(data: dict) -> list[ScleAnnotation]:

@@ -242,9 +242,18 @@ class TestExitCodes:
         (["size-study", "--flag-rate-a", 0.05, "--flag-rate-b", 0.06, "--overlap-rate", 0.5, "--precision-a", 0.7,
           "--precision-b", 0.85, "--replicates", 10, "--sample-size", 10**20], 2, "size-study: sample_size must be"),
         (["synth", "--n", 2**50, "--prevalence", 0.1], 3, "out of memory: "),  # 8 PiB: no allocation succeeds
-    ], ids=["n-beyond-an-array-dimension", "n-beyond-an-array-size", "sample-size-beyond-64-bits", "n-beyond-memory"])
+        (["resample", "--metric", "recall", "--n", 10**30], 2, "bootstrap n must be at most"),
+        (["resample", "--metric", "recall", "--n", 2**62], 2, "bootstrap n must be at most"),
+        (["pair-prevalence", "--n", 10**400, "--duplicate-fraction", 0.5], 2, "n_records must be at most"),
+        (["scle", "sample", "--n-fp", 1, "--boundary-bins", 10**30], 2, "boundary_bins must be at most"),
+    ], ids=["n-beyond-an-array-dimension", "n-beyond-an-array-size", "sample-size-beyond-64-bits", "n-beyond-memory",
+            "resamples-beyond-an-array-dimension", "resamples-beyond-an-array-size", "records-beyond-a-float",
+            "bins-beyond-64-bits"])
     def test_a_size_the_program_cannot_hold_is_no_internal_error(self, argv, code, message, capsys, tmp_path):
         out = ["--out", tmp_path / "s.csv"] if argv[0] == "synth" else []
+        if argv[0] in ("resample", "scle"):  # commands that read a dataset
+            out = ["--input", tmp_path / "d.csv"]
+            out[1].write_text("case_id,reference,score,predicted\np,positive,0.9,1\nn,negative,0.1,0\n")
         exit_code, error = self._exit([*argv, *out], capsys)
         assert exit_code == code and error["message"].startswith(message), error
 
@@ -283,6 +292,25 @@ class TestHelpGolden:
 
 
 class TestSynthCommand:
+    def test_a_flag_fills_a_key_the_spec_lacks(self, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("prevalence = 0.2\nseed = 3\n", encoding="utf-8")
+        assert main(["synth", "--spec", str(spec), "--n", "50", "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["synth", "--n", "50", "--prevalence", "0.2", "--seed", "3", "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_the_spec_overrides_a_flag(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        enrichment = [{"select": "negative", "inclusion_probability": 0.5}]
+        spec.write_text(json.dumps({"n": 40, "prevalence": 0.2, "enrichment": enrichment}), encoding="utf-8")
+        argv = ["synth", "--spec", spec, "--n", 500, "--seed", 7, "--enrich", "positive:0.5",
+                "--out", tmp_path / "s.csv"]
+        assert main([str(a) for a in argv]) == 0
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert (printed["n_population"], printed["seed"]) == (40, 7)
+        design = json.loads((tmp_path / "s.csv.design.json").read_text(encoding="utf-8"))["design"]
+        assert [stratum["stratum_id"] for stratum in design] == ["enriched_negative", "rest"]
+
     def test_writes_dataset_and_truth_sidecar(self, synth_dataset):
         assert synth_dataset.exists()
         truth = Path(str(synth_dataset) + ".truth.json")

@@ -308,7 +308,7 @@ class TestChangedStreams:
         permutations = 4000
         new = _heterogeneity_screen(table, 0.05, permutations, seed=5)
         old = ref.permutation_p_value(table, permutations, seed=11)
-        assert new.test_name == "permutation (Monte Carlo)"
+        assert new.test == "permutation (Monte Carlo)"
         assert abs(new.p_value - old) < 4 * math.sqrt(2 * old * (1 - old) / permutations)
 
     def test_chi_squared_branch_matches_scipy(self):
@@ -317,7 +317,7 @@ class TestChangedStreams:
         table = np.array([[900.0, 800.0, 700.0], [60.0, 90.0, 40.0]])
         result = _heterogeneity_screen(table, 0.05, 10, seed=0)
         _, p_value, _, _ = chi2_contingency(table, correction=False)
-        assert result.test_name == "chi-squared"
+        assert result.test == "chi-squared"
         assert result.p_value == pytest.approx(p_value, rel=1e-12)
 
 
@@ -352,7 +352,7 @@ def test_subset_screen_does_not_load_scipy():
         "                        predicted=i % 5 != 0, subgroups={'g': 'rare' if i < 6 else 'common'})\n"
         "         for i in range(200)]\n"
         "report = subset_metrics(Dataset(cases), 'g', n_permutations=200)\n"
-        "assert report.heterogeneity.test_name.startswith('permutation'), report.heterogeneity\n"
+        "assert report.heterogeneity.test.startswith('permutation'), report.heterogeneity\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

@@ -206,6 +206,13 @@ class TestRoundTrip:
         emit(ds, path, fmt)
         assert ingest(path, fmt) == ds
 
+    def test_emit_writes_no_sidecar_it_cannot_read_back(self, tmp_path):
+        ds = self._sample_dataset()
+        ds = Dataset(ds.cases, ds.design, {"verdicts_applied": "3"})
+        with pytest.raises(InputError, match="^field 'metadata.verdicts_applied': expected a count"):
+            emit(ds, tmp_path / "d.csv")
+        assert not list(tmp_path.iterdir())
+
     @given(
         scores=st.lists(
             st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=12

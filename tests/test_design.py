@@ -135,6 +135,14 @@ class TestMidPAgainstScipy:
         else:
             assert got <= 1e-250
 
+    @pytest.mark.parametrize("table", [
+        (5 * 10**9, 10**10, 5 * 10**9, 10**10),  # equal precisions: p about 1; 0.0 while int64 products overflowed
+        (3 * 10**9 + 10**5, 6 * 10**9, 3 * 10**9 - 5 * 10**4, 6 * 10**9),  # p about 0.0062
+    ])
+    def test_counts_whose_products_overflow_int64(self, table):
+        # scipy's hypergeometric cdf keeps about 5 digits on supports of 10^10 points
+        assert disagreement_test_pvalue(*table) == pytest.approx(float(ref.disagreement_midp(*table)), rel=1e-5)
+
     def test_p_value_equal_to_alpha_rejects(self):
         # (0, 3, 3, 3) has weights 1, 9, 9, 1 and mid-p exactly 1/20; computed
         # sums land either side of 0.05 by an ulp, so the decision allows for it

@@ -2,7 +2,6 @@ import collections.abc
 import dataclasses
 import enum
 import hashlib
-import json
 import types
 import typing
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rareval import datamodel, design, report, scle, synth
 from rareval.errors import InputError
-from rareval.provenance import derive_seed, read_record, show
+from rareval.provenance import canonical_json, derive_seed, read_record, show, strict_json, write_record
 
 MASK63 = (1 << 63) - 1
 
@@ -42,12 +41,12 @@ class TestDeriveSeed:
             assert 0 <= value <= MASK63
 
 
-# --- the record reader ----------------------------------------------------------------
+# --- the record reader and writer -------------------------------------------------------
 #
 # Every record class the reader serves, built by hypothesis from its own
-# annotations, must come back equal from its JSON text. ``_values`` knows the
-# annotations the reader knows; a field added later with an annotation neither
-# knows fails here at once. Numbers are drawn where the records' own range
+# annotations, must come back equal from the JSON text that the program's
+# writer makes of it. ``_values`` knows the annotations the reader knows; a
+# field added later with an annotation neither knows fails here at once. Numbers are drawn where the records' own range
 # checks accept them, and the few fields with narrower ranges are named.
 
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text()
@@ -60,6 +59,12 @@ _NARROW = {
 }
 _RECORDS = [scle.ScleConfig, scle.ScleSample, scle._Annotations, design.PrecisionStudyAssumptions,
             synth.PopulationSpec, datamodel._Sidecar, report.EvaluationOutputs]
+_DOCUMENTS = {  # the kind and derived keys of each record written as a document of its own
+    scle.ScleSample: ("scle_sample", ("config_hash",)),
+    scle._Annotations: ("scle_annotations", ()),
+    datamodel._Sidecar: ("dataset_design", ()),
+    report.EvaluationOutputs: ("evaluation_outputs", ()),
+}
 
 
 def _values(tp):
@@ -85,23 +90,14 @@ def _values(tp):
     return st.builds(tp, **{key: _NARROW[key] if key in _NARROW else _values(hint) for key, hint in hints.items()})
 
 
-def _json_form(value):
-    """A record as JSON values: a dataclass as the object of its fields, an enum as its value."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _json_form(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return list(map(_json_form, value))
-    return {key: _json_form(v) for key, v in value.items()} if isinstance(value, dict) else value
-
-
 @pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_every_record_survives_its_json_text(cls, data):
     record = data.draw(_values(cls))
-    assert read_record(cls, json.loads(json.dumps(_json_form(record), allow_nan=False))) == record
+    kind, derived = _DOCUMENTS.get(cls, (None, ()))
+    text = canonical_json(write_record(record, kind, derived))
+    assert read_record(cls, strict_json(text), kind, derived) == record
 
 
 @pytest.mark.parametrize("tp, value, message", [
@@ -143,6 +139,19 @@ def test_reader_rules():
         assert str(exc.value).startswith(message), exc.value
     with pytest.raises(InputError, match="^field 'kind': expected 'scle_sample', got 'scle_annotations'$"):
         read_record(scle.ScleSample, {"kind": "scle_annotations"}, kind="scle_sample")
+
+
+def test_writer_rules():
+    annotation = scle.ScleAnnotation("c", categories=(scle.TagCategory.NEVER_EVENT,),
+                                     verdict=datamodel.ReferenceLabel.NEGATIVE)
+    written = {"case_id": "c", "reviewer": "", "categories": ["never_event"], "triviality": None, "note": "",
+               "verdict": "negative"}
+    document = write_record(scle._Annotations((annotation,)), "scle_annotations")
+    assert document == {"kind": "scle_annotations", "annotations": [written]}
+    study = design.PrecisionStudyAssumptions(100, 0.1, 0.1, 0.5, 0.8, 0.9)
+    assert write_record(study, derived=("shared_flag_rate",))["shared_flag_rate"] == 0.05
+    with pytest.raises(ValueError):  # a NaN is passed on as it is, and strict JSON rejects it
+        canonical_json(write_record(scle.TagProjection(1, float("nan"), 0.0, 1.0)))
 
 
 def test_show_writes_json_values_as_json_text():

@@ -123,7 +123,7 @@ class TestSubsetMetrics:
                 )
             )
         report = subset_metrics(Dataset(cases), "g", metrics=("recall",), seed=1)
-        assert "permutation" in report.heterogeneity.test_name
+        assert "permutation" in report.heterogeneity.test
         assert 0.0 < report.heterogeneity.p_value <= 1.0
 
     def test_detects_gross_heterogeneity(self):

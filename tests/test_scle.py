@@ -27,6 +27,7 @@ from rareval.scle import (
 )
 from rareval.scle import _largest_remainder
 
+import reference_loops as ref
 from conftest import make_case
 
 
@@ -120,6 +121,15 @@ class TestDrawSample:
         fp_rows = [r for r in sample.rows if r.cell == "FP"]
         bins = {r.strata["boundary_bin"] for r in fp_rows}
         assert "bin_3" in bins  # most boundary-distant bin
+
+    def test_a_bin_count_beyond_int64_products_labels_each_case_as_integers_do(self):
+        ds = labeled_dataset(n_fp=40, scores=True)
+        config = ScleConfig(n_fp=40, n_fn=15, n_tp=3, boundary_bins=2**62, seed=5)  # FP and FN whole, TP drawn
+        sample = draw_sample(ds, config)
+        assert sample == ref.draw_sample(ds, config)  # rank * bins // cell size in Python integers
+        for cell in ("FP", "FN", "TP"):
+            bins = [int(r.strata["boundary_bin"].removeprefix("bin_")) for r in sample.rows if r.cell == cell]
+            assert all(0 <= b < 2**62 for b in bins) and len(set(bins)) == len(bins)  # more bins than cases
 
     def test_boundary_bins_need_scores(self):
         ds = labeled_dataset(scores=False)

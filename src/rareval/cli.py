@@ -176,90 +176,76 @@ def _metrics_table(entries: list[dict]) -> str:
 
 def _cmd_evaluate(args) -> int:
     from . import curves, datamodel, metrics, report
+    # every check that needs only the flags runs before the input is read
     if args.assumed_prevalence is not None and not 0.0 < args.assumed_prevalence < 1.0:
         raise InputError(f"--assumed-prevalence must be in (0, 1), got {args.assumed_prevalence}")
-    ds = datamodel.ingest(args.input, args.format)
-    seed = args.seed
     costs_given = args.cost_fp is not None or args.cost_fn is not None
     given = {"threshold": args.threshold is not None, "k": args.k is not None, "costs": costs_given}
     drivers = [name for name, is_given in given.items() if is_given]
-    cols = ds.columns
-    scored = not np.isnan(cols.score[cols.evaluable]).any()
-    if scored and len(drivers) > 1:
+    if len(drivers) > 1:
         raise InputError(f"exactly one of threshold/k/cost selection may be given, got {drivers}")
+    if costs_given:
+        if args.cost_fp is None or args.cost_fn is None:
+            raise InputError("cost-based selection needs both --cost-fp and --cost-fn")
+        if args.assumed_prevalence is None:
+            raise InputError("cost-based selection needs --assumed-prevalence")
+        costs = curves.CostSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
+    seeds = {name: derive_seed(args.seed, f"metrics:{name}") for name in metrics.PROPORTION_METRICS}
 
     run_config = {key: getattr(args, key) for key in ("format", "threshold", "k", "cost_fp", "cost_fn",
                                                       "assumed_prevalence", "seed")}
     run_config.update(input=str(args.input), reproducible=bool(args.reproducible))
 
-    outputs = report.EvaluationOutputs(seed=seed, config_hash=config_hash(run_config))
+    outputs = report.EvaluationOutputs(seed=args.seed, config_hash=config_hash(run_config))
     outputs.attestations = _parse_attestations(args.attest)
     outputs.enrichment_justification = args.enrichment_justification
     outputs.assumed_deployment_prevalence = args.assumed_prevalence
 
-    pak_entry = None
-    sweep = None
-    operating_point = None
-    decision_threshold = None  # None when the predictions came with the data
-    if scored:
-        if args.threshold is not None:
-            decision_threshold = args.threshold
-            ds = datamodel.apply_threshold(ds, args.threshold)
-            outputs.threshold = args.threshold
-        elif args.k is not None:
-            pak = metrics.precision_at_k(ds, args.k)
-            decision_threshold = pak.threshold
-            ds = datamodel.apply_threshold(ds, pak.threshold)
-            outputs.threshold = pak.threshold
-            pak_entry = pak.estimate.to_json_dict(f"precision_at_{args.k}")
-            pak_entry["operation"] = "metrics.precision_at_k"
-            pak_entry["seed"] = None
-        elif costs_given:
-            if args.cost_fp is None or args.cost_fn is None:
-                raise InputError("cost-based selection needs both --cost-fp and --cost-fn")
-            if args.assumed_prevalence is None:
-                raise InputError("cost-based selection needs --assumed-prevalence")
-            costs = curves.CostSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
-            sweep = curves.pr_curve(ds)
-            point = curves.select_operating_point(sweep, costs, args.assumed_prevalence)
-            decision_threshold = point.threshold
-            operating_point = point.to_json_dict()
-            outputs.costs = {"cost_fp": args.cost_fp, "cost_fn": args.cost_fn}
-            outputs.threshold = operating_point["threshold"]  # null when nothing is predicted positive
-            ds = datamodel.apply_threshold(ds, point.threshold)
-        elif (cols.predicted[cols.evaluable] < 0).any():
-            raise InputError("scored dataset without predictions: give --threshold, --k, or costs")
+    ds = datamodel.ingest(args.input, args.format)
+    cols = ds.columns
+    sweep = pak = None
+    threshold = args.threshold  # stays None when the predictions came with the data
+    if args.k is not None:
+        pak = metrics.precision_at_k(ds, args.k)
+        threshold = pak.threshold
+    elif costs_given:
+        sweep = curves.pr_curve(ds)
+        point = curves.select_operating_point(sweep, costs, args.assumed_prevalence)
+        threshold = point.threshold
+        outputs.operating_point = point.to_json_dict()
+        outputs.costs = {"cost_fp": args.cost_fp, "cost_fn": args.cost_fn}
+    elif threshold is None and (cols.predicted[cols.evaluable] < 0).any():
+        raise InputError("scored dataset without predictions: give --threshold, --k, or costs")
+    if threshold is not None:
+        ds = datamodel.apply_threshold(ds, threshold)
+        outputs.threshold = None if threshold == math.inf else threshold  # inf: nothing is predicted positive
 
     outputs.dataset_summary = report.summarize_dataset(ds)
     outputs.test_set_prevalence = outputs.dataset_summary["prevalence"]
     outputs.enrichment_accounted = ds.weighted
     outputs.benchmark_present = bool((ds.columns.benchmark_predicted >= 0).any())
-    outputs.operating_point = operating_point
 
-    metric_entries = []
-    for name in metrics.PROPORTION_METRICS:
-        est = metrics.estimate_metric(ds, name, seed=derive_seed(seed, f"metrics:{name}"))
-        entry = est.to_json_dict(name)
-        entry["operation"] = f"metrics.{name}"
-        entry["seed"] = derive_seed(seed, f"metrics:{name}") if ds.weighted else None
-        metric_entries.append(entry)
-    if pak_entry is not None:
-        metric_entries.append(pak_entry)
+    estimates = {name: (metrics.estimate_metric(ds, name, seed=seeds[name]), f"metrics.{name}",
+                        seeds[name] if ds.weighted else None, {}) for name in metrics.PROPORTION_METRICS}
+    if pak is not None:
+        tie_fields = {key: getattr(pak, key) for key in ("k", "ties_straddle_cut", "n_unlabeled_in_top_k")}
+        estimates[f"precision_at_{pak.k}"] = (pak.estimate, "metrics.precision_at_k", None, tie_fields)
+    metric_entries = [est.to_json_dict(name) | {"operation": operation, "seed": entry_seed, **extra}
+                      for name, (est, operation, entry_seed, extra) in estimates.items()]
     outputs.metrics = metric_entries
 
-    by_name = {m["metric"]: m for m in metric_entries}
-    p_value = by_name["precision"]["value"]
-    r_value = by_name["recall"]["value"]
-    if p_value is not None and r_value is not None:
-        outputs.f1_value = metrics.f_beta(p_value, r_value, 1.0)
+    precision, recall = (estimates[name][0].value for name in ("precision", "recall"))
+    if precision is not None and recall is not None:
+        outputs.f1_value = metrics.f_beta(precision, recall, 1.0)
 
     out_dir = Path(args.out_dir)
+    scored = not np.isnan(cols.score[cols.evaluable]).any()  # a fully scored dataset gets a sweep
     if scored:
         sweep = sweep if sweep is not None else curves.pr_curve(ds)
         outputs.curve_n_points = len(sweep)
         sha256 = _write(out_dir / CURVE_FILE, curves.curve_csv_chunks(sweep))
         outputs.curve_file = {"path": CURVE_FILE, "sha256": sha256}
-        outputs.curve_points = [p.to_json_dict() for p in curves.report_points(sweep, decision_threshold)]
+        outputs.curve_points = [p.to_json_dict() for p in curves.report_points(sweep, threshold)]
         outputs.auc_value = curves.auc(sweep)
         warning_list = curves.rare_event_warnings(
             sweep,
@@ -353,9 +339,9 @@ def _load_dataset(args):
 
 def _cmd_scle_sample(args) -> int:
     from . import scle
-    ds = _load_dataset(args)
     strata = args.substratify_by.split(",") if args.substratify_by else []
     config = _record(scle.ScleConfig, args, {"substratify_by": strata})
+    ds = _load_dataset(args)
     sample = scle.draw_sample(ds, config)
     out_dir = Path(args.out_dir)
     document = sample.to_json_dict()

@@ -25,20 +25,27 @@ _MASK63 = (1 << 63) - 1
 MOST_ARRAY_VALUES = np.iinfo(np.intp).max // 8  # the most 8-byte values one numpy array can address
 
 
+def _entropy(seed: int) -> int:
+    """``seed`` as a run seed, which is an integer in [0, 2^63 - 1]: the one seed rule."""
+    if not 0 <= int(seed) <= _MASK63:
+        raise InputError(f"seed must be an integer in [0, {_MASK63}], got {seed}")
+    return int(seed)
+
+
 def derive_seed(seed: int, label: str) -> int:
-    """Derive a module-level substream seed from a run seed and a stable tag.
+    """Derive a module-level substream seed from a run seed and a stable tag; the result is a run seed too.
 
     The tag is a ``SeedSequence`` spawn key, not XORed in: nested derivations
     do not commute and distinct (seed, label) pairs do not collide.
     """
     tag = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK63, spawn_key=(tag,))
+    ss = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=(tag,))
     return int(ss.generate_state(1, np.uint64)[0]) & _MASK63
 
 
 def replicate_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for one replicate; the stream depends only on (seed, *path)."""
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK63, spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(ss)
 
 

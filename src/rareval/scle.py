@@ -253,7 +253,7 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
                     stacklevel=2,
                 )
         else:
-            parts = labels + ([[f"bin_{b:06d}" for b in bins]] if bins is not None else [])
+            parts = labels + ([bins] if bins is not None else [])  # a bin is keyed, and sorted, by its number
             keys = list(zip(*parts)) if parts else [()] * pop_size
             chosen = _stratified_choice(keys, requested, bins is not None, rng)
         sample_sizes[cell] = len(chosen)

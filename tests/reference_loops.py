@@ -645,11 +645,9 @@ def _distance_ranks(population: list[EvaluationCase], threshold: float | None) -
 def _sample_cell(population, requested, config, ranks, rng) -> list[EvaluationCase]:
     strata: dict[tuple, list[EvaluationCase]] = {}
     for case in population:
-        key_parts: list[str] = [case.subgroups.get(a, "unknown") for a in config.substratify_by]
+        key_parts: list = [case.subgroups.get(a, "unknown") for a in config.substratify_by]
         if config.boundary_bins is not None:
-            key_parts.append(
-                f"bin_{_boundary_bin(ranks[case.case_id], len(population), config.boundary_bins):06d}"
-            )
+            key_parts.append(_boundary_bin(ranks[case.case_id], len(population), config.boundary_bins))
         strata.setdefault(tuple(key_parts), []).append(case)
 
     keys = sorted(strata.keys())

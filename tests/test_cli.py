@@ -275,6 +275,79 @@ class TestExitCodes:
         assert not out.exists()
 
 
+
+class TestOperatingPoint:
+    """`evaluate` checks its flags before it reads the input, and applies a chosen threshold as every command does."""
+
+    _exit = staticmethod(TestExitCodes._exit)
+    BLANK_B = "case_id,reference,score,predicted,sg_site\na,positive,0.9,1,x\nb,positive,,1,x\nc,negative,0.2,0,y\n" \
+              "d,negative,0.6,1,y\n"
+    COSTS = ["--cost-fp", 1, "--cost-fn", 5, "--assumed-prevalence", 0.1]
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--out-dir"], ["subsets", "--attribute", "site", "--out-dir"], ["resample", "--metric", "recall",
+        "--out"], ["scle", "sample", "--n-fp", 1, "--out-dir"]], ids=["evaluate", "subsets", "resample", "scle-sample"])
+    def test_a_threshold_needs_every_case_scored_in_every_command(self, command, capsys, tmp_path):
+        data, out = tmp_path / "d.csv", tmp_path / "out"
+        data.write_text(self.BLANK_B)
+        code, error = self._exit([*command[:-1], "--input", data, "--threshold", 0.5, command[-1], out], capsys)
+        assert (code, error["message"]) == (2, "case 'b' has no score; cannot apply a threshold")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("selection, file, message", [
+        (["--k", 1], BLANK_B, "case 'b' has no score"),
+        (COSTS, BLANK_B, "case 'b' has no score"),
+        (["--threshold", 0.5], "case_id,reference,predicted\np,positive,1\nn,negative,0\n", "case 'p' has no score"),
+        (["--threshold", 0.5, "--k", 1], "case_id,reference,predicted\np,positive,1\nn,negative,0\n",
+         "exactly one of threshold/k/cost selection may be given"),
+    ], ids=["k", "costs", "threshold-on-predictions", "two-selectors-on-predictions"])
+    def test_a_selector_on_an_unscored_file_exits_2(self, selection, file, message, capsys, tmp_path):
+        data, out = tmp_path / "d.csv", tmp_path / "out"
+        data.write_text(file)
+        code, error = self._exit(["evaluate", "--input", data, *selection, "--out-dir", out], capsys)
+        assert code == 2 and error["message"].startswith(message), error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--threshold", 0.5, "--k", 1], "exactly one of threshold/k/cost selection may be given"),
+        (["--cost-fp", 1], "cost-based selection needs both --cost-fp and --cost-fn"),
+        (["--cost-fp", 1, "--cost-fn", 5], "cost-based selection needs --assumed-prevalence"),
+        (["--cost-fp", 0, "--cost-fn", 5, "--assumed-prevalence", 0.1], "error costs must be strictly positive"),
+        (["--attest", "bogus=x"], "unknown checklist consideration 'bogus'"),
+        (["--assumed-prevalence", 2], "--assumed-prevalence must be in (0, 1)"),
+        (["--seed", -1], "seed must be an integer in [0, 9223372036854775807], got -1"),
+        (["scle", "sample", "--n-fp", -1], "n_fp must be >= 0"),
+    ], ids=["two-selectors", "one-cost", "costs-without-prevalence", "zero-cost", "bad-attestation",
+            "prevalence-outside-unit-interval", "negative-seed", "scle-negative-request"])
+    def test_a_bad_flag_exits_2_before_the_input_is_read(self, argv, message, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr("rareval.datamodel.ingest", lambda *a, **k: pytest.fail("the input was read"))
+        command, flags = (argv[:2], argv[2:]) if argv[0] == "scle" else (["evaluate"], argv)
+        code, error = self._exit([*command, "--input", tmp_path / "absent.csv", *flags, "--out-dir", tmp_path], capsys)
+        assert code == 2 and error["message"].startswith(message), error
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["scle", "sample", "--n-fp", 1], -1),
+        (["resample", "--metric", "recall"], 2**63),
+    ], ids=["scle-sample", "resample"])
+    def test_a_seed_outside_63_bits_exits_2(self, argv, seed, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("case_id,reference,score,predicted\np,positive,0.9,1\nn,negative,0.1,0\n")
+        code, error = self._exit([*argv, "--input", data, "--seed", seed], capsys)
+        assert (code, error["message"]) == (2, f"seed must be an integer in [0, {2**63 - 1}], got {seed}")
+
+    def test_precision_at_k_reports_ties_straddling_the_cut(self, capsys, tmp_path):
+        data, out = tmp_path / "d.csv", tmp_path / "out"
+        data.write_text("case_id,reference,score\na,positive,0.9\nb,negative,0.5\nc,positive,0.5\nd,negative,0.5\n"
+                        "e,negative,0.1\n")
+        assert main(["evaluate", "--input", str(data), "--k", "2", "--out-dir", str(out), "--reproducible"]) == 0
+        documents = [json.loads((out / name).read_text()) for name in ("metrics.json", "report.json", "outputs.json")]
+        for entries in (documents[0], documents[1]["metrics"], documents[2]["metrics"]):
+            by_name = {m["metric"]: m for m in entries}
+            assert by_name["precision"]["n_effective"] == 4  # the tied cut score predicts 4 cases positive
+            entry = by_name["precision_at_2"]
+            assert (entry["n_effective"], entry["k"], entry["ties_straddle_cut"], entry["n_unlabeled_in_top_k"]) == \
+                (2, 2, True, 0)
+
 class TestHelpGolden:
     def test_every_flag_enumerated(self):
         golden = json.loads((GOLDEN / "cli_flags.json").read_text())

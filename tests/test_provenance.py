@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from rareval import datamodel, design, report, scle, synth
 from rareval.errors import InputError
-from rareval.provenance import canonical_json, derive_seed, read_record, show, strict_json, write_record
+from rareval.provenance import (canonical_json, derive_seed, read_record, replicate_rng, show, strict_json,
+                                write_record)
 
 MASK63 = (1 << 63) - 1
 
@@ -35,10 +36,19 @@ class TestDeriveSeed:
         assert derive_seed(s1, a) != derive_seed(s2, b)
 
     def test_deterministic_and_63_bit(self):
-        for seed in (0, 1, 2**62, -1):
+        for seed in (0, 1, 2**62):
             value = derive_seed(seed, "heterogeneity")
             assert value == derive_seed(seed, "heterogeneity")
             assert 0 <= value <= MASK63
+
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_a_seed_outside_63_bits_is_an_input_error(self, seed):
+        message = f"seed must be an integer in [0, {MASK63}], got {seed}"
+        for draw in (lambda: derive_seed(seed, "scle"), lambda: replicate_rng(seed, 0)):
+            with pytest.raises(InputError) as exc:
+                draw()
+            assert str(exc.value) == message
+        assert derive_seed(MASK63, "scle") != derive_seed(0, "scle")
 
 
 # --- the record reader and writer -------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rareval.datamodel import Dataset, ReferenceLabel
+from rareval.datamodel import Dataset, ReferenceLabel, apply_threshold, confusion_cells
 from rareval.errors import InputError
 from rareval.provenance import canonical_json
 from rareval.scle import (
@@ -26,6 +26,7 @@ from rareval.scle import (
     ingest_annotations,
 )
 from rareval.scle import _largest_remainder
+from rareval.synth import PopulationSpec, generate
 
 import reference_loops as ref
 from conftest import make_case
@@ -130,6 +131,15 @@ class TestDrawSample:
         for cell in ("FP", "FN", "TP"):
             bins = [int(r.strata["boundary_bin"].removeprefix("bin_")) for r in sample.rows if r.cell == cell]
             assert all(0 <= b < 2**62 for b in bins) and len(set(bins)) == len(bins)  # more bins than cases
+
+    def test_the_farthest_bin_is_the_largest_number_past_six_digits(self):
+        ds = apply_threshold(generate(PopulationSpec(n=3000, prevalence=0.05, seed=3)).dataset, 0.7)
+        sample = draw_sample(ds, ScleConfig(n_fp=5, boundary_bins=2_000_000, seed=1))
+        cols, fp = ds.columns, confusion_cells(ds) == 1  # codes order the cells TP, FP, FN, TN
+        farthest = cols.case_id[fp][np.argmax(np.abs(cols.score[fp] - 0.7))]
+        top = max((r for r in sample.rows if r.cell == "FP"), key=lambda r: int(r.strata["boundary_bin"][4:]))
+        assert top.case_id == farthest and int(top.strata["boundary_bin"][4:]) >= 10**6
+        assert sample == ref.draw_sample(ds, ScleConfig(n_fp=5, boundary_bins=2_000_000, seed=1))
 
     def test_boundary_bins_need_scores(self):
         ds = labeled_dataset(scores=False)

@@ -123,24 +123,26 @@ def _record(cls, args, values: dict, source: str | None = None):
 
 
 def _load_config_file(path: str) -> dict:
-    """JSON config, or simple ``key = value`` lines with JSON-typed values."""
+    """JSON config, or simple ``key = value`` lines with JSON-typed values; a ``#`` outside a value starts a comment."""
     with _user_file(path):
         text = Path(path).read_text(encoding="utf-8")
         if text.lstrip().startswith("{"):
             return strict_json(text)
-    config: dict = {}
+    config, decoder = {}, json.JSONDecoder()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        key, equals, value = raw_line.partition("=")
+        if "#" in key or not equals:  # a comment or a blank line, else no setting
+            if raw_line.split("#", 1)[0].strip():
+                raise InputError(f"{path}:{lineno}: expected 'key = value'")
             continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        value = value.strip()
-        try:
-            config[key.strip()] = json.loads(value)
+        key, value = key.strip(), value.strip()
+        try:  # a JSON value, then at most a comment: a "#" inside the value is part of it
+            config[key], end = decoder.raw_decode(value)
+            if value[end:].strip()[:1] in ("", "#"):
+                continue
         except (ValueError, RecursionError):  # also an over-long integer or too deep a nesting
-            config[key.strip()] = value.strip("\"'")
+            pass
+        config[key] = value.split("#", 1)[0].strip().strip("\"'")  # anything else is text
     return config
 
 
@@ -345,9 +347,9 @@ def _cmd_scle_sample(args) -> int:
     sample = scle.draw_sample(ds, config)
     out_dir = Path(args.out_dir)
     document = sample.to_json_dict()
-    _write_json(out_dir / "scle_sample.json", document)
     context = tuple(args.context_fields.split(",")) if args.context_fields else ()
-    with _user_file(out_dir / "review_sheet.csv", OSError):
+    with _user_file(out_dir / "review_sheet.csv", OSError):  # first, so that a refused sheet leaves no sample
+        out_dir.mkdir(parents=True, exist_ok=True)
         sheet_path = scle.emit_review_sheet(
             sample,
             ds,
@@ -355,6 +357,7 @@ def _cmd_scle_sample(args) -> int:
             path=out_dir / "review_sheet.csv",
             generated_at="reproducible" if args.reproducible else _now(),
         )
+    _write_json(out_dir / "scle_sample.json", document)
     _print_json(
         {
             "sample": str(out_dir / "scle_sample.json"),

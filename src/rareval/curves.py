@@ -24,6 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import datamodel
 from .datamodel import POSITIVE, Dataset, _chunks
 from .errors import InputError
 from .provenance import slot_fields
@@ -111,11 +112,8 @@ def pr_curve(dataset: Dataset) -> Curve:
     """
     cols = dataset.columns
     labeled = np.flatnonzero(cols.evaluable)
-    unscored = np.flatnonzero(np.isnan(cols.score[labeled]))
-    if unscored.size:
-        missing = cols.case_id[labeled[unscored[0]]]
-        raise InputError(f"case {missing!r} has no score; curves need a fully scored dataset")
-    labeled = labeled[np.argsort(-cols.score[labeled], kind="stable")]  # descending score
+    scores = datamodel.scores_of(dataset, labeled, "curves need a fully scored dataset")
+    labeled = labeled[np.argsort(-scores, kind="stable")]  # descending score
     scores, positive, weights = cols.score[labeled], cols.reference[labeled] == POSITIVE, cols.weight[labeled]
     if positive.all() or not positive.any():
         raise InputError("curves need at least one positive and one negative control")

@@ -66,11 +66,11 @@ class ReferenceLabel(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class EvaluationCase:
-    """One evaluated data point.
+    """One evaluated data point, as a plain record; a :class:`Dataset` built from cases checks their values.
 
-    At least one of ``score`` (higher = more positive) and ``predicted`` must
-    be present; ``repeated_labels``, when present, holds the binary labels of
-    repeated executions of a nondeterministic classifier.
+    ``score`` is higher for more positive; ``repeated_labels``, when present,
+    holds the binary labels of repeated executions of a nondeterministic
+    classifier.
     """
 
     case_id: str
@@ -81,15 +81,6 @@ class EvaluationCase:
     stratum_id: str | None = None
     subgroups: Mapping[str, str] = field(default_factory=dict)
     repeated_labels: tuple[bool, ...] | None = None
-
-    def __post_init__(self):
-        if self.score is None and self.predicted is None:
-            raise InputError(f"case {self.case_id!r}: needs a score or a predicted label")
-        if self.score is not None and not math.isfinite(self.score):
-            raise InputError(f"case {self.case_id!r}: score must be finite")
-        if self.repeated_labels is not None and len(self.repeated_labels) == 0:
-            raise InputError(f"case {self.case_id!r}: repeated_labels must be non-empty when present")
-        object.__setattr__(self, "subgroups", dict(self.subgroups))
 
     @property
     def evaluable(self) -> bool:
@@ -297,11 +288,11 @@ def _row_values(columns: CaseColumns, design: tuple[StratumSpec, ...], rows: sli
     score = c.score[rows].astype(object)
     score[np.isnan(c.score[rows])] = None
     named = list(zip(c.subgroup_names, c.subgroup_categories))
-    # one shared empty dict, and no per-row lists, when there are no subgroups or runs
+    # no per-row lists when there are no subgroups or runs; each row still owns its dict
     subgroups = [
         {name: values[k] for (name, values), k in zip(named, row) if k >= 0}
         for row in c.subgroups[rows].tolist()
-    ] if named else [{}] * n
+    ] if named else [{} for _ in range(n)]
     runs = [
         tuple(_FLAG[label] for label in row if label >= 0) or None for row in c.runs[rows].tolist()
     ] if c.runs.size else [None] * n
@@ -331,12 +322,16 @@ class Dataset:
                  metadata: Mapping[str, object] | None = None):
         cases = tuple(cases)
         values = {name: [getattr(c, name) for c in cases] for name in EvaluationCase.__slots__}
-        duplicates = _duplicate_ids(values["case_id"], range(1, len(cases) + 1))
-        if duplicates:
-            raise InputError(duplicates[0])
         values["reference"] = list(map(_REFERENCE_CODE.__getitem__, values["reference"]))
+        fields, problems = _case_fields(**values), []
+        empty_runs = np.fromiter((r is not None and not len(r) for r in values["repeated_labels"]), bool, len(cases))
+        checks = _value_checks(fields["case_id"], _of((_NONE,), values["score"]), fields["score"],
+                               fields["predicted"] < 0, empty_runs)
+        _report_rows(checks, range(1, len(cases) + 1), fields["case_id"], [], problems)
+        if problems:  # the first, as a reader would report it by row
+            raise InputError(problems[0])
         self._design = tuple(design)
-        self._columns = _build_columns(self._design, **_case_fields(**values))  # runs the design checks
+        self._columns = _build_columns(self._design, **fields)  # runs the design checks
         self._metadata = dict(metadata or {})
         self._cases: tuple[EvaluationCase, ...] | None = cases
 
@@ -396,19 +391,28 @@ class Dataset:
         return Dataset(cases, self._design, self._metadata)
 
 
-def apply_threshold(dataset: Dataset, threshold: float) -> Dataset:
-    """Set ``predicted = (score >= threshold)`` on every case.
+def scores_of(dataset: Dataset, rows: np.ndarray, purpose: str) -> np.ndarray:
+    """``score[rows]`` (indices or a mask); the one score rule: an error naming the first of ``rows`` without one."""
+    cols = dataset.columns
+    scores = cols.score[rows]
+    unscored = np.flatnonzero(np.isnan(scores))
+    if unscored.size:
+        raise InputError(f"case {cols.case_id[rows][unscored[0]]!r} has no score; {purpose}")
+    return scores
 
-    Ties at the threshold are predicted positive, which keeps precision@k
-    consistent under score ties. Original scores are retained; reference
-    labels (including ambiguous/excluded) are untouched. Every column but
-    ``predicted`` is shared with ``dataset``.
+
+def apply_threshold(dataset: Dataset, threshold: float) -> Dataset:
+    """Set ``predicted = (score >= threshold)`` on every scored case.
+
+    Every case but an excluded one needs a score. Ties at the threshold are
+    predicted positive, which keeps precision@k consistent under score ties.
+    Original scores are retained, and an excluded case without a score keeps
+    its ``predicted``; reference labels (including ambiguous/excluded) are
+    untouched. Every column but ``predicted`` is shared with ``dataset``.
     """
     cols = dataset.columns
-    unscored = np.flatnonzero(np.isnan(cols.score))
-    if unscored.size:
-        raise InputError(f"case {cols.case_id[unscored[0]]!r} has no score; cannot apply a threshold")
-    predicted = (cols.score >= threshold).astype(np.int8)
+    scores_of(dataset, cols.reference != EXCLUDED, "cannot apply a threshold")
+    predicted = np.where(np.isnan(cols.score), cols.predicted, cols.score >= threshold).astype(np.int8)
     return Dataset._from_columns(replace(cols, predicted=predicted), dataset.design, dataset.metadata)
 
 
@@ -550,11 +554,13 @@ def _reference_problem(value) -> str:
         return f"field 'reference': {exc}"
 
 
-def _value_checks(case_id: Sequence[str], no_score: np.ndarray, score: np.ndarray, unpredicted: np.ndarray) -> list:
-    """The rules every reader applies to a case's values, as :func:`_report_rows` checks."""
+def _value_checks(case_id: Sequence[str], no_score: np.ndarray, score: np.ndarray, unpredicted: np.ndarray,
+                  empty_runs: np.ndarray) -> list:
+    """The rules every reader and ``Dataset(cases)`` apply to a case's values, as :func:`_report_rows` checks."""
     return [
         (no_score & unpredicted, lambda i: f"case {case_id[i]!r}: needs a score or a predicted label"),
         (~no_score & ~np.isfinite(score), lambda i: f"case {case_id[i]!r}: score must be finite"),
+        (empty_runs, lambda i: f"case {case_id[i]!r}: repeated_labels must be non-empty when present"),
     ]
 
 
@@ -644,7 +650,7 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
         (_blank(ids), lambda i: "field 'case_id': missing"),
         (reference == _BAD, lambda i: _reference_problem(raw["reference"][i])),
         (unreadable, lambda i: f"field 'score': not a real number: {show(raw['score'][i])}"),
-        *_value_checks(ids, no_score, score, flags["predicted"] < 0),
+        *_value_checks(ids, no_score, score, flags["predicted"] < 0, np.zeros(n, dtype=bool)),
     ]
     _report_rows(checks, numbers, ids, found, problems)
     return dict(
@@ -724,8 +730,7 @@ def _read_jsonl(path: Path, problems: list[str]) -> dict:
         (~_of((str, _NONE), strata), lambda i: "field 'stratum_id': expected a string"),
         (~_of((bool, _NONE), predicted), lambda i: "field 'predicted': expected a boolean"),
         (~_of((bool, _NONE), benchmark), lambda i: "field 'benchmark_predicted': expected a boolean"),
-        *_value_checks(ids, no_score, score, _of((_NONE,), predicted)),
-        (empty_runs, lambda i: f"case {ids[i]!r}: repeated_labels must be non-empty when present"),
+        *_value_checks(ids, no_score, score, _of((_NONE,), predicted), empty_runs),
     ]
     _report_rows(checks, numbers, ids, found, problems)
     # values with problems are not fit to convert, and ingest reports the problems

@@ -231,11 +231,7 @@ def precision_at_k(dataset: Dataset, k: int, ci_level: float = 0.95) -> Precisio
         raise InputError("k must be a positive integer")
     cols = dataset.columns
     scored = np.flatnonzero(cols.reference != EXCLUDED)
-    scores = cols.score[scored]
-    unscored = np.flatnonzero(np.isnan(scores))
-    if unscored.size:
-        missing = cols.case_id[scored[unscored[0]]]
-        raise InputError(f"case {missing!r} has no score; precision@k needs a fully scored dataset")
+    scores = datamodel.scores_of(dataset, scored, "precision@k needs a fully scored dataset")
     if k > len(scored):
         raise InputError(f"k={k} exceeds the {len(scored)} scorable cases")
 

@@ -205,12 +205,13 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
             )
     threshold = 0.0
     if config.boundary_bins is not None:
-        unscored = evaluable[np.isnan(cols.score[evaluable])]
-        if unscored.size:
-            raise InputError(f"boundary_bins requires scored cases; case {cols.case_id[unscored[0]]!r} has no score")
+        datamodel.scores_of(dataset, evaluable, "boundary_bins requires scored cases")
         # the threshold in effect: the lowest score among predicted positives
         positive = cols.score[(cols.predicted == 1) & ~np.isnan(cols.score)]
         threshold = float(positive.min()) if positive.size else 0.0
+    for attr in config.substratify_by:
+        if attr not in cols.subgroup_names:
+            raise InputError(f"attribute {attr!r} is absent from every case")
 
     if config.benchmark_mode:
         cell_names = by_code = BENCHMARK_CELLS
@@ -333,16 +334,18 @@ def emit_review_sheet(
 
     A three-line comment header records the seed, the sample's config hash,
     and the generation timestamp; ingestion verifies the hash so annotations
-    cannot be applied to the wrong sample.
+    cannot be applied to the wrong sample. A context field that repeats a
+    sheet column is refused before anything is written, as ingestion would
+    refuse the sheet.
     """
     cols, metadata = dataset.columns, dataset.metadata
     for fieldname in context_fields:
-        if (
-            fieldname not in cols.subgroup_names
-            and fieldname not in metadata
-            and fieldname not in ("score", "stratum_id")
-        ):
+        if fieldname not in (*cols.subgroup_names, *metadata, "score", "stratum_id"):
             raise InputError(f"unknown context field {fieldname!r}")
+    header = ["case_id", "cell", "benchmark_cell", *context_fields, *SHEET_COLUMNS_FIXED]
+    repeated = [column for column in header if header.count(column) > 1]
+    if repeated:  # scle ingest would refuse the sheet
+        raise InputError(f"context fields repeat review sheet column(s): {repeated}")
     rows = cols.rows_of([row.case_id for row in sample.rows])
     missing = np.flatnonzero(rows < 0)
     if missing.size:
@@ -362,7 +365,7 @@ def emit_review_sheet(
         fh.write(f"# config_hash: {sample.config_hash}\n")
         fh.write(f"# generated_at: {generated_at or 'unspecified'}\n")
         writer = csv.writer(fh, lineterminator="\n")  # LF, like the # lines
-        writer.writerow(["case_id", "cell", "benchmark_cell", *context_fields, *SHEET_COLUMNS_FIXED])
+        writer.writerow(header)
         writer.writerows(
             [row.case_id, row.cell, row.benchmark_cell or "", *values, *[""] * len(SHEET_COLUMNS_FIXED)]
             for row, *values in zip(sample.rows, *map(context, context_fields))

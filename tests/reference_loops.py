@@ -6,11 +6,12 @@ The point-by-point sweep readers (``curve_to_csv``, ``auc``,
 ``select_operating_point``) walk a list of ``CurvePoint`` the same way.
 The per-row ingest (``ingest`` and the ``Dataset`` checks it ends with)
 builds one ``EvaluationCase`` per row, as ingest did before the columns
-became the dataset's storage. The per-case consumers at the end (subset
-breakdown, stability, SCLE sampling, review sheet and verdicts, synth and
-emit) are the case loops those modules ran before they read columns. They
-stay here, outside the package, as the oracle the vectorised paths are
-compared against. The scipy formulas for the size-study mid-p test and the
+became the dataset's storage; it states the case rules itself
+(``case_problem``), since a case is a plain record. The per-case consumers
+at the end (subset breakdown, stability, SCLE sampling, review sheet and
+verdicts, synth and emit) are the case loops those modules ran before they
+read columns. They stay here, outside the package, as the oracle the
+vectorised paths are compared against. The scipy formulas for the size-study mid-p test and the
 chi-squared tail are the oracle for the closed forms that replaced them.
 """
 
@@ -340,6 +341,17 @@ def _shown(value) -> str:
     return repr(value) if isinstance(value, str) else json.dumps(value)
 
 
+def case_problem(case_id: str, score: float | None, predicted: bool | None, repeated_labels) -> str | None:
+    """The first rule a case's values break, None when they keep them all."""
+    if score is None and predicted is None:
+        return f"case {case_id!r}: needs a score or a predicted label"
+    if score is not None and not math.isfinite(score):
+        return f"case {case_id!r}: score must be finite"
+    if repeated_labels is not None and len(repeated_labels) == 0:
+        return f"case {case_id!r}: repeated_labels must be non-empty when present"
+    return None
+
+
 def _case_from_record(record: dict, *, row: int, problems: list[str]) -> EvaluationCase | None:
     def fail(msg: str) -> None:
         problems.append(f"row {row}: {msg}")
@@ -395,20 +407,20 @@ def _case_from_record(record: dict, *, row: int, problems: list[str]) -> Evaluat
             fail(f"field {fieldname!r}: expected a boolean")
             return None
 
-    try:
-        return EvaluationCase(
-            case_id=str(case_id),
-            reference=reference,
-            score=score,
-            predicted=record.get("predicted"),
-            benchmark_predicted=record.get("benchmark_predicted"),
-            stratum_id=record.get("stratum_id"),
-            subgroups={str(k): str(v) for k, v in subgroups.items() if v is not None},
-            repeated_labels=repeated,
-        )
-    except InputError as exc:
-        fail(str(exc))
+    problem = case_problem(str(case_id), score, record.get("predicted"), repeated)
+    if problem is not None:
+        fail(problem)
         return None
+    return EvaluationCase(
+        case_id=str(case_id),
+        reference=reference,
+        score=score,
+        predicted=record.get("predicted"),
+        benchmark_predicted=record.get("benchmark_predicted"),
+        stratum_id=record.get("stratum_id"),
+        subgroups={str(k): str(v) for k, v in subgroups.items() if v is not None},
+        repeated_labels=repeated,
+    )
 
 
 def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, EvaluationCase]]:
@@ -494,6 +506,10 @@ def _ingest_jsonl_rows(path: Path, problems: list[str]) -> list[tuple[int, Evalu
 
 def check_dataset(cases: tuple[EvaluationCase, ...], design: tuple[StratumSpec, ...]) -> None:
     """The case-by-case checks ``Dataset(cases, design)`` made, in their order."""
+    for i, case in enumerate(cases):
+        problem = case_problem(case.case_id, case.score, case.predicted, case.repeated_labels)
+        if problem is not None:
+            raise InputError(f"row {i + 1}: {problem}")
     seen: dict[str, int] = {}
     for i, case in enumerate(cases):
         if case.case_id in seen:
@@ -688,7 +704,10 @@ def draw_sample(dataset: Dataset, config: scle.ScleConfig) -> scle.ScleSample:
                 raise InputError(f"benchmark_mode requires benchmark labels; case {case.case_id!r} has none")
     if config.boundary_bins is not None and any(c.score is None for c in evaluable):
         missing = next(c.case_id for c in evaluable if c.score is None)
-        raise InputError(f"boundary_bins requires scored cases; case {missing!r} has no score")
+        raise InputError(f"case {missing!r} has no score; boundary_bins requires scored cases")
+    for attr in config.substratify_by:
+        if not any(attr in c.subgroups for c in dataset.cases):
+            raise InputError(f"attribute {attr!r} is absent from every case")
 
     if config.benchmark_mode:
         cell_names: tuple[str, ...] = scle.BENCHMARK_CELLS
@@ -752,13 +771,17 @@ def emit_review_sheet(sample, dataset, context_fields=(), path="review_sheet.csv
     for fieldname in context_fields:
         if fieldname not in known_subgroups and fieldname not in metadata and fieldname not in ("score", "stratum_id"):
             raise InputError(f"unknown context field {fieldname!r}")
+    header = ["case_id", "cell", "benchmark_cell", *context_fields, *scle.SHEET_COLUMNS_FIXED]
+    repeated = [column for column in header if header.count(column) > 1]
+    if repeated:
+        raise InputError(f"context fields repeat review sheet column(s): {repeated}")
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# seed: {sample.seed}\n")
         fh.write(f"# config_hash: {sample.config_hash}\n")
         fh.write(f"# generated_at: {generated_at or 'unspecified'}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["case_id", "cell", "benchmark_cell", *context_fields, *scle.SHEET_COLUMNS_FIXED])
+        writer.writerow(header)
         for row in sample.rows:
             case = by_id.get(row.case_id)
             if case is None:

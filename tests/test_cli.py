@@ -308,6 +308,18 @@ class TestOperatingPoint:
         assert code == 2 and error["message"].startswith(message), error
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--k", 1], ["evaluate", "--threshold", 0.5], ["evaluate", *COSTS],
+        ["subsets", "--attribute", "site", "--threshold", 0.5],
+    ], ids=["k", "threshold", "costs", "subsets"])
+    def test_an_excluded_case_needs_no_score(self, argv, tmp_path):
+        data, out = tmp_path / "d.csv", tmp_path / "out"
+        data.write_text("case_id,reference,score,predicted,sg_site\na,positive,0.9,,n\nb,negative,0.2,,s\n"
+                        "x,excluded,,1,n\n")
+        assert main([str(a) for a in [*argv, "--input", data, "--out-dir", out]]) == 0
+        if argv[0] == "evaluate":
+            assert json.loads((out / "report.json").read_text())["dataset"]["n_excluded"] == 1
+
     @pytest.mark.parametrize("argv, message", [
         (["--threshold", 0.5, "--k", 1], "exactly one of threshold/k/cost selection may be given"),
         (["--cost-fp", 1], "cost-based selection needs both --cost-fp and --cost-fn"),
@@ -383,6 +395,19 @@ class TestSynthCommand:
         assert (printed["n_population"], printed["seed"]) == (40, 7)
         design = json.loads((tmp_path / "s.csv.design.json").read_text(encoding="utf-8"))["design"]
         assert [stratum["stratum_id"] for stratum in design] == ["enriched_negative", "rest"]
+
+    def test_a_hash_inside_a_json_value_is_part_of_it(self, tmp_path, capsys):
+        enrichment = [{"select": "negative", "inclusion_probability": 0.5, "stratum_id": "neg#1"}]
+        (tmp_path / "spec.json").write_text(json.dumps({"n": 200, "prevalence": 0.2, "enrichment": enrichment}))
+        (tmp_path / "spec.cfg").write_text(
+            f"# a comment = no setting\nn = 200  # rows\nprevalence = 0.2\n"
+            f"enrichment = {json.dumps(enrichment)}  # one rule\n"
+        )
+        for name in ("spec.json", "spec.cfg"):
+            assert main(["synth", "--spec", str(tmp_path / name), "--out", str(tmp_path / f"{name}.csv")]) == 0
+            assert json.loads(capsys.readouterr().out.splitlines()[-1])["n_population"] == 200
+        for suffix in (".csv", ".csv.design.json"):
+            assert (tmp_path / f"spec.json{suffix}").read_bytes() == (tmp_path / f"spec.cfg{suffix}").read_bytes()
 
     def test_writes_dataset_and_truth_sidecar(self, synth_dataset):
         assert synth_dataset.exists()
@@ -535,6 +560,20 @@ class TestScleWorkflow:
         )
         assert revised.exists()
 
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--context-fields", "score,score"], "context fields repeat review sheet column(s): ['score', 'score']"),
+        (["--context-fields", "note"], "context fields repeat review sheet column(s): ['note', 'note']"),
+        (["--substratify-by", "sitee"], "attribute 'sitee' is absent from every case"),
+    ], ids=["repeated-field", "fixed-column", "misspelt-attribute"])
+    def test_a_sample_that_scle_ingest_would_refuse_is_not_written(self, flags, message, capsys, tmp_path):
+        data, out = tmp_path / "d.csv", tmp_path / "out"
+        data.write_text("case_id,reference,score,sg_note,sg_site\na,positive,0.9,x,n\nb,negative,0.7,y,s\n"
+                        "c,negative,0.2,y,n\n")
+        argv = ["scle", "sample", "--input", data, "--threshold", 0.5, "--n-fp", 1, "--n-tp", 1, *flags,
+                "--out-dir", out]
+        assert TestExitCodes._exit(argv, capsys) == (2, {"exit_code": 2, "type": "input", "message": message})
+        assert not (out / "scle_sample.json").exists() and not (out / "review_sheet.csv").exists()
 
     @pytest.mark.parametrize("second", ["negative", "positive"])
     def test_apply_rejects_conflicting_verdicts_and_counts_what_it_applied(self, second, tmp_path, capsys):

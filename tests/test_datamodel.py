@@ -23,11 +23,11 @@ from conftest import make_case
 class TestCaseInvariants:
     def test_needs_score_or_prediction(self):
         with pytest.raises(InputError, match="score or a predicted"):
-            EvaluationCase(case_id="x", reference=ReferenceLabel.POSITIVE)
+            Dataset([EvaluationCase(case_id="x", reference=ReferenceLabel.POSITIVE)])
 
     def test_empty_repeated_labels_rejected(self):
         with pytest.raises(InputError, match="repeated_labels"):
-            make_case("x", "positive", predicted=True, repeated_labels=())
+            Dataset([make_case("x", "positive", predicted=True, repeated_labels=())])
 
     def test_reference_parse_case_insensitive(self):
         assert ReferenceLabel.parse("Positive") is ReferenceLabel.POSITIVE

@@ -249,13 +249,22 @@ class TestIngestMatchesRowOracle:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.sampled_from([None, "s1", "s2", "zz"])),
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d"]),
+                st.sampled_from([None, "s1", "s2", "zz"]),
+                st.sampled_from([0.5, None, float("inf"), float("nan")]),  # score
+                st.sampled_from([True, None]),  # predicted
+                st.sampled_from([None, (True, False), ()]),  # repeated_labels
+            ),
             max_size=6,
         ),
         st.lists(st.sampled_from(["s1", "s2"]), max_size=3),
     )
     def test_dataset_checks(self, rows, strata):
-        cases = [make_case(f"{cid}{i % 2}", "positive", predicted=True, stratum_id=s) for i, (cid, s) in enumerate(rows)]
+        cases = [
+            make_case(f"{cid}{i % 2}", "positive", score=score, predicted=predicted, stratum_id=s, repeated_labels=runs)
+            for i, (cid, s, score, predicted, runs) in enumerate(rows)
+        ]
         design = [StratumSpec(s, 0.5) for s in strata]
         try:
             ref.check_dataset(tuple(cases), tuple(design))
@@ -331,8 +340,14 @@ class TestColumnsAreTheStorage:
     def test_apply_threshold_names_first_unscored_case(self):
         ds = Dataset([make_case("a", "positive", score=0.4), make_case("b", "excluded", predicted=True),
                       make_case("c", "negative", predicted=False)])
-        with pytest.raises(InputError, match="case 'b' has no score; cannot apply a threshold"):
+        with pytest.raises(InputError, match="case 'c' has no score; cannot apply a threshold"):
             apply_threshold(ds, 0.5)
+
+    def test_apply_threshold_keeps_the_prediction_of_an_excluded_unscored_case(self):
+        ds = Dataset([make_case("a", "positive", score=0.9), make_case("b", "negative", score=0.2),
+                      make_case("x", "excluded", predicted=True), make_case("y", "excluded", predicted=False),
+                      make_case("z", "excluded", score=0.7, predicted=False)])
+        assert [c.predicted for c in apply_threshold(ds, 0.5).cases] == [True, False, True, False, True]
 
     def test_cases_round_trip_to_an_equal_dataset(self, enriched_csv):
         ds = ingest(enriched_csv)
@@ -406,8 +421,8 @@ class TestColumnsAreTheStorage:
         annotations = tmp_path / "annotations.json"
         annotations.write_text(canonical_json({"kind": "scle_annotations", "annotations": verdicts}))
         built = []
-        post_init = EvaluationCase.__post_init__
-        monkeypatch.setattr(EvaluationCase, "__post_init__", lambda self: (built.append(1), post_init(self)))
+        init = EvaluationCase.__init__
+        monkeypatch.setattr(EvaluationCase, "__init__", lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1])
         for i, flags in enumerate((
             ["--threshold", "0.5"],
             ["--k", "30"],

@@ -14,14 +14,12 @@ import argparse
 import contextlib
 import dataclasses
 import gc
-import hashlib
 import json
 import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +27,7 @@ import numpy as np
 # imported as modules, not names: calls go through module attributes, which a
 # test or a tracer may replace.
 from .errors import PARSE_ERRORS, EvaluationError, InfeasibleError, InputError
-from .provenance import canonical_json, config_hash, derive_seed, strict_json, write_record
+from .provenance import canonical_json, config_hash, derive_seed, strict_json, unicode_text, write_file, write_record
 
 
 # The full threshold sweep; reports name it with its sha256 and embed a bounded part.
@@ -58,31 +56,12 @@ def _default_out_dir() -> str:
 
 
 @contextlib.contextmanager
-def _user_file(path, errors=PARSE_ERRORS):
-    """Report a user-named file that cannot be read, parsed or written as bad input (exit 2).
-
-    Only the statements that touch the file go inside.
-    """
+def _user_file(path):
+    """Report a user-named file that cannot be read or parsed as bad input (exit 2); only the reading goes inside."""
     try:
         yield
-    except errors as exc:
+    except PARSE_ERRORS as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
-
-
-def _write(path: Path, content: str | Iterable[bytes]) -> str:
-    """Write text, or UTF-8 chunks as they come, untranslated; returns the sha256 of the bytes written."""
-    digest = hashlib.sha256()
-    with _user_file(path, OSError):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            for chunk in [content.encode("utf-8")] if isinstance(content, str) else content:
-                digest.update(chunk)
-                fh.write(chunk)
-    return digest.hexdigest()
-
-
-def _write_json(path: Path, obj) -> str:
-    return _write(path, canonical_json(obj))
 
 
 def _print_json(obj) -> None:
@@ -200,7 +179,8 @@ def _cmd_evaluate(args) -> int:
 
     outputs = report.EvaluationOutputs(seed=args.seed, config_hash=config_hash(run_config))
     outputs.attestations = _parse_attestations(args.attest)
-    outputs.enrichment_justification = args.enrichment_justification
+    outputs.enrichment_justification = args.enrichment_justification and unicode_text(
+        args.enrichment_justification, "--enrichment-justification")
     outputs.assumed_deployment_prevalence = args.assumed_prevalence
 
     ds = datamodel.ingest(args.input, args.format)
@@ -245,7 +225,7 @@ def _cmd_evaluate(args) -> int:
     if scored:
         sweep = sweep if sweep is not None else curves.pr_curve(ds)
         outputs.curve_n_points = len(sweep)
-        sha256 = _write(out_dir / CURVE_FILE, curves.curve_csv_chunks(sweep))
+        sha256 = write_file(out_dir / CURVE_FILE, curves.curve_csv_chunks(sweep))
         outputs.curve_file = {"path": CURVE_FILE, "sha256": sha256}
         outputs.curve_points = [p.to_json_dict() for p in curves.report_points(sweep, threshold)]
         outputs.auc_value = curves.auc(sweep)
@@ -266,12 +246,12 @@ def _cmd_evaluate(args) -> int:
         generated_at=None if args.reproducible else _now(),
     )
 
-    _write(out_dir / "report.json", json_text)
-    _write(out_dir / "report.md", md_text)
-    _write_json(out_dir / "metrics.json", metric_entries)
-    _write_json(out_dir / "outputs.json", outputs.to_json_dict())
+    write_file(out_dir / "report.json", json_text)
+    write_file(out_dir / "report.md", md_text)
+    write_file(out_dir / "metrics.json", canonical_json(metric_entries))
+    write_file(out_dir / "outputs.json", canonical_json(outputs.to_json_dict()))
     if scored:
-        _write_json(out_dir / "warnings.json", outputs.warnings)
+        write_file(out_dir / "warnings.json", canonical_json(outputs.warnings))
 
     print(_metrics_table(metric_entries))
     for w in outputs.warnings:
@@ -348,16 +328,9 @@ def _cmd_scle_sample(args) -> int:
     out_dir = Path(args.out_dir)
     document = sample.to_json_dict()
     context = tuple(args.context_fields.split(",")) if args.context_fields else ()
-    with _user_file(out_dir / "review_sheet.csv", OSError):  # first, so that a refused sheet leaves no sample
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sheet_path = scle.emit_review_sheet(
-            sample,
-            ds,
-            context_fields=context,
-            path=out_dir / "review_sheet.csv",
-            generated_at="reproducible" if args.reproducible else _now(),
-        )
-    _write_json(out_dir / "scle_sample.json", document)
+    sheet = out_dir / "review_sheet.csv"  # written first, so that a refused sheet leaves no sample
+    sheet_path = scle.emit_review_sheet(sample, ds, context, sheet, "reproducible" if args.reproducible else _now())
+    write_file(out_dir / "scle_sample.json", canonical_json(document))
     _print_json(
         {
             "sample": str(out_dir / "scle_sample.json"),
@@ -374,7 +347,7 @@ def _cmd_scle_ingest(args) -> int:
     with _user_file(args.sheet):
         annotations = scle.ingest_annotations(args.sheet, sample)
     payload = scle.annotations_to_json_dict(annotations)
-    _write_json(Path(args.out), payload)
+    write_file(args.out, canonical_json(payload))
     _print_json({"annotations": len(annotations), "out": str(args.out)})
     return 0
 
@@ -385,8 +358,8 @@ def _cmd_scle_aggregate(args) -> int:
     annotations = _read_user_file(args.annotations, scle.annotations_from_json_dict)
     summary = scle.aggregate(annotations, sample, seed=args.seed)
     out_dir = Path(args.out_dir)
-    _write_json(out_dir / "scle_summary.json", summary.to_json_dict())
-    _write(out_dir / "scle_summary.md", summary.to_markdown())
+    write_file(out_dir / "scle_summary.json", canonical_json(summary.to_json_dict()))
+    write_file(out_dir / "scle_summary.md", summary.to_markdown())
     _print_json(summary.to_json_dict())
     return 0
 
@@ -396,8 +369,7 @@ def _cmd_scle_apply(args) -> int:
     ds = _load_dataset(args)
     annotations = _read_user_file(args.annotations, scle.annotations_from_json_dict)
     revised = scle.apply_verdicts(ds, annotations)
-    with _user_file(args.out, OSError):
-        written = datamodel.emit(revised, args.out, args.out_format)
+    written = datamodel.emit(revised, args.out, args.out_format)
     _print_json({"written": [str(p) for p in written], "verdicts": revised.metadata["verdicts_applied"]})
     return 0
 
@@ -412,8 +384,8 @@ def _cmd_subsets(args) -> int:
     result = robustness.subset_metrics(ds, args.attribute, metrics=names, seed=args.seed)
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        _write_json(out_dir / f"subsets_{args.attribute}.json", result.to_json_dict())
-        _write(out_dir / f"subsets_{args.attribute}.md", result.to_markdown())
+        write_file(out_dir / f"subsets_{args.attribute}.json", canonical_json(result.to_json_dict()))
+        write_file(out_dir / f"subsets_{args.attribute}.md", result.to_markdown())
     _print_json(result.to_json_dict())
     return 0
 
@@ -423,7 +395,7 @@ def _cmd_stability(args) -> int:
     ds = _load_dataset(args)
     result = robustness.stability(ds)
     if args.out:
-        _write_json(Path(args.out), result.to_json_dict())
+        write_file(args.out, canonical_json(result.to_json_dict()))
     _print_json(result.to_json_dict())
     return 0
 
@@ -435,7 +407,7 @@ def _cmd_resample(args) -> int:
         ds, args.metric, scheme=args.scheme, n=args.n, seed=args.seed
     )
     if args.out:
-        _write_json(Path(args.out), result.to_json_dict())
+        write_file(args.out, canonical_json(result.to_json_dict()))
     _print_json(result.to_json_dict())
     return 0
 
@@ -456,10 +428,8 @@ def _cmd_synth(args) -> int:
     spec = _record(synth.PopulationSpec, args, values, args.spec)
     result = synth.generate(spec)
     truth_path = args.truth_out or f"{args.out}.truth.json"
-    with _user_file(args.out, OSError):
-        written = [str(p) for p in datamodel.emit(result.dataset, args.out, args.format)]
-    with _user_file(truth_path, OSError):
-        result.truth.write(truth_path)
+    written = [str(p) for p in datamodel.emit(result.dataset, args.out, args.format)]
+    result.truth.write(truth_path)
     _print_json(
         {
             "written": written,
@@ -483,8 +453,8 @@ def _cmd_checklist(args) -> int:
     checklist = report.prefill_checklist(outputs)
     payload = [item.to_json_dict() for item in checklist]
     out_dir = Path(args.out_dir)
-    _write_json(out_dir / "checklist.json", payload)
-    _write(out_dir / "checklist.md", "# Evaluation checklist\n\n" + report.checklist_markdown(payload))
+    write_file(out_dir / "checklist.json", canonical_json(payload))
+    write_file(out_dir / "checklist.md", "# Evaluation checklist\n\n" + report.checklist_markdown(payload))
     _print_json({"rows": len(payload), "out": str(out_dir / "checklist.json")})
     return 0
 

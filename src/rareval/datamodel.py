@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import math
 import operator
@@ -31,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PARSE_ERRORS, IngestError, InputError
-from .provenance import canonical_json, read_record, show, slot_fields, strict_json, write_record
+from .provenance import SURROGATE, canonical_json, read_record, show, slot_fields, strict_json, write_file, write_record
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
 
@@ -282,6 +283,12 @@ def _chunks(n: int) -> list[slice]:
     return [slice(start, start + _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)]
 
 
+def _csv_text(rows: Iterable[Sequence], **dialect) -> str:
+    """``rows`` as ``csv.writer`` writes them (CRLF after each by default)."""
+    csv.writer(out := io.StringIO(), **dialect).writerows(rows)
+    return out.getvalue()
+
+
 def _row_values(columns: CaseColumns, design: tuple[StratumSpec, ...], rows: slice) -> list[list]:
     """The :class:`EvaluationCase` fields of ``rows`` as Python values, one list per field."""
     c, n = columns, len(columns.score[rows])
@@ -429,7 +436,7 @@ _NONE, _TEXT = type(None), (str, int, float)  # the JSON values that read as tex
 
 
 def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
-    """Write a dataset to ``path``; returns the files written.
+    """Write a dataset to ``path`` with :func:`provenance.write_file`'s rules; returns the files written.
 
     Rows are formatted from the columns ``_CHUNK_ROWS`` at a time: CSV rows
     end in CRLF and scores are written as ``repr``; a JSONL record holds the
@@ -446,40 +453,35 @@ def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
         header += [f"run_{k + 1}" for k in range(cols.runs.shape[1])]
         labels = tuple(label.value for label in ReferenceLabel)
         strata = (*(s.stratum_id for s in design), "")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for rows in chunks:
-                writer.writerows(zip(
-                    cols.case_id[rows].tolist(),
-                    _decode(cols.reference[rows], labels),
-                    ["" if math.isnan(s) else repr(s) for s in cols.score[rows].tolist()],
-                    _decode(cols.predicted[rows], _FLAG_TEXT),
-                    _decode(cols.benchmark_predicted[rows], _FLAG_TEXT),
-                    _decode(cols.stratum[rows], strata),
-                    *(_decode(codes, (*categories, "")) for codes, categories in zip(
-                        cols.subgroups[rows].T, cols.subgroup_categories
-                    )),
-                    *(_decode(codes, _FLAG_TEXT) for codes in cols.runs[rows].T),
-                ))
+        text = chain([_csv_text([header])], (_csv_text(zip(
+            cols.case_id[rows].tolist(),
+            _decode(cols.reference[rows], labels),
+            ["" if math.isnan(s) else repr(s) for s in cols.score[rows].tolist()],
+            _decode(cols.predicted[rows], _FLAG_TEXT),
+            _decode(cols.benchmark_predicted[rows], _FLAG_TEXT),
+            _decode(cols.stratum[rows], strata),
+            *(_decode(codes, (*categories, "")) for codes, categories in zip(
+                cols.subgroups[rows].T, cols.subgroup_categories
+            )),
+            *(_decode(codes, _FLAG_TEXT) for codes in cols.runs[rows].T),
+        )) for rows in chunks))
     elif format == "jsonl":
         optional = ("score", "predicted", "benchmark_predicted", "stratum_id", "subgroups", "repeated_labels")
-        with open(path, "w", encoding="utf-8") as fh:
-            for rows in chunks:
-                lines = []
-                for case_id, reference, *values in zip(*_row_values(cols, design, rows)):
-                    record = {"case_id": case_id, "reference": reference.value}
-                    record.update((key, v) for key, v in zip(optional, values) if v not in (None, {}))
-                    lines.append(json.dumps(record, sort_keys=True) + "\n")
-                fh.write("".join(lines))
+
+        def lines(rows: slice) -> str:
+            records = [{"case_id": case_id, "reference": reference.value, **{
+                key: v for key, v in zip(optional, values) if v not in (None, {})
+            }} for case_id, reference, *values in zip(*_row_values(cols, design, rows))]
+            return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        text = map(lines, chunks)
     else:
         raise InputError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
 
+    write_file(path, text)
     written = [path]
     if design or design_record.metadata:
-        sidecar = path.with_name(path.name + DESIGN_SIDECAR_SUFFIX)
-        sidecar.write_text(canonical_json(write_record(design_record, "dataset_design")), encoding="utf-8")
-        written.append(sidecar)
+        written.append(path.with_name(path.name + DESIGN_SIDECAR_SUFFIX))
+        write_file(written[-1], canonical_json(write_record(design_record, "dataset_design")))
     return written
 
 
@@ -541,6 +543,14 @@ def _of(types: tuple, values: Sequence) -> np.ndarray:
     if kinds <= types or kinds.isdisjoint(types):  # one answer for every value
         return np.full(len(values), kinds <= types)
     return np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
+
+
+def _unpaired(texts: Sequence) -> np.ndarray:
+    """Mask of the strings in ``texts`` holding a surrogate: one search of them all, then of each if it finds one."""
+    strings = [text if type(text) is str else "" for text in texts]
+    if not SURROGATE.search("".join(strings)):
+        return np.zeros(len(strings), dtype=bool)
+    return np.fromiter(map(bool, map(SURROGATE.search, strings)), bool, len(strings))
 
 
 def _blank(texts: Sequence[str]) -> np.ndarray:
@@ -730,6 +740,9 @@ def _read_jsonl(path: Path, problems: list[str]) -> dict:
         (~_of((str, _NONE), strata), lambda i: "field 'stratum_id': expected a string"),
         (~_of((bool, _NONE), predicted), lambda i: "field 'predicted': expected a boolean"),
         (~_of((bool, _NONE), benchmark), lambda i: "field 'benchmark_predicted': expected a boolean"),
+        *((_unpaired(texts), lambda i, name=name: f"field {name!r}: not Unicode text (unpaired surrogate)")
+          for name, texts in (("case_id", ids), ("stratum_id", strata),
+                              ("subgroups", ["".join(chain(*g.items())) for g in groups] or [""] * n))),
         *_value_checks(ids, no_score, score, _of((_NONE,), predicted), empty_runs),
     ]
     _report_rows(checks, numbers, ids, found, problems)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .provenance import MOST_ARRAY_VALUES, read_record, replicate_rng, slot_fields
+from .provenance import MOST_ARRAY_VALUES, _entropy, read_record, replicate_rng, slot_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +63,7 @@ class PrecisionStudyAssumptions:
             raise InputError("n_replicates must be positive")
         if self.n_replicates > MOST_ARRAY_VALUES:
             raise InputError(f"n_replicates must be at most {MOST_ARRAY_VALUES}, the most values an array can hold")
+        _entropy(self.seed)
 
     @property
     def shared_flag_rate(self) -> float:

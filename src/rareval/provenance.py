@@ -1,4 +1,4 @@
-"""Seed derivation, canonical and strict JSON, the record reader and writer, Markdown tables, and config hashing.
+"""Seeds, canonical and strict JSON, the record reader and writer, Markdown tables, config hashing and the file writer.
 
 Every randomized operation takes an explicit integer seed. A single run-level
 seed fans out to per-module streams via ``derive_seed(seed, label)`` and to
@@ -13,8 +13,10 @@ import enum
 import hashlib
 import json
 import math
+import re
 import types
 from collections.abc import Mapping
+from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints, is_typeddict
 
 import numpy as np
@@ -23,6 +25,7 @@ from .errors import InputError
 
 _MASK63 = (1 << 63) - 1
 MOST_ARRAY_VALUES = np.iinfo(np.intp).max // 8  # the most 8-byte values one numpy array can address
+SURROGATE = re.compile(r"[\ud800-\udfff]")  # a str holds one from a JSON escape or an argument byte that is not UTF-8
 
 
 def _entropy(seed: int) -> int:
@@ -71,6 +74,13 @@ def strict_json(text: str):
         return json.loads(text, parse_float=_finite, parse_constant=_finite)
     except RecursionError as exc:
         raise ValueError(f"JSON nested too deeply: {exc}") from None
+
+
+def unicode_text(text: str, name: str) -> str:
+    """``text`` if it holds no surrogate, which no UTF-8 file can hold; else an :class:`InputError` naming ``name``."""
+    if SURROGATE.search(text):
+        raise InputError(f"{name}: not Unicode text (unpaired surrogate)")
+    return text
 
 
 def show(value) -> str:
@@ -201,3 +211,28 @@ def markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]
 def config_hash(obj) -> str:
     """sha256 hex digest of an object's canonical JSON form."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def write_file(path: str | Path, content: str | Iterable[str | bytes]) -> str:
+    """Write a text, or chunks of text or bytes as they come, to ``path``: the one writer of files.
+
+    Parents are made and text is UTF-8, untranslated; a whole text is encoded before the file is opened. An
+    ``OSError`` or a surrogate is an :class:`InputError` naming the file, and a regular file whose write stopped,
+    for any reason, is removed. Returns the sha256 of the bytes written.
+    """
+    path, digest, opened = Path(path), hashlib.sha256(), False
+    try:
+        chunks = [content.encode("utf-8")] if isinstance(content, str) else content
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            opened = True
+            for chunk in chunks:
+                digest.update(chunk := chunk if isinstance(chunk, bytes) else chunk.encode("utf-8"))
+                fh.write(chunk)
+    except BaseException as exc:
+        if opened and path.is_file():  # a device or a pipe is not removed
+            path.unlink(missing_ok=True)
+        if isinstance(exc, (OSError, UnicodeEncodeError)):
+            raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
+        raise
+    return digest.hexdigest()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .datamodel import Dataset
 from .errors import InputError
-from .provenance import canonical_json, markdown_table, read_record, slot_fields
+from .provenance import canonical_json, markdown_table, read_record, slot_fields, unicode_text
 
 SCHEMA_VERSION = "2"
 
@@ -303,12 +303,13 @@ def _finish(
 
 
 def check_attestations(attestations: dict) -> None:
-    """The attestation rule: each attestation names a checklist row and says something."""
+    """The attestation rule: each attestation names a checklist row and says something in Unicode text."""
     for consideration, text in attestations.items():
         if consideration not in KEY_QUESTIONS:
             raise InputError(f"unknown checklist consideration {consideration!r}")
         if not text.strip():
             raise InputError(f"empty attestation for checklist consideration {consideration!r}")
+        unicode_text(text, f"attestation for checklist consideration {consideration!r}")
 
 
 def prefill_checklist(outputs: EvaluationOutputs) -> list[ChecklistItem]:

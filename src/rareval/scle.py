@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import datamodel, metrics
+from . import datamodel, metrics, provenance
 from .datamodel import CELLS as CONFUSION_CELLS
 from .datamodel import _BAD, Dataset, ReferenceLabel, _decode
 from .errors import IngestError, InputError
@@ -92,6 +92,7 @@ class ScleConfig:
             raise InputError(f"boundary_bins must be at most {np.iinfo(np.int64).max}")
         if not self.disagreement_oversample_factor >= 1.0:  # NaN too
             raise InputError("disagreement_oversample_factor must be >= 1")
+        provenance._entropy(self.seed)
         object.__setattr__(self, "substratify_by", tuple(self.substratify_by))
         if not all(isinstance(attr, str) for attr in self.substratify_by):
             raise InputError(f"substratify_by must name subgroup attributes, got {self.substratify_by!r}")
@@ -258,7 +259,7 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
             keys = list(zip(*parts)) if parts else [()] * pop_size
             chosen = _stratified_choice(keys, requested, bins is not None, rng)
         sample_sizes[cell] = len(chosen)
-        weight = pop_size / len(chosen) if chosen else 0.0
+        weight = float(cols.weight[population].sum()) / len(chosen) if chosen else 0.0  # the design-weighted size
         for i in chosen:
             strata = {attr: values[i] for attr, values in zip(config.substratify_by, labels)}
             if bins is not None:
@@ -359,18 +360,13 @@ def emit_review_sheet(
             return _decode(cols.stratum[rows], (*(s.stratum_id for s in dataset.design), ""))
         return cols.categories_of(fieldname, str(metadata.get(fieldname, "")))[rows].tolist()
 
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# seed: {sample.seed}\n")
-        fh.write(f"# config_hash: {sample.config_hash}\n")
-        fh.write(f"# generated_at: {generated_at or 'unspecified'}\n")
-        writer = csv.writer(fh, lineterminator="\n")  # LF, like the # lines
-        writer.writerow(header)
-        writer.writerows(
-            [row.case_id, row.cell, row.benchmark_cell or "", *values, *[""] * len(SHEET_COLUMNS_FIXED)]
-            for row, *values in zip(sample.rows, *map(context, context_fields))
-        )
-    return path
+    sheet = datamodel._csv_text([header, *(
+        [row.case_id, row.cell, row.benchmark_cell or "", *values, *[""] * len(SHEET_COLUMNS_FIXED)]
+        for row, *values in zip(sample.rows, *map(context, context_fields))
+    )], lineterminator="\n")  # LF, like the # lines
+    provenance.write_file(path, f"# seed: {sample.seed}\n# config_hash: {sample.config_hash}\n"
+                                f"# generated_at: {generated_at or 'unspecified'}\n{sheet}")
+    return Path(path)
 
 
 def ingest_annotations(sheet: str | Path, sample: ScleSample) -> list[ScleAnnotation]:

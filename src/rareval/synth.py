@@ -18,7 +18,7 @@ import numpy as np
 
 from .datamodel import NEGATIVE, POSITIVE, Dataset, StratumSpec, _build_columns, _decode
 from .errors import InfeasibleError, InputError
-from .provenance import MOST_ARRAY_VALUES, canonical_json, read_record, strict_json
+from .provenance import MOST_ARRAY_VALUES, _entropy, canonical_json, read_record, strict_json, write_file
 
 REST_STRATUM_ID = "rest"
 
@@ -72,8 +72,7 @@ class PopulationSpec:
             raise InputError(f"n_runs must be at most {MOST_ARRAY_VALUES // self.n} for n = {self.n}")
         if not (0.0 <= self.flip_probability <= 1.0):
             raise InputError("flip_probability must be in [0, 1]")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
+        _entropy(self.seed)
         object.__setattr__(self, "enrichment", tuple(self.enrichment))
 
     from_dict = classmethod(read_record)
@@ -136,7 +135,7 @@ class TruthSidecar:
             "truth": [bool(t) for t in self.truth.tolist()],
         }
         # sorted keys put "kind" first, inside the window ingest's leakage guard reads
-        path.write_text(canonical_json(payload), encoding="utf-8")
+        write_file(path, canonical_json(payload))
         return path
 
     @classmethod

@@ -741,7 +741,7 @@ def draw_sample(dataset: Dataset, config: scle.ScleConfig) -> scle.ScleSample:
         else:
             chosen = _sample_cell(population, requested, config, ranks, rng)
         sample_sizes[cell] = len(chosen)
-        weight = pop_size / len(chosen) if chosen else 0.0
+        weight = float(np.sum([case_weight(dataset, c) for c in population])) / len(chosen) if chosen else 0.0
         for case in chosen:
             strata = {attr: case.subgroups.get(attr, "unknown") for attr in config.substratify_by}
             if ranks is not None:

@@ -329,8 +329,9 @@ class TestOperatingPoint:
         (["--assumed-prevalence", 2], "--assumed-prevalence must be in (0, 1)"),
         (["--seed", -1], "seed must be an integer in [0, 9223372036854775807], got -1"),
         (["scle", "sample", "--n-fp", -1], "n_fp must be >= 0"),
+        (["scle", "sample", "--n-fp", 1, "--seed", -1], "seed must be an integer in [0, 9223372036854775807], got -1"),
     ], ids=["two-selectors", "one-cost", "costs-without-prevalence", "zero-cost", "bad-attestation",
-            "prevalence-outside-unit-interval", "negative-seed", "scle-negative-request"])
+            "prevalence-outside-unit-interval", "negative-seed", "scle-negative-request", "scle-negative-seed"])
     def test_a_bad_flag_exits_2_before_the_input_is_read(self, argv, message, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr("rareval.datamodel.ingest", lambda *a, **k: pytest.fail("the input was read"))
         command, flags = (argv[:2], argv[2:]) if argv[0] == "scle" else (["evaluate"], argv)

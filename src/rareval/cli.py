@@ -21,8 +21,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 # Each command imports the modules it runs, so a run loads only those. They are
 # imported as modules, not names: calls go through module attributes, which a
 # test or a tracer may replace.
@@ -156,6 +154,8 @@ def _metrics_table(entries: list[dict]) -> str:
 
 
 def _cmd_evaluate(args) -> int:
+    import numpy as np
+
     from . import curves, datamodel, metrics, report
     # every check that needs only the flags runs before the input is read
     if args.assumed_prevalence is not None and not 0.0 < args.assumed_prevalence < 1.0:
@@ -630,10 +630,11 @@ def main(argv: list[str] | None = None) -> int:
     collections a command triggers skip the objects imports made (numpy's
     included). In-process callers pass ``argv`` and keep their heap.
     """
+    args = build_parser().parse_args(argv)  # --help and a flag error exit here, before numpy loads
     if argv is None:
+        import numpy  # loaded before the freeze, so the frozen heap holds its objects
+
         gc.freeze()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleError as exc:

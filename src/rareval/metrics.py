@@ -282,9 +282,19 @@ def concordance_and_override(
 
 
 def percentile_interval(values: np.ndarray, ci_level: float) -> tuple[float, float]:
-    """Equal-tailed percentile interval of a sample of resampled ``values``."""
-    alpha = (1.0 - ci_level) / 2.0
-    return float(np.quantile(values, alpha)), float(np.quantile(values, 1.0 - alpha))
+    """Equal-tailed percentile interval of a sample of finite resampled ``values``.
+
+    Each end is ``np.quantile``'s default (``linear``) estimate, bit for bit but for the sign of a zero,
+    interpolated here on the sorted values: ``np.quantile`` calls ``np.unique``, which imports ``numpy.ma``.
+    """
+    ordered, alpha = np.sort(values), (1.0 - ci_level) / 2.0
+
+    def quantile(q: float) -> float:
+        i = math.floor(h := (ordered.size - 1) * q)
+        a, b, g = float(ordered[i]), float(ordered[min(i + 1, ordered.size - 1)]), h - i
+        return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+    return quantile(alpha), quantile(1.0 - alpha)
 
 
 def _class_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,17 +14,16 @@ import hashlib
 import json
 import math
 import re
+import sys
 import types
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints, is_typeddict
 
-import numpy as np
-
 from .errors import InputError
 
 _MASK63 = (1 << 63) - 1
-MOST_ARRAY_VALUES = np.iinfo(np.intp).max // 8  # the most 8-byte values one numpy array can address
+MOST_ARRAY_VALUES = sys.maxsize // 8  # the most 8-byte values one numpy array (indexed by intp) can address
 SURROGATE = re.compile(r"[\ud800-\udfff]")  # a str holds one from a JSON escape or an argument byte that is not UTF-8
 
 
@@ -41,6 +40,8 @@ def derive_seed(seed: int, label: str) -> int:
     The tag is a ``SeedSequence`` spawn key, not XORed in: nested derivations
     do not commute and distinct (seed, label) pairs do not collide.
     """
+    import numpy as np  # imported where it runs, so importing the CLI loads no numpy
+
     tag = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
     ss = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=(tag,))
     return int(ss.generate_state(1, np.uint64)[0]) & _MASK63
@@ -48,6 +49,8 @@ def derive_seed(seed: int, label: str) -> int:
 
 def replicate_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for one replicate; the stream depends only on (seed, *path)."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(ss)
 

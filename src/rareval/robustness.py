@@ -234,7 +234,7 @@ def stability(dataset: Dataset) -> StabilityReport:
     counts = (runs >= 0).sum(axis=1)
     if not counts.all():
         raise InputError(f"case {cols.case_id[kept[np.argmin(counts)]]!r} has no repeated_labels")
-    run_counts = np.unique(counts).tolist()
+    run_counts = sorted(set(counts.tolist()))  # np.unique would import numpy.ma
     if len(run_counts) != 1:
         raise InputError(f"unequal run counts across cases: {run_counts}")
     n_runs = run_counts[0]

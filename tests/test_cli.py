@@ -647,15 +647,18 @@ def test_main_returns_zero_in_process(capsys):
     assert 0 < payload["adjusted_precision"] < 1
 
 
-# A program entry run as its own process; the last stdout line is its freeze count.
+# A program entry run as its own process; the last stdout line is its freeze count, then whether numpy was loaded
+# at each freeze.
 _ENTRY_RUN = """
-import gc, sys
+import gc, json, sys
 sys.argv = ["rareval", "adjust-precision", "--sensitivity", "0.9", "--specificity", "0.99", "--prevalence", "0.01"]
+freeze, numpy_at_freeze = gc.freeze, []
+gc.freeze = lambda: (numpy_at_freeze.append("numpy" in sys.modules), freeze())
 try:
     {entry}
 except SystemExit as exc:
     assert exc.code in (0, None), exc.code
-print(gc.get_freeze_count())
+print(json.dumps([gc.get_freeze_count(), numpy_at_freeze]))
 """
 # the console-script target declared under [project.scripts]
 _SCRIPT_MODULE, _SCRIPT_FUNCTION = re.search(
@@ -673,7 +676,9 @@ def test_program_entries_freeze_the_start_up_heap(entry):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert 0 < json.loads(proc.stdout.splitlines()[0])["adjusted_precision"] < 1
-    assert int(proc.stdout.splitlines()[-1]) > 0
+    frozen, numpy_at_freeze = json.loads(proc.stdout.splitlines()[-1])
+    assert frozen > 0
+    assert numpy_at_freeze == [True]  # the frozen heap holds numpy's objects
 
 
 def test_in_process_main_leaves_the_heap_unfrozen(capsys):

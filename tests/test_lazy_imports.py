@@ -131,5 +131,29 @@ def test_command_loads_only_its_modules(name, run_dir):
     assert report["code"] == 0
     loaded = {m.removeprefix("rareval.") for m in report["modules"]}
     assert loaded <= _ALWAYS | wanted, sorted(loaded - _ALWAYS - wanted)
-    if name == "evaluate-threshold" and not report["ma_with_numpy"]:
-        assert not report["ma"], "the Wilson-interval evaluate path imported numpy.ma"
+    if name in ("evaluate-threshold", "evaluate-costs", "resample", "stability") and not report["ma_with_numpy"]:
+        assert not report["ma"], f"{name} imported numpy.ma"
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import rareval.cli
+codes = []
+for argv in (["--help"], ["evaluate", "--no-such-flag"]):
+    sys.argv = ["rareval", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for run in (lambda: rareval.cli.main(argv), rareval.cli.main):  # in process, then as the program entry
+            try:
+                run()
+            except SystemExit as exc:
+                codes.append(exc.code)
+print(json.dumps({"codes": codes, "evaluate_flags": rareval.cli.iter_flags()["rareval evaluate"]}))
+"""
+
+
+def test_cli_import_help_and_flag_errors_need_no_numpy():
+    report = _loaded_after(_WITHOUT_NUMPY)
+    assert report["codes"] == [0, 0, 2, 2]
+    assert "--threshold" in report["evaluate_flags"]
+    assert _loaded_after("import json, sys, rareval.cli; print(json.dumps('numpy' in sys.modules))") is False

@@ -15,6 +15,7 @@ from rareval.metrics import (
     estimate_metric,
     f_beta,
     npv,
+    percentile_interval,
     precision,
     precision_at_k,
     recall,
@@ -374,3 +375,17 @@ class TestWeightedEstimation:
         c = bootstrap_metric(ds, "recall", seed=10)
         assert a == b
         assert (a.ci_low, a.ci_high) != (c.ci_low, c.ci_high)
+
+
+class TestPercentileInterval:
+    @given(
+        st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-0.0, 0.0, 0.25, 1.0])), min_size=1,
+                 max_size=300),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpys_default_quantile_bit_for_bit(self, values, ci_level):
+        alpha = (1.0 - ci_level) / 2.0
+        # == holds for two floats exactly when their bits agree, but for the sign of a zero
+        assert percentile_interval(np.array(values), ci_level) == tuple(
+            float(np.quantile(values, q)) for q in (alpha, 1.0 - alpha))

@@ -5,19 +5,25 @@ import hashlib
 import types
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rareval import datamodel, design, report, scle, synth
 from rareval.errors import InputError
-from rareval.provenance import (canonical_json, derive_seed, read_record, replicate_rng, show, strict_json,
-                                write_record)
+from rareval.provenance import (MOST_ARRAY_VALUES, canonical_json, derive_seed, read_record, replicate_rng, show,
+                                strict_json, write_record)
 
 MASK63 = (1 << 63) - 1
 
 
 def tag(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
+
+
+def test_most_array_values_is_numpys_bound():
+    # provenance spells the bound without numpy, so that importing the CLI loads no numpy
+    assert MOST_ARRAY_VALUES == np.iinfo(np.intp).max // 8
 
 
 class TestDeriveSeed:

@@ -155,7 +155,6 @@ def _metrics_table(entries: list[dict]) -> str:
 
 def _cmd_evaluate(args) -> int:
     import numpy as np
-
     from . import curves, datamodel, metrics, report
     # every check that needs only the flags runs before the input is read
     if args.assumed_prevalence is not None and not 0.0 < args.assumed_prevalence < 1.0:
@@ -633,7 +632,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)  # --help and a flag error exit here, before numpy loads
     if argv is None:
         import numpy  # loaded before the freeze, so the frozen heap holds its objects
-
         gc.freeze()
     try:
         return args.func(args)

@@ -287,6 +287,8 @@ def percentile_interval(values: np.ndarray, ci_level: float) -> tuple[float, flo
     Each end is ``np.quantile``'s default (``linear``) estimate, bit for bit but for the sign of a zero,
     interpolated here on the sorted values: ``np.quantile`` calls ``np.unique``, which imports ``numpy.ma``.
     """
+    if not 0.0 <= ci_level <= 1.0:
+        raise ValueError(f"ci_level must be in [0, 1], got {ci_level}")
     ordered, alpha = np.sort(values), (1.0 - ci_level) / 2.0
 
     def quantile(q: float) -> float:

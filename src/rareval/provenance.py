@@ -41,7 +41,6 @@ def derive_seed(seed: int, label: str) -> int:
     do not commute and distinct (seed, label) pairs do not collide.
     """
     import numpy as np  # imported where it runs, so importing the CLI loads no numpy
-
     tag = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
     ss = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=(tag,))
     return int(ss.generate_state(1, np.uint64)[0]) & _MASK63
@@ -50,7 +49,6 @@ def derive_seed(seed: int, label: str) -> int:
 def replicate_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for one replicate; the stream depends only on (seed, *path)."""
     import numpy as np
-
     ss = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(ss)
 

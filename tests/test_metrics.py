@@ -389,3 +389,9 @@ class TestPercentileInterval:
         # == holds for two floats exactly when their bits agree, but for the sign of a zero
         assert percentile_interval(np.array(values), ci_level) == tuple(
             float(np.quantile(values, q)) for q in (alpha, 1.0 - alpha))
+
+    @pytest.mark.parametrize("ci_level", [-0.1, 1.5, float("nan")])
+    def test_a_level_outside_zero_to_one_raises(self, ci_level):
+        # np.quantile refuses a quantile outside [0, 1]; an unchecked index would wrap to the other end
+        with pytest.raises(ValueError, match="ci_level"):
+            percentile_interval(np.array([0.1, 0.2, 0.3]), ci_level)

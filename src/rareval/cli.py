@@ -11,7 +11,6 @@ the ``RAREVAL_OUT_DIR`` environment variable, then the current directory.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import gc
 import json
@@ -24,8 +23,9 @@ from pathlib import Path
 # Each command imports the modules it runs, so a run loads only those. They are
 # imported as modules, not names: calls go through module attributes, which a
 # test or a tracer may replace.
-from .errors import PARSE_ERRORS, EvaluationError, InfeasibleError, InputError
-from .provenance import canonical_json, config_hash, derive_seed, strict_json, unicode_text, write_file, write_record
+from .errors import EvaluationError, InfeasibleError, InputError
+from .provenance import (canonical_json, config_hash, derive_seed, read_file, strict_json, unicode_text, write_file,
+                         write_record)
 
 
 # The full threshold sweep; reports name it with its sha256 and embed a bounded part.
@@ -53,15 +53,6 @@ def _default_out_dir() -> str:
     return os.environ.get("RAREVAL_OUT_DIR", ".")
 
 
-@contextlib.contextmanager
-def _user_file(path):
-    """Report a user-named file that cannot be read or parsed as bad input (exit 2); only the reading goes inside."""
-    try:
-        yield
-    except PARSE_ERRORS as exc:
-        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
-
-
 def _print_json(obj) -> None:
     """One strict-JSON line on stdout (the last line is the machine-read result)."""
     print(json.dumps(obj, sort_keys=True, allow_nan=False))
@@ -81,8 +72,8 @@ def _finite_float(text: str) -> float:
 def _read_user_file(path: str, parse, data=None):
     """``parse`` of the JSON in user file ``path``, or of ``data`` read from it; its input errors name the file."""
     if data is None:
-        with _user_file(path):
-            data = strict_json(Path(path).read_text(encoding="utf-8"))
+        with read_file(path) as fh:
+            data = strict_json(fh.read())
     try:
         return parse(data)
     except InputError as exc:
@@ -101,8 +92,8 @@ def _record(cls, args, values: dict, source: str | None = None):
 
 def _load_config_file(path: str) -> dict:
     """JSON config, or simple ``key = value`` lines with JSON-typed values; a ``#`` outside a value starts a comment."""
-    with _user_file(path):
-        text = Path(path).read_text(encoding="utf-8")
+    with read_file(path) as fh:
+        text = fh.read()
         if text.lstrip().startswith("{"):
             return strict_json(text)
     config, decoder = {}, json.JSONDecoder()
@@ -306,6 +297,12 @@ def _cmd_size_study(args) -> int:
     return 0
 
 
+def _refuse_overwrite(flag: str, out, role: str, *paths) -> None:
+    """Exit 2, before anything is written, if output ``out`` of ``flag`` is one of ``paths``, which the run ``role``."""
+    if clash := [path for path in paths if Path(path).resolve() == Path(out).resolve()]:
+        raise InputError(f"{flag} {out} would overwrite {clash[0]}, which this run {role}")
+
+
 def _load_dataset(args):
     """The ``--input`` dataset, with ``--threshold`` applied for the commands that take one."""
     from . import datamodel
@@ -343,8 +340,7 @@ def _cmd_scle_sample(args) -> int:
 def _cmd_scle_ingest(args) -> int:
     from . import scle
     sample = _read_user_file(args.sample, scle.ScleSample.from_json_dict)
-    with _user_file(args.sheet):
-        annotations = scle.ingest_annotations(args.sheet, sample)
+    annotations = scle.ingest_annotations(args.sheet, sample)
     payload = scle.annotations_to_json_dict(annotations)
     write_file(args.out, canonical_json(payload))
     _print_json({"annotations": len(annotations), "out": str(args.out)})
@@ -365,6 +361,7 @@ def _cmd_scle_aggregate(args) -> int:
 
 def _cmd_scle_apply(args) -> int:
     from . import datamodel, scle
+    _refuse_overwrite("--out", args.out, "reads", args.input, f"{args.input}{datamodel.DESIGN_SIDECAR_SUFFIX}")
     ds = _load_dataset(args)
     annotations = _read_user_file(args.annotations, scle.annotations_from_json_dict)
     revised = scle.apply_verdicts(ds, annotations)
@@ -416,6 +413,8 @@ def _cmd_resample(args) -> int:
 
 def _cmd_synth(args) -> int:
     from . import datamodel, synth
+    truth_path = args.truth_out or f"{args.out}.truth.json"
+    _refuse_overwrite("--truth-out", truth_path, "writes", args.out, f"{args.out}{datamodel.DESIGN_SIDECAR_SUFFIX}")
     rules = []
     for rule in args.enrich or []:
         select, _, prob = rule.partition(":")
@@ -426,7 +425,6 @@ def _cmd_synth(args) -> int:
     values = {"enrichment": write_record(rules), **(_load_config_file(args.spec) if args.spec else {})}
     spec = _record(synth.PopulationSpec, args, values, args.spec)
     result = synth.generate(spec)
-    truth_path = args.truth_out or f"{args.out}.truth.json"
     written = [str(p) for p in datamodel.emit(result.dataset, args.out, args.format)]
     result.truth.write(truth_path)
     _print_json(

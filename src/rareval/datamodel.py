@@ -31,8 +31,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PARSE_ERRORS, IngestError, InputError
-from .provenance import SURROGATE, canonical_json, read_record, show, slot_fields, strict_json, write_file, write_record
+from .errors import IngestError, InputError
+from .provenance import (SURROGATE, canonical_json, read_file, read_record, show, slot_fields, strict_json, write_file,
+                         write_record)
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
 
@@ -502,10 +503,10 @@ def _load_sidecar(path: Path) -> tuple[tuple[StratumSpec, ...], dict]:
     sidecar = path.with_name(path.name + DESIGN_SIDECAR_SUFFIX)
     if not sidecar.exists():
         return (), {}
+    with read_file(sidecar) as fh:
+        data = strict_json(fh.read())
     try:
-        payload = read_record(_Sidecar, strict_json(sidecar.read_text(encoding="utf-8")), kind="dataset_design")
-    except PARSE_ERRORS as exc:
-        raise InputError(f"{sidecar}: malformed design sidecar: {type(exc).__name__}: {exc}") from None
+        payload = read_record(_Sidecar, data, kind="dataset_design")
     except InputError as exc:
         raise InputError(f"{sidecar}: malformed design sidecar: {exc}") from None
     return payload.design, payload.metadata
@@ -639,7 +640,7 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
     lookup of the distinct texts for labels and flags). A row's problem is the
     first check it fails, in the order a row-by-row reader meets them.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig: a spreadsheet's BOM is not a header
+    with read_file(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _csv_header(path, reader, ("case_id", "reference"), run_numbers=True)
         fields, numbers, found = _csv_fields(reader, len(header))
@@ -684,7 +685,7 @@ def _read_jsonl(path: Path, problems: list[str]) -> dict:
     """
     found, numbers = [], []
     ids, references, scores, predicted, benchmark, strata, groups, runs = [[] for _ in range(8)]
-    with open(path, encoding="utf-8-sig") as fh:
+    with read_file(path) as fh:
         for row_number, line in enumerate(fh, start=1):
             if not (line := line.strip()):
                 continue
@@ -756,24 +757,15 @@ def ingest(path: str | Path, format: str = "csv") -> Dataset:
     Every problem is collected with its row number and field before a single
     :class:`IngestError` is raised, so one pass reports all defects.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-
-    problems: list[str] = []
-    try:
-        # oracle-leakage guard: truth sidecars are never evaluation inputs
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            head = fh.read(256)
-        if '"kind"' in head and "truth_sidecar" in head:
-            raise InputError(f"{path}: this is a truth sidecar (oracle data), not an evaluation input")
-
-        read = {"csv": _read_csv, "jsonl": _read_jsonl}.get(format)
-        if read is None:
-            raise InputError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
-        fields = read(path, problems)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"{path}: cannot read: {type(exc).__name__}: {exc}") from None
+    path, problems = Path(path), []
+    with read_file(path) as fh:  # oracle-leakage guard: truth sidecars are never evaluation inputs
+        head = fh.read(256)
+    if '"kind"' in head and "truth_sidecar" in head:
+        raise InputError(f"{path}: this is a truth sidecar (oracle data), not an evaluation input")
+    read = {"csv": _read_csv, "jsonl": _read_jsonl}.get(format)
+    if read is None:
+        raise InputError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
+    fields = read(path, problems)
     if problems:
         raise IngestError(problems)
 

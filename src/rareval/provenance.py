@@ -1,4 +1,4 @@
-"""Seeds, canonical and strict JSON, the record reader and writer, Markdown tables, config hashing and the file writer.
+"""Seeds, canonical and strict JSON, the record and file readers and writers, Markdown tables and config hashing.
 
 Every randomized operation takes an explicit integer seed. A single run-level
 seed fans out to per-module streams via ``derive_seed(seed, label)`` and to
@@ -8,6 +8,8 @@ stream depends only on (seed, i) and results are independent of scheduling.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import dataclasses
 import enum
 import hashlib
@@ -212,6 +214,23 @@ def markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]
 def config_hash(obj) -> str:
     """sha256 hex digest of an object's canonical JSON form."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+@contextlib.contextmanager
+def read_file(path: str | Path, newline: str | None = None):
+    """Open user file ``path`` as UTF-8 text, a leading BOM skipped: the one reader of files.
+
+    Only the reading and the parse of the text go inside the block, so a defect in code using what was read exits 4.
+    An ``OSError``, ``ValueError`` (a byte that is not UTF-8, JSON :func:`strict_json` refuses) or ``csv.Error``
+    raised there is an :class:`InputError`: ``no such file: <path>``, or else ``<path>: <Type>: <message>``.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except (OSError, ValueError, csv.Error) as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def write_file(path: str | Path, content: str | Iterable[str | bytes]) -> str:

@@ -380,21 +380,18 @@ def ingest_annotations(sheet: str | Path, sample: ScleSample) -> list[ScleAnnota
     completely untouched yield no annotation; a true-positive row annotated
     without a triviality judgment is flagged with a warning.
     """
-    # utf-8-sig and newline="" accept sheets re-saved by spreadsheets (BOM,
-    # CRLF); csv reads the lines itself so quoted notes keep their newlines
-    with open(sheet, newline="", encoding="utf-8-sig") as fh:
+    # csv reads the lines itself so quoted notes keep their newlines; an oversized field raises in the block
+    with provenance.read_file(sheet, newline="") as fh:
         lines = fh.readlines()
-    comments = list(takewhile(lambda line: line.startswith("#"), lines))
-    pairs = (line[1:].partition(":") for line in comments if ":" in line)
-    sheet_hash = {key.strip(): value.strip() for key, _, value in pairs}.get("config_hash", "")
-    if sheet_hash != sample.config_hash:
-        raise InputError(
-            f"sheet config_hash {sheet_hash!r} does not match sample config_hash "
-            f"{sample.config_hash!r}"
-        )
-    columns, reader = ("case_id", *SHEET_COLUMNS_FIXED), csv.reader(lines[len(comments):])
-    header = datamodel._csv_header(sheet, reader, columns)
-    numbered = [(len(comments) + reader.line_num, row) for row in reader if row]  # a blank line is no row
+        comments = list(takewhile(lambda line: line.startswith("#"), lines))
+        pairs = (line[1:].partition(":") for line in comments if ":" in line)
+        sheet_hash = {key.strip(): value.strip() for key, _, value in pairs}.get("config_hash", "")
+        if sheet_hash != sample.config_hash:
+            raise InputError(f"sheet config_hash {sheet_hash!r} does not match sample config_hash "
+                             f"{sample.config_hash!r}")
+        columns, reader = ("case_id", *SHEET_COLUMNS_FIXED), csv.reader(lines[len(comments):])
+        header = datamodel._csv_header(sheet, reader, columns)
+        numbered = [(len(comments) + reader.line_num, row) for row in reader if row]  # a blank line is no row
     fields, numbers, found = datamodel._csv_fields([r for _, r in numbered], len(header), [n for n, _ in numbered])
     # the cells of the columns read, without surrounding blanks, so that a blank cell is an empty one
     raw = {column: [text.strip() for text in values] for column, values in zip(header, fields) if column in columns}

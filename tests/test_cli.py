@@ -132,6 +132,28 @@ class TestExitCodes:
         assert (code, error["type"]) == (4, "internal")
         assert "internal slip" in error["message"]
 
+    @pytest.mark.parametrize("where", ["sheet_row_checks", "sidecar_record"])
+    def test_a_defect_in_the_code_that_uses_a_read_file_exits_4(self, where, monkeypatch, capsys, tmp_path):
+        def broken(*args, **kwargs):
+            raise (KeyError if where == "sheet_row_checks" else TypeError)("internal slip")
+
+        data = tmp_path / "d.csv"
+        data.write_text("case_id,reference,score\np,positive,0.9\nn,negative,0.1\n")
+        if where == "sheet_row_checks":
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["scle", "sample", "--input", str(data), "--threshold", "0.5", "--n-tp", "1",
+                      "--out-dir", str(tmp_path)])
+            monkeypatch.setattr("rareval.datamodel._report_rows", broken)
+            argv = ["scle", "ingest", "--sheet", tmp_path / "review_sheet.csv", "--sample",
+                    tmp_path / "scle_sample.json", "--out", tmp_path / "ann.json"]
+        else:
+            Path(f"{data}.design.json").write_text('{"kind": "dataset_design", "design": []}')
+            monkeypatch.setattr("rareval.datamodel.read_record", broken)
+            argv = ["evaluate", "--input", data, "--threshold", 0.5, "--out-dir", tmp_path / "out"]
+        code, error = self._exit(argv, capsys)
+        assert (code, error["type"]) == (4, "internal"), error
+        assert "internal slip" in error["message"]
+
     def test_internal_error_after_ingest_exits_4(self, monkeypatch, capsys, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("case_id,reference,score\np,positive,0.9\nn,negative,0.1\n")

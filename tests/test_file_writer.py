@@ -1,17 +1,25 @@
-"""One writer for every file rareval writes, and a write that fails leaves no file behind.
+"""One writer for every file rareval writes, one reader for every file it reads, and a failed write leaves no file.
 
 ``provenance.write_file`` makes parent directories, writes UTF-8 bytes
 untranslated, and turns a file that cannot be written, or text that is not
 Unicode, into an input error (exit 2) naming the file. Text that is not
 Unicode is refused where it enters: JSONL fields, attestations and the
 enrichment justification.
+
+``provenance.read_file`` reads every user file as UTF-8 with an optional BOM,
+and turns a file that cannot be read or parsed into an input error (exit 2)
+naming the file. An output path that would overwrite a file the same run reads
+or writes is refused before anything is written.
 """
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,23 +43,52 @@ def _exit(argv, capsys) -> tuple[int, str]:
     return exc.value.code, json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+def _calls(tree: ast.AST, path: Path, exempt: set):
+    """(node, called name, mode arguments) of every call in ``tree`` outside the functions ``exempt`` names.
+
+    A function is named ``(file, qualified name)``, a method by its class: ``("synth.py", "TruthSidecar.read")``.
+    """
+    owner = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):  # an inner function, visited after, owns its own calls
+                    owner.update((id(n), prefix + child.name) for n in ast.walk(child))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (path.name, owner.get(id(node))) not in exempt:
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+            # the mode of the builtin open is its second argument, of Path.open its first
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+            yield node, name, modes
+
+
+def _mode_has(modes: list, letters: str) -> bool:
+    """Whether a mode argument holds one of ``letters``; a mode that is not a constant may hold any."""
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set(letters) for m in modes)
+
+
 def _file_writes(tree: ast.AST, path: Path) -> list[str]:
     """``file:line`` of every call in ``tree`` that opens a file for writing or calls ``write_text``/``write_bytes``."""
-    sites, owner = [], {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner.update((id(child), node.name) for child in ast.walk(node))
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or (path.name, owner.get(id(node))) == ("provenance.py", "write_file"):
-            continue
-        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
-        # the mode of the builtin open is its second argument, of Path.open its first
-        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
-        modes += node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
-        writes_mode = any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
-        if name in ("write_text", "write_bytes") or (name == "open" and writes_mode):
-            sites.append(f"{path.name}:{node.lineno}")
-    return sites
+    return [f"{path.name}:{node.lineno}" for node, name, modes in _calls(tree, path, {("provenance.py", "write_file")})
+            if name in ("write_text", "write_bytes") or (name == "open" and _mode_has(modes, "wax+"))]
+
+
+# The readers that stay besides the one reader: the oracle's reader, whose ValueError on a malformed sidecar is its
+# contract and which no command runs on a user file, and the reader of the report schema, which is package data.
+_READERS = {("provenance.py", "read_file"), ("synth.py", "TruthSidecar.read"), ("report.py", "load_report_schema")}
+
+
+def _file_reads(tree: ast.AST, path: Path) -> list[str]:
+    """``file:line`` of every call in ``tree`` that opens a file for reading or calls ``read_text``/``read_bytes``."""
+    return [f"{path.name}:{node.lineno}" for node, name, modes in _calls(tree, path, _READERS)
+            if name in ("read_text", "read_bytes") or (name == "open" and (not modes or _mode_has(modes, "r+")))]
 
 
 def test_write_file_is_the_only_code_that_writes_a_file():
@@ -65,6 +102,21 @@ def test_the_write_check_finds_each_kind_of_write():
     code = ("def f(p):\n    open(p, 'w')\n    open(p, mode='ab')\n    p.open('x')\n    p.write_text('')\n"
             "    p.write_bytes(b'')\n    open(p, m)\n    open(p)\n    open(p, 'rb')\n")
     assert _file_writes(ast.parse(code), Path("cli.py")) == [f"cli.py:{line}" for line in range(2, 8)]
+
+
+def test_read_file_is_the_only_code_that_reads_a_file():
+    sites = []
+    for path in sorted((ROOT / "src" / "rareval").glob("*.py")):
+        sites += _file_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path)
+    assert sites == []
+
+
+def test_the_read_check_finds_each_kind_of_read():
+    code = ("def f(p):\n    open(p)\n    open(p, 'rb')\n    open(p, mode='r+')\n    p.open()\n    p.open('r')\n"
+            "    p.read_text()\n    p.read_bytes()\n    open(p, m)\n    open(p, 'w')\n    p.open('ab')\n"
+            "class TruthSidecar:\n    def read(p):\n        open(p)\n")
+    assert _file_reads(ast.parse(code), Path("cli.py")) == [f"cli.py:{line}" for line in (*range(2, 10), 14)]
+    assert _file_reads(ast.parse(code), Path("synth.py")) == [f"synth.py:{line}" for line in range(2, 10)]
 
 
 class TestWriteFile:
@@ -253,3 +305,112 @@ def test_scle_weights_project_the_design_weighted_cell_size():
     counts = metrics.confusion(dataset)
     assert (weights["FP"] * 20, weights["TP"] * 20) == pytest.approx((counts.fp, counts.tp))
     assert sample.cell_population_sizes["FP"] == 3158  # test-set rows, not projected cases
+
+
+# --- one reader: every kind of user file, with a BOM and unreadable -------------------------------------------------
+
+BOM = b"\xef\xbb\xbf"
+STUDY = {"sample_size": 100, "flag_rate_a": 0.05, "flag_rate_b": 0.06, "overlap_rate": 0.5, "precision_a": 0.7,
+         "precision_b": 0.85, "n_replicates": 20}
+_EVALUATE = ["evaluate", "--threshold", "0.5", "--reproducible", "--out-dir", "out", "--input"]
+_AGGREGATE = ["scle", "aggregate", "--sample", "rev/scle_sample.json", "--annotations", "ann.json", "--out-dir", "out"]
+# each kind of user file, and a run that reads it; paths are relative to the run directory, whose "out" the run writes
+READS = {
+    "dataset_csv": ("d.csv", [*_EVALUATE, "d.csv"]),
+    "dataset_jsonl": ("d.jsonl", [*_EVALUATE, "d.jsonl", "--format", "jsonl"]),
+    "design_sidecar": ("d.csv.design.json", [*_EVALUATE, "d.csv"]),
+    "config_json": ("study.json", ["size-study", "--config", "study.json"]),
+    "config_key_value": ("study.txt", ["size-study", "--config", "study.txt"]),
+    "spec_json": ("spec.json", ["synth", "--spec", "spec.json", "--out", "out/s.csv"]),
+    "spec_key_value": ("spec.txt", ["synth", "--spec", "spec.txt", "--out", "out/s.csv"]),
+    "outputs": ("ev/outputs.json", ["checklist", "--outputs", "ev/outputs.json", "--out-dir", "out"]),
+    "sample": ("rev/scle_sample.json", _AGGREGATE),
+    "annotations": ("ann.json", _AGGREGATE),
+    "review_sheet": ("rev/review_sheet.csv", ["scle", "ingest", "--sheet", "rev/review_sheet.csv", "--sample",
+                                              "rev/scle_sample.json", "--out", "out/ann.json"]),
+}
+
+
+def _write_user_files() -> None:
+    """Every file of ``READS`` in the current directory: the texts, then the outputs of evaluate and scle sample."""
+    rows = [dict(zip(("case_id", "reference", "score", "sg_site"), line.split(","))) for line in DATA.splitlines()[1:]]
+    texts = {
+        "d.csv": DATA,
+        "d.jsonl": "".join(json.dumps({**row, "score": float(row["score"])}) + "\n" for row in rows),
+        "d.csv.design.json": '{"kind": "dataset_design", "design": [], "metadata": {"source": "caf\u00e9 registry"}}',
+        "study.json": json.dumps(STUDY),
+        "study.txt": "".join(f"{key} = {value}\n" for key, value in STUDY.items()),
+        "spec.json": '{"n": 200, "prevalence": 0.1, "seed": 3}',
+        "spec.txt": "n = 200  # cases\nprevalence = 0.1\nseed = 3\n",
+        "ann.json": '{"kind": "scle_annotations", "annotations": []}',
+    }
+    for name, text in texts.items():
+        Path(name).write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["evaluate", "--input", "d.csv", "--threshold", "0.5", "--reproducible", "--out-dir", "ev"])
+        main(["scle", "sample", "--input", "d.csv", "--threshold", "0.5", "--n-fp", "1", "--n-tp", "1",
+              "--reproducible", "--out-dir", "rev"])
+
+
+def _run(argv, capsys) -> tuple[int, str, str, dict]:
+    """Exit code, stdout, stderr and the files written under ``out`` of one run; ``out`` is removed after it."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    files = {str(p): p.read_bytes() for p in sorted(Path("out").rglob("*")) if p.is_file()}
+    shutil.rmtree("out", ignore_errors=True)
+    return code, *capsys.readouterr(), files
+
+
+@pytest.mark.parametrize("kind", READS)
+def test_a_bom_changes_nothing_a_run_prints_or_writes(kind, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_user_files()
+    path, argv = READS[kind]
+    plain = _run(argv, capsys)
+    assert plain[0] == 0, plain[2]
+    Path(path).write_bytes(BOM + Path(path).read_bytes())
+    assert _run(argv, capsys) == plain
+
+
+# a missing design sidecar is no sidecar: the dataset has no design
+FAULTS = [(kind, fault) for kind in READS for fault in ("not_utf8", "directory", "missing")
+          if (kind, fault) != ("design_sidecar", "missing")]
+
+
+@pytest.mark.parametrize("kind, fault", FAULTS)
+def test_a_user_file_that_cannot_be_read_exits_2_naming_it(kind, fault, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_user_files()
+    path, argv = READS[kind]
+    if fault == "not_utf8":
+        Path(path).write_bytes(Path(path).read_bytes() + b"\xff\n")
+    else:
+        Path(path).unlink()
+        if fault == "directory":
+            Path(path).mkdir()
+    code, _, stderr, files = _run(argv, capsys)
+    error = json.loads(stderr)["error"]
+    assert (code, error["type"]) == (2, "input"), error
+    assert error["message"].startswith(f"no such file: {path}" if fault == "missing" else f"{path}: "), error
+    assert files == {}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--n", 50, "--prevalence", 0.2, "--out", "t.csv", "--truth-out", "t.csv"],
+     "--truth-out t.csv would overwrite t.csv, which this run writes"),
+    (["synth", "--n", 50, "--prevalence", 0.2, "--enrich", "negative:0.5", "--out", "t.csv", "--truth-out",
+      "./t.csv.design.json"], "--truth-out ./t.csv.design.json would overwrite t.csv.design.json, which this run writes"),
+    (["scle", "apply", "--input", "d.csv", "--annotations", "ann.json", "--out", "./d.csv"],
+     "--out ./d.csv would overwrite d.csv, which this run reads"),
+    (["scle", "apply", "--input", "d.csv", "--annotations", "ann.json", "--out", "d.csv.design.json"],
+     "--out d.csv.design.json would overwrite d.csv.design.json, which this run reads"),
+], ids=["truth-over-dataset", "truth-over-design-sidecar", "revision-over-input", "revision-over-input-sidecar"])
+def test_an_output_that_would_overwrite_a_file_of_the_run_exits_2_and_writes_nothing(argv, message, tmp_path,
+                                                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_user_files()
+    before = {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert _exit(argv, capsys) == (2, message)
+    assert {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before

@@ -24,8 +24,8 @@ from pathlib import Path
 # imported as modules, not names: calls go through module attributes, which a
 # test or a tracer may replace.
 from .errors import EvaluationError, InfeasibleError, InputError
-from .provenance import (canonical_json, config_hash, derive_seed, read_file, strict_json, unicode_text, write_file,
-                         write_record)
+from .provenance import (canonical_json, config_hash, derive_seed, read_file, run_files, strict_json, unicode_text,
+                         write_file, write_record)
 
 
 # The full threshold sweep; reports name it with its sha256 and embed a bounded part.
@@ -128,17 +128,13 @@ def _parse_attestations(pairs: list[str] | None) -> dict:
 
 
 def _metrics_table(entries: list[dict]) -> str:
-    header = f"{'metric':<16} {'value':>12} {'ci_low':>12} {'ci_high':>12} {'n_eff':>12}"
-    lines = [header, "-" * len(header)]
-    for m in entries:
-        def cell(v):
-            return "undefined" if v is None else (f"{v:.6g}" if isinstance(v, float) else str(v))
+    def cell(v):
+        return "undefined" if v is None else (f"{v:.6g}" if isinstance(v, float) else str(v))
 
-        lines.append(
-            f"{m['metric']:<16} {cell(m['value']):>12} {cell(m['ci_low']):>12} "
-            f"{cell(m['ci_high']):>12} {cell(m['n_effective']):>12}"
-        )
-    return "\n".join(lines)
+    header = f"{'metric':<16} {'value':>12} {'ci_low':>12} {'ci_high':>12} {'n_eff':>12}"
+    columns = ("value", "ci_low", "ci_high", "n_effective")
+    rows = [f"{m['metric']:<16} " + " ".join(f"{cell(m[key]):>12}" for key in columns) for m in entries]
+    return "\n".join([header, "-" * len(header), *rows])
 
 
 # --- evaluate ----------------------------------------------------------------
@@ -297,12 +293,6 @@ def _cmd_size_study(args) -> int:
     return 0
 
 
-def _refuse_overwrite(flag: str, out, role: str, *paths) -> None:
-    """Exit 2, before anything is written, if output ``out`` of ``flag`` is one of ``paths``, which the run ``role``."""
-    if clash := [path for path in paths if Path(path).resolve() == Path(out).resolve()]:
-        raise InputError(f"{flag} {out} would overwrite {clash[0]}, which this run {role}")
-
-
 def _load_dataset(args):
     """The ``--input`` dataset, with ``--threshold`` applied for the commands that take one."""
     from . import datamodel
@@ -361,7 +351,6 @@ def _cmd_scle_aggregate(args) -> int:
 
 def _cmd_scle_apply(args) -> int:
     from . import datamodel, scle
-    _refuse_overwrite("--out", args.out, "reads", args.input, f"{args.input}{datamodel.DESIGN_SIDECAR_SUFFIX}")
     ds = _load_dataset(args)
     annotations = _read_user_file(args.annotations, scle.annotations_from_json_dict)
     revised = scle.apply_verdicts(ds, annotations)
@@ -375,13 +364,15 @@ def _cmd_scle_apply(args) -> int:
 
 def _cmd_subsets(args) -> int:
     from . import robustness
+    stem = f"subsets_{args.attribute}"  # <stem>.json and <stem>.md go to --out-dir, so it must be a file name
+    if args.out_dir and Path(stem).name != stem:
+        raise InputError(f"--attribute {args.attribute!r} makes no file name: {stem}.json")
     ds = _load_dataset(args)
     names = tuple(args.metrics.split(",")) if args.metrics else ("recall", "precision", "specificity")
     result = robustness.subset_metrics(ds, args.attribute, metrics=names, seed=args.seed)
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        write_file(out_dir / f"subsets_{args.attribute}.json", canonical_json(result.to_json_dict()))
-        write_file(out_dir / f"subsets_{args.attribute}.md", result.to_markdown())
+        write_file(Path(args.out_dir) / f"{stem}.json", canonical_json(result.to_json_dict()))
+        write_file(Path(args.out_dir) / f"{stem}.md", result.to_markdown())
     _print_json(result.to_json_dict())
     return 0
 
@@ -414,7 +405,9 @@ def _cmd_resample(args) -> int:
 def _cmd_synth(args) -> int:
     from . import datamodel, synth
     truth_path = args.truth_out or f"{args.out}.truth.json"
-    _refuse_overwrite("--truth-out", truth_path, "writes", args.out, f"{args.out}{datamodel.DESIGN_SIDECAR_SUFFIX}")
+    for out in (args.out, f"{args.out}{datamodel.DESIGN_SIDECAR_SUFFIX}"):  # the one clash of two outputs of a run
+        if Path(out).resolve() == Path(truth_path).resolve():
+            raise InputError(f"--truth-out {truth_path} would overwrite {out}, which this run writes")
     rules = []
     for rule in args.enrich or []:
         select, _, prob = rule.partition(":")
@@ -600,22 +593,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def iter_flags() -> dict[str, list[str]]:
-    """Every option string per subcommand; used by the golden help test."""
-    parser = build_parser()
-    result: dict[str, list[str]] = {"rareval": sorted(o for a in parser._actions for o in a.option_strings)}
-
-    def walk(p: argparse.ArgumentParser, prefix: str) -> None:
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for name, subparser in action.choices.items():
-                    key = f"{prefix} {name}"
-                    result[key] = sorted(
-                        o for a in subparser._actions for o in a.option_strings
-                    )
-                    walk(subparser, key)
-
-    walk(parser, "rareval")
+def iter_flags(parser: argparse.ArgumentParser | None = None, key: str = "rareval") -> dict[str, list[str]]:
+    """Every option string of ``parser`` (the CLI's by default) and of each subcommand; used by the golden help test."""
+    parser = parser or build_parser()
+    result = {key: sorted(o for a in parser._actions for o in a.option_strings)}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                result.update(iter_flags(subparser, f"{key} {name}"))
     return result
 
 
@@ -632,7 +617,8 @@ def main(argv: list[str] | None = None) -> int:
         import numpy  # loaded before the freeze, so the frozen heap holds its objects
         gc.freeze()
     try:
-        return args.func(args)
+        with run_files():  # a run writes over no file it read
+            return args.func(args)
     except InfeasibleError as exc:
         _fail(3, "infeasible", str(exc))
     except MemoryError as exc:  # a size that passed every check but does not fit this machine

@@ -501,10 +501,13 @@ class _Sidecar:
 
 def _load_sidecar(path: Path) -> tuple[tuple[StratumSpec, ...], dict]:
     sidecar = path.with_name(path.name + DESIGN_SIDECAR_SUFFIX)
-    if not sidecar.exists():
-        return (), {}
-    with read_file(sidecar) as fh:
-        data = strict_json(fh.read())
+    try:  # read even when missing, so that a run writes no file there, which would become the input's design
+        with read_file(sidecar) as fh:
+            data = strict_json(fh.read())
+    except InputError:
+        if sidecar.exists():
+            raise
+        return (), {}  # no sidecar: no design
     try:
         payload = read_record(_Sidecar, data, kind="dataset_design")
     except InputError as exc:

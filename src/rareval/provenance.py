@@ -216,6 +216,25 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+_run_reads: dict[str, str] | None = None  # in a run: the real path of each file it read -> the path as given
+
+
+@contextlib.contextmanager
+def run_files():
+    """One run's scope, in which :func:`write_file` refuses every path given to :func:`read_file`, opened or not."""
+    global _run_reads
+    _run_reads = {}
+    try:
+        yield
+    finally:
+        _run_reads = None
+
+
+def _real(path: str | Path) -> str:
+    import os.path  # loaded with pathlib; its realpath leaves a symbolic link loop as it is, Path.resolve raises
+    return os.path.realpath(path)
+
+
 @contextlib.contextmanager
 def read_file(path: str | Path, newline: str | None = None):
     """Open user file ``path`` as UTF-8 text, a leading BOM skipped: the one reader of files.
@@ -225,6 +244,8 @@ def read_file(path: str | Path, newline: str | None = None):
     raised there is an :class:`InputError`: ``no such file: <path>``, or else ``<path>: <Type>: <message>``.
     """
     try:
+        if _run_reads is not None:
+            _run_reads[_real(path)] = str(path)
         with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except FileNotFoundError:
@@ -237,10 +258,12 @@ def write_file(path: str | Path, content: str | Iterable[str | bytes]) -> str:
     """Write a text, or chunks of text or bytes as they come, to ``path``: the one writer of files.
 
     Parents are made and text is UTF-8, untranslated; a whole text is encoded before the file is opened. An
-    ``OSError`` or a surrogate is an :class:`InputError` naming the file, and a regular file whose write stopped,
-    for any reason, is removed. Returns the sha256 of the bytes written.
+    ``OSError``, a surrogate or a path read in :func:`run_files` (refused unopened) is an :class:`InputError` naming
+    the file; a regular file whose write stopped, for any reason, is removed. Returns the sha256 of the bytes written.
     """
     path, digest, opened = Path(path), hashlib.sha256(), False
+    if _run_reads and (read := _run_reads.get(_real(path))) is not None:
+        raise InputError(f"{path} would overwrite {read}, which this run reads")
     try:
         chunks = [content.encode("utf-8")] if isinstance(content, str) else content
         path.parent.mkdir(parents=True, exist_ok=True)

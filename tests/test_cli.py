@@ -638,6 +638,20 @@ class TestRobustnessCommands:
         assert len(payload["values"]) == 50
         assert json.loads(out.read_text())["mean"] == payload["mean"]
 
+    @pytest.mark.parametrize("attribute", ["../../esc", "a/b"])
+    def test_subsets_refuses_an_attribute_that_makes_no_file_name_before_the_input_is_read(self, attribute, capsys,
+                                                                                             monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        Path("d.csv").write_text(f"case_id,reference,score,sg_{attribute}\np,positive,0.9,n\nq,positive,0.4,s\n"
+                                 "n,negative,0.1,n\nm,negative,0.6,s\n")
+        argv = ["subsets", "--input", "d.csv", "--threshold", "0.5", "--attribute", attribute]
+        assert main(argv) == 0  # without --out-dir nothing is written, and the attribute is a column like any
+        monkeypatch.setattr("rareval.datamodel.ingest", lambda *a, **k: pytest.fail("the input was read"))
+        code, error = TestExitCodes._exit([*argv, "--out-dir", "o/p"], capsys)
+        assert code == 2
+        assert error["message"] == f"--attribute {attribute!r} makes no file name: subsets_{attribute}.json"
+        assert sorted(str(p) for p in Path().rglob("*")) == ["d.csv"]
+
 
 class TestChecklistCommand:
     def test_empty_checklist(self, tmp_path):

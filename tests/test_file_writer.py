@@ -8,8 +8,16 @@ enrichment justification.
 
 ``provenance.read_file`` reads every user file as UTF-8 with an optional BOM,
 and turns a file that cannot be read or parsed into an input error (exit 2)
-naming the file. An output path that would overwrite a file the same run reads
-or writes is refused before anything is written.
+naming the file.
+
+A run of the CLI never writes over a file it read: within a run,
+``write_file`` refuses, before it opens anything, every path ``read_file``
+was given, a dataset's design sidecar included even when it is absent, and
+the run exits 2 with its inputs unchanged. Every command reads all its inputs
+before its first write, so where the clashing path is that first write,
+nothing is written at all. One clash of two outputs is checked up front:
+``synth --truth-out`` naming ``--out`` or its design sidecar. Library callers
+outside a run, and the next run, are not bound by what a run read.
 """
 
 import ast
@@ -30,7 +38,7 @@ from rareval import datamodel, design, metrics, scle, synth
 from rareval.cli import main
 from rareval.datamodel import Dataset, EvaluationCase, ReferenceLabel
 from rareval.errors import IngestError, InputError
-from rareval.provenance import write_file
+from rareval.provenance import read_file, write_file
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = "case_id,reference,score,sg_site\np,positive,0.9,n\nq,positive,0.4,s\nn,negative,0.1,n\nm,negative,0.6,s\n"
@@ -397,20 +405,63 @@ def test_a_user_file_that_cannot_be_read_exits_2_naming_it(kind, fault, tmp_path
     assert files == {}
 
 
-@pytest.mark.parametrize("argv, message", [
+_RESAMPLE = ["resample", "--metric", "recall", "--n", 5, "--threshold", 0.5, "--input"]
+_INGEST = ["scle", "ingest", "--sheet", "rev/review_sheet.csv", "--sample", "rev/scle_sample.json", "--out"]
+_APPLY = ["scle", "apply", "--input", "d.csv", "--annotations", "ann.json", "--out"]
+
+
+# each clash: a run, its refusal, and the files it writes before it (none where the clashing path is its first write)
+@pytest.mark.parametrize("argv, message, written", [
     (["synth", "--n", 50, "--prevalence", 0.2, "--out", "t.csv", "--truth-out", "t.csv"],
-     "--truth-out t.csv would overwrite t.csv, which this run writes"),
+     "--truth-out t.csv would overwrite t.csv, which this run writes", []),
     (["synth", "--n", 50, "--prevalence", 0.2, "--enrich", "negative:0.5", "--out", "t.csv", "--truth-out",
-      "./t.csv.design.json"], "--truth-out ./t.csv.design.json would overwrite t.csv.design.json, which this run writes"),
-    (["scle", "apply", "--input", "d.csv", "--annotations", "ann.json", "--out", "./d.csv"],
-     "--out ./d.csv would overwrite d.csv, which this run reads"),
-    (["scle", "apply", "--input", "d.csv", "--annotations", "ann.json", "--out", "d.csv.design.json"],
-     "--out d.csv.design.json would overwrite d.csv.design.json, which this run reads"),
-], ids=["truth-over-dataset", "truth-over-design-sidecar", "revision-over-input", "revision-over-input-sidecar"])
-def test_an_output_that_would_overwrite_a_file_of_the_run_exits_2_and_writes_nothing(argv, message, tmp_path,
-                                                                                     monkeypatch, capsys):
+      "./t.csv.design.json"], "--truth-out ./t.csv.design.json would overwrite t.csv.design.json, which this run writes",
+     []),
+    ([*_APPLY, "./d.csv"], "d.csv would overwrite d.csv, which this run reads", []),
+    ([*_APPLY, "d.csv.design.json"], "d.csv.design.json would overwrite d.csv.design.json, which this run reads", []),
+    ([*_APPLY, "ann.json"], "ann.json would overwrite ann.json, which this run reads", []),
+    (["scle", "apply", "--input", "d.jsonl", "--format", "jsonl", "--annotations", "ann.json", "--out",
+      "d.jsonl.design.json"], "d.jsonl.design.json would overwrite d.jsonl.design.json, which this run reads", []),
+    ([*_RESAMPLE, "d.csv", "--out", "d.csv"], "d.csv would overwrite d.csv, which this run reads", []),
+    (["stability", "--input", "runs.csv", "--out", "rev/../runs.csv"],
+     "rev/../runs.csv would overwrite runs.csv, which this run reads", []),
+    ([*_INGEST, "rev/scle_sample.json"],
+     "rev/scle_sample.json would overwrite rev/scle_sample.json, which this run reads", []),
+    ([*_INGEST, "rev/review_sheet.csv"],
+     "rev/review_sheet.csv would overwrite rev/review_sheet.csv, which this run reads", []),
+    (["synth", "--spec", "spec.txt", "--out", "spec.txt"], "spec.txt would overwrite spec.txt, which this run reads",
+     []),
+    (["synth", "--spec", "spec.txt", "--out", "s.csv", "--truth-out", "spec.txt"],
+     "spec.txt would overwrite spec.txt, which this run reads", ["s.csv", "s.csv.design.json"]),
+    (["checklist", "--outputs", "ev/checklist.json", "--out-dir", "ev"],
+     "ev/checklist.json would overwrite ev/checklist.json, which this run reads", []),
+], ids=["truth-over-dataset", "truth-over-design-sidecar", "revision-over-input", "revision-over-input-sidecar",
+        "revision-over-annotations", "revision-over-absent-input-sidecar", "resample-over-input",
+        "stability-over-input", "annotations-over-sample", "annotations-over-sheet", "synth-over-spec",
+        "truth-over-spec", "checklist-over-outputs"])
+def test_an_output_that_would_overwrite_a_file_of_the_run_exits_2_and_writes_nothing(argv, message, written,
+                                                                                     tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write_user_files()
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["synth", "--n", "40", "--prevalence", "0.3", "--n-runs", "3", "--out", "runs.csv"])
+    shutil.copy("ev/outputs.json", "ev/checklist.json")  # an outputs document where checklist writes its own
     before = {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert _exit(argv, capsys) == (2, message)
-    assert {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+    after = {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert {path: after.get(path) for path in before} == before
+    assert sorted(set(after) - set(before)) == [str(tmp_path / path) for path in written]
+
+
+def test_a_run_shares_no_reads_with_the_next_and_a_library_caller_writes_what_it_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("x.csv", "y.csv"):
+        Path(name).write_text(DATA)
+    assert main([str(a) for a in [*_RESAMPLE, "x.csv"]]) == 0
+    assert main([str(a) for a in [*_RESAMPLE, "y.csv", "--out", "x.csv"]]) == 0
+    assert json.loads(Path("x.csv").read_text())["metric"] == "recall"
+    assert _exit([*_RESAMPLE, "y.csv", "--out", "y.csv"], capsys)[0] == 2  # a refused run leaves no reads behind
+    with read_file("y.csv") as fh:
+        text = fh.read()
+    write_file("y.csv", text + "r,negative,0.2,n\n")
+    assert Path("y.csv").read_text() == DATA + "r,negative,0.2,n\n"

@@ -1,11 +1,11 @@
 """Command-line surface tying the modules into reproducible runs.
 
-Every subcommand honors ``--seed`` (one run seed fans out to per-module
-substreams via labeled derivation) and emits machine-parseable error JSON on
-stderr with exit code 2 for input errors, 3 for infeasible requests, and 4
-for internal failures. ``--reproducible`` omits timestamps so identical
-inputs produce byte-identical output trees. The output directory defaults to
-the ``RAREVAL_OUT_DIR`` environment variable, then the current directory.
+Every subcommand emits machine-parseable error JSON on stderr with exit code
+2 for input errors, 3 for infeasible requests, and 4 for internal failures.
+A seeded command fans ``--seed`` out to per-module substreams by labeled
+derivation; ``--reproducible`` (``evaluate``, ``scle sample``) omits their
+timestamps so identical inputs produce byte-identical output trees. The
+output directory defaults to ``RAREVAL_OUT_DIR``, then the current directory.
 """
 
 from __future__ import annotations
@@ -193,18 +193,17 @@ def _cmd_evaluate(args) -> int:
     outputs.enrichment_accounted = ds.weighted
     outputs.benchmark_present = bool((ds.columns.benchmark_predicted >= 0).any())
 
-    estimates = {name: (metrics.estimate_metric(ds, name, seed=seeds[name]), f"metrics.{name}",
-                        seeds[name] if ds.weighted else None, {}) for name in metrics.PROPORTION_METRICS}
+    outputs.metrics = [metrics.estimate_metric(ds, name, seed=seeds[name]).to_json_dict(name)
+                       | {"operation": f"metrics.{name}", "seed": seeds[name] if ds.weighted else None}
+                       for name in metrics.PROPORTION_METRICS]
     if pak is not None:
         tie_fields = {key: getattr(pak, key) for key in ("k", "ties_straddle_cut", "n_unlabeled_in_top_k")}
-        estimates[f"precision_at_{pak.k}"] = (pak.estimate, "metrics.precision_at_k", None, tie_fields)
-    metric_entries = [est.to_json_dict(name) | {"operation": operation, "seed": entry_seed, **extra}
-                      for name, (est, operation, entry_seed, extra) in estimates.items()]
-    outputs.metrics = metric_entries
+        outputs.metrics.append(pak.estimate.to_json_dict(f"precision_at_{pak.k}")
+                               | {"operation": "metrics.precision_at_k", "seed": None, **tie_fields})
 
-    precision, recall = (estimates[name][0].value for name in ("precision", "recall"))
-    if precision is not None and recall is not None:
-        outputs.f1_value = metrics.f_beta(precision, recall, 1.0)
+    value = {entry["metric"]: entry["value"] for entry in outputs.metrics}
+    if value["precision"] is not None and value["recall"] is not None:
+        outputs.f1_value = metrics.f_beta(value["precision"], value["recall"], 1.0)
 
     out_dir = Path(args.out_dir)
     scored = not np.isnan(cols.score[cols.evaluable]).any()  # a fully scored dataset gets a sweep
@@ -234,12 +233,12 @@ def _cmd_evaluate(args) -> int:
 
     write_file(out_dir / "report.json", json_text)
     write_file(out_dir / "report.md", md_text)
-    write_file(out_dir / "metrics.json", canonical_json(metric_entries))
+    write_file(out_dir / "metrics.json", canonical_json(outputs.metrics))
     write_file(out_dir / "outputs.json", canonical_json(outputs.to_json_dict()))
     if scored:
         write_file(out_dir / "warnings.json", canonical_json(outputs.warnings))
 
-    print(_metrics_table(metric_entries))
+    print(_metrics_table(outputs.metrics))
     for w in outputs.warnings:
         print(f"warning[{w['code']}]: {w['message']}")
     print(f"report written to {out_dir / 'report.json'}")
@@ -341,11 +340,11 @@ def _cmd_scle_aggregate(args) -> int:
     from . import scle
     sample = _read_user_file(args.sample, scle.ScleSample.from_json_dict)
     annotations = _read_user_file(args.annotations, scle.annotations_from_json_dict)
-    summary = scle.aggregate(annotations, sample, seed=args.seed)
+    summary = scle.aggregate(annotations, sample, seed=args.seed).to_json_dict()
     out_dir = Path(args.out_dir)
-    write_file(out_dir / "scle_summary.json", canonical_json(summary.to_json_dict()))
-    write_file(out_dir / "scle_summary.md", summary.to_markdown())
-    _print_json(summary.to_json_dict())
+    write_file(out_dir / "scle_summary.json", canonical_json(summary))
+    write_file(out_dir / "scle_summary.md", scle.summary_markdown(summary))
+    _print_json(summary)
     return 0
 
 
@@ -369,33 +368,31 @@ def _cmd_subsets(args) -> int:
         raise InputError(f"--attribute {args.attribute!r} makes no file name: {stem}.json")
     ds = _load_dataset(args)
     names = tuple(args.metrics.split(",")) if args.metrics else ("recall", "precision", "specificity")
-    result = robustness.subset_metrics(ds, args.attribute, metrics=names, seed=args.seed)
+    result = robustness.subset_metrics(ds, args.attribute, metrics=names, seed=args.seed).to_json_dict()
     if args.out_dir:
-        write_file(Path(args.out_dir) / f"{stem}.json", canonical_json(result.to_json_dict()))
-        write_file(Path(args.out_dir) / f"{stem}.md", result.to_markdown())
-    _print_json(result.to_json_dict())
+        write_file(Path(args.out_dir) / f"{stem}.json", canonical_json(result))
+        write_file(Path(args.out_dir) / f"{stem}.md", robustness.subsets_markdown(result))
+    _print_json(result)
     return 0
 
 
 def _cmd_stability(args) -> int:
     from . import robustness
     ds = _load_dataset(args)
-    result = robustness.stability(ds)
+    result = robustness.stability(ds).to_json_dict()
     if args.out:
-        write_file(args.out, canonical_json(result.to_json_dict()))
-    _print_json(result.to_json_dict())
+        write_file(args.out, canonical_json(result))
+    _print_json(result)
     return 0
 
 
 def _cmd_resample(args) -> int:
     from . import robustness
     ds = _load_dataset(args)
-    result = robustness.resampling_variability(
-        ds, args.metric, scheme=args.scheme, n=args.n, seed=args.seed
-    )
+    result = robustness.resampling_variability(ds, args.metric, args.scheme, args.n, args.seed).to_json_dict()
     if args.out:
-        write_file(args.out, canonical_json(result.to_json_dict()))
-    _print_json(result.to_json_dict())
+        write_file(args.out, canonical_json(result))
+    _print_json(result)
     return 0
 
 

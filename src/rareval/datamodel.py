@@ -36,6 +36,7 @@ from .provenance import (SURROGATE, canonical_json, read_file, read_record, show
                          write_record)
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
+UNKNOWN_CATEGORY = "unknown"  # the category of a case without the subgroup attribute asked for
 
 
 class ReferenceLabel(enum.Enum):
@@ -236,6 +237,9 @@ def _build_columns(design: tuple[StratumSpec, ...], case_id: Sequence, stratum_i
     stratum = _stratum_codes(case_id, stratum_id, missing, design)
     # 1/p by stratum; stratum -1 (no design) picks the trailing 1.0
     inverse_p = np.array([1.0 / s.inclusion_probability for s in design] + [1.0])
+    weight = inverse_p[stratum]
+    if len(stratum) * float(weight.max(initial=1.0)) == math.inf:  # no weighted total of the cases exceeds this
+        raise InputError(f"an inclusion_probability is too small for {len(stratum)} cases: weighted totals overflow")
     categories = {name: sorted(set(values) - {missing}) for name, values in sorted(subgroups.items())}
     categories = {name: present for name, present in categories.items() if present}
     codes = []
@@ -245,7 +249,7 @@ def _build_columns(design: tuple[StratumSpec, ...], case_id: Sequence, stratum_i
     left_aligned = np.take_along_axis(runs, np.argsort(runs < 0, axis=1, kind="stable"), axis=1)
     return CaseColumns(
         case_id=np.array(case_id, dtype=object),
-        weight=inverse_p[stratum],
+        weight=weight,
         stratum=stratum,
         subgroup_names=tuple(categories),
         subgroup_categories=tuple(map(tuple, categories.values())),
@@ -350,6 +354,11 @@ class Dataset:
         dataset._columns, dataset._design, dataset._metadata = columns, design, dict(metadata)
         dataset._cases = None
         return dataset
+
+    def _take(self, rows: np.ndarray) -> "Dataset":
+        """The dataset of the cases at ``rows``, with this one's design and metadata: the one row subset."""
+        arrays = {name: v[rows] for name, v in slot_fields(self._columns).items() if isinstance(v, np.ndarray)}
+        return Dataset._from_columns(replace(self._columns, **arrays), self._design, self._metadata)
 
     @property
     def cases(self) -> tuple[EvaluationCase, ...]:

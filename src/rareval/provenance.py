@@ -216,12 +216,12 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-_run_reads: dict[str, str] | None = None  # in a run: the real path of each file it read -> the path as given
+_run_reads: dict | None = None  # in a run: the real path, and (st_dev, st_ino), of each file it read -> the path given
 
 
 @contextlib.contextmanager
 def run_files():
-    """One run's scope, in which :func:`write_file` refuses every path given to :func:`read_file`, opened or not."""
+    """One run's scope, in which :func:`write_file` refuses each file given to :func:`read_file`, by path or link."""
     global _run_reads
     _run_reads = {}
     try:
@@ -233,6 +233,14 @@ def run_files():
 def _real(path: str | Path) -> str:
     import os.path  # loaded with pathlib; its realpath leaves a symbolic link loop as it is, Path.resolve raises
     return os.path.realpath(path)
+
+
+def _identity(file: str | Path | int) -> tuple[int, int] | None:
+    """The (st_dev, st_ino) of a path or an open descriptor, which every hard link to a file shares; None if no file."""
+    import os
+    with contextlib.suppress(OSError):
+        stat = os.fstat(file) if isinstance(file, int) else os.stat(file)
+        return stat.st_dev, stat.st_ino
 
 
 @contextlib.contextmanager
@@ -247,6 +255,8 @@ def read_file(path: str | Path, newline: str | None = None):
         if _run_reads is not None:
             _run_reads[_real(path)] = str(path)
         with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            if _run_reads is not None:
+                _run_reads[_identity(fh.fileno())] = str(path)
             yield fh
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
@@ -258,11 +268,12 @@ def write_file(path: str | Path, content: str | Iterable[str | bytes]) -> str:
     """Write a text, or chunks of text or bytes as they come, to ``path``: the one writer of files.
 
     Parents are made and text is UTF-8, untranslated; a whole text is encoded before the file is opened. An
-    ``OSError``, a surrogate or a path read in :func:`run_files` (refused unopened) is an :class:`InputError` naming
-    the file; a regular file whose write stopped, for any reason, is removed. Returns the sha256 of the bytes written.
+    ``OSError``, a surrogate or a file read in :func:`run_files`, by any path or hard link (refused unopened), is an
+    :class:`InputError` naming the file; a regular file whose write stopped, for any reason, is removed. Returns the
+    sha256 of the bytes written.
     """
     path, digest, opened = Path(path), hashlib.sha256(), False
-    if _run_reads and (read := _run_reads.get(_real(path))) is not None:
+    if _run_reads and (read := _run_reads.get(_real(path)) or _run_reads.get(_identity(path))) is not None:
         raise InputError(f"{path} would overwrite {read}, which this run reads")
     try:
         chunks = [content.encode("utf-8")] if isinstance(content, str) else content

@@ -14,19 +14,17 @@ model-fitting variability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import datamodel
 from . import metrics as metrics_mod  # subset_metrics has a parameter named metrics
-from .datamodel import CELLS, EXCLUDED, FN, FP, Dataset
+from .datamodel import CELLS, EXCLUDED, FN, FP, UNKNOWN_CATEGORY, Dataset
 from .errors import InfeasibleError, InputError
 from .metrics import _class_table, _metric_vector
 from .provenance import MOST_ARRAY_VALUES, derive_seed, markdown_table, replicate_rng, slot_fields
-
-UNKNOWN_CATEGORY = "unknown"
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +62,6 @@ class SubsetReport:
                 for category, entry in self.categories.items()
             },
         }
-
-    def to_markdown(self) -> str:
-        return subsets_markdown(self.to_json_dict())
 
 
 def subsets_markdown(doc: dict) -> str:
@@ -161,8 +156,7 @@ def subset_metrics(
 
     Cases missing the attribute form their own "unknown" category, so the
     categories always partition the evaluable cases. Each category is a row
-    selection of the dataset's columns; a subset of a valid dataset needs no
-    checks of its own.
+    subset of the dataset; a subset of a valid dataset needs no checks of its own.
     """
     for m in metrics:
         metrics_mod._metric_cells(m)  # rejects an unknown name
@@ -180,16 +174,10 @@ def subset_metrics(
     categories: dict[str, dict] = {}
     for j, category in enumerate(names.tolist()):
         rows = evaluable[group == j]
-        sub = Dataset._from_columns(
-            replace(cols, **{k: v[rows] for k, v in slot_fields(cols).items() if isinstance(v, np.ndarray)}),
-            dataset.design,
-            dataset.metadata,
-        )
+        sub = dataset._take(rows)
         counts = metrics_mod.confusion(sub)
-        ests = {
-            m: metrics_mod.estimate_metric(sub, m, ci_level=ci_level, seed=derive_seed(seed, f"subset:{category}"))
-            for m in metrics
-        }
+        sub_seed = derive_seed(seed, f"subset:{category}")
+        ests = {m: metrics_mod.estimate_metric(sub, m, ci_level=ci_level, seed=sub_seed) for m in metrics}
         categories[category] = {"n": rows.size, "counts": counts, "metrics": ests}
 
     errors = np.isin(datamodel.confusion_cells(dataset)[evaluable], (FP, FN))

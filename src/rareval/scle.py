@@ -224,7 +224,7 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
         targets = {"FP": config.n_fp, "FN": config.n_fn, "TP": config.n_tp, "TN": config.n_tn}
         sampling_cell = cells
     populations = {name: evaluable[sampling_cell[evaluable] == k] for k, name in enumerate(by_code)}
-    attributes = [cols.categories_of(attr, "unknown") for attr in config.substratify_by]
+    attributes = [cols.categories_of(attr, datamodel.UNKNOWN_CATEGORY) for attr in config.substratify_by]
 
     rng = replicate_rng(derive_seed(config.seed, "scle"), 0)
     rows: list[ScleRow] = []
@@ -461,9 +461,6 @@ class ScleSummary:
     def to_json_dict(self) -> dict:
         return write_record(self, "scle_summary")
 
-    def to_markdown(self) -> str:
-        return summary_markdown(self.to_json_dict())
-
 
 def summary_markdown(doc: dict) -> str:
     """Markdown of a summary's JSON form; missing keys read as empty, as in a hand-edited document."""
@@ -519,14 +516,13 @@ def aggregate(
     for ann in annotations:
         if ann.case_id not in rows_by_id:
             raise InputError(f"annotation for case {ann.case_id!r} is not part of the sample")
-    ids = [a.case_id for a in annotations]
-    if len(ids) != len(set(ids)):
+    ann_by_id = {a.case_id: a for a in annotations}
+    if len(ann_by_id) != len(annotations):
         raise InputError("duplicate annotations for the same case_id")
 
     agg_seed = seed if seed is not None else derive_seed(sample.seed, "scle-aggregate")
     rng = replicate_rng(agg_seed, 0)
     n_tp_sampled = sum(1 for r in sample.rows if r.cell == "TP")
-    ann_by_id = {a.case_id: a for a in annotations}
     reviewed = [(r, ann_by_id[r.case_id]) for r in sample.rows if r.case_id in ann_by_id]  # in sample order
 
     def sampling_cell(row: ScleRow) -> str:
@@ -565,9 +561,8 @@ def aggregate(
     for attr in sample.config.substratify_by:
         breakdown: dict[str, dict[str, int]] = {}
         for row, ann in reviewed:
-            category = row.strata.get(attr, "unknown")
-            bucket = breakdown.setdefault(category, {})
-            for tag in ann.categories:
+            bucket = breakdown.setdefault(row.strata.get(attr, datamodel.UNKNOWN_CATEGORY), {})
+            for tag in dict.fromkeys(ann.categories):  # a repeated tag counts once, as in per_cell_tags
                 bucket[tag.value] = bucket.get(tag.value, 0) + 1
         if breakdown:
             per_subgroup[attr] = breakdown

@@ -64,6 +64,13 @@ class TestDatasetInvariants:
         with pytest.raises(InputError, match="inclusion_probability"):
             StratumSpec("s1", 0.0)
 
+    def test_a_probability_whose_weighted_totals_would_overflow_is_rejected(self):
+        # 1 / 1e-308 is a finite weight, but two cases of it sum past the largest float
+        cases = [make_case(c, "positive", predicted=True, stratum_id="s1") for c in ("a", "b")]
+        with pytest.raises(InputError, match="too small for 2 cases: weighted totals overflow"):
+            Dataset(cases, design=[StratumSpec("s1", 1e-308)])
+        assert confusion(Dataset(cases[:1], design=[StratumSpec("s1", 1e-308)])).tp == 1 / 1e-308
+
 
 class TestIngest:
     def test_three_row_csv(self, tmp_path):

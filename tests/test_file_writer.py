@@ -13,7 +13,7 @@ naming the file.
 A run of the CLI never writes over a file it read: within a run,
 ``write_file`` refuses, before it opens anything, every path ``read_file``
 was given, a dataset's design sidecar included even when it is absent, and
-the run exits 2 with its inputs unchanged. Every command reads all its inputs
+every hard link to a file it opened; the run exits 2 with its inputs unchanged. Every command reads all its inputs
 before its first write, so where the clashing path is that first write,
 nothing is written at all. One clash of two outputs is checked up front:
 ``synth --truth-out`` naming ``--out`` or its design sidecar. Library callers
@@ -423,6 +423,7 @@ _APPLY = ["scle", "apply", "--input", "d.csv", "--annotations", "ann.json", "--o
     (["scle", "apply", "--input", "d.jsonl", "--format", "jsonl", "--annotations", "ann.json", "--out",
       "d.jsonl.design.json"], "d.jsonl.design.json would overwrite d.jsonl.design.json, which this run reads", []),
     ([*_RESAMPLE, "d.csv", "--out", "d.csv"], "d.csv would overwrite d.csv, which this run reads", []),
+    ([*_RESAMPLE, "d.csv", "--out", "d_link.csv"], "d_link.csv would overwrite d.csv, which this run reads", []),
     (["stability", "--input", "runs.csv", "--out", "rev/../runs.csv"],
      "rev/../runs.csv would overwrite runs.csv, which this run reads", []),
     ([*_INGEST, "rev/scle_sample.json"],
@@ -437,8 +438,8 @@ _APPLY = ["scle", "apply", "--input", "d.csv", "--annotations", "ann.json", "--o
      "ev/checklist.json would overwrite ev/checklist.json, which this run reads", []),
 ], ids=["truth-over-dataset", "truth-over-design-sidecar", "revision-over-input", "revision-over-input-sidecar",
         "revision-over-annotations", "revision-over-absent-input-sidecar", "resample-over-input",
-        "stability-over-input", "annotations-over-sample", "annotations-over-sheet", "synth-over-spec",
-        "truth-over-spec", "checklist-over-outputs"])
+        "resample-over-hard-link", "stability-over-input", "annotations-over-sample", "annotations-over-sheet",
+        "synth-over-spec", "truth-over-spec", "checklist-over-outputs"])
 def test_an_output_that_would_overwrite_a_file_of_the_run_exits_2_and_writes_nothing(argv, message, written,
                                                                                      tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -446,6 +447,7 @@ def test_an_output_that_would_overwrite_a_file_of_the_run_exits_2_and_writes_not
     with contextlib.redirect_stdout(io.StringIO()):
         main(["synth", "--n", "40", "--prevalence", "0.3", "--n-runs", "3", "--out", "runs.csv"])
     shutil.copy("ev/outputs.json", "ev/checklist.json")  # an outputs document where checklist writes its own
+    os.link("d.csv", "d_link.csv")  # a second name of the input, which is no output either
     before = {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert _exit(argv, capsys) == (2, message)
     after = {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}

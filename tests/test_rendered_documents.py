@@ -10,7 +10,10 @@ projections in several cells, remedial actions and per-subgroup tag counts.
 commands write. ``tests/golden/report_library.md`` is the ``report.md`` of
 the same results filled in by a library caller, which is the only way the
 report's case-level examination and robustness sections are filled; it
-shows each result exactly as its own command renders it.
+shows each result exactly as its own command renders it. Each command that
+writes a result (``subsets``, ``stability``, ``resample`` and ``scle
+aggregate``) writes the JSON document it prints, and its ``.md`` file is its
+module's renderer applied to that document.
 
 Regenerate both golden files with::
 
@@ -28,7 +31,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rareval import cli
+from rareval import cli, robustness, scle
+from rareval.provenance import canonical_json
 from rareval.report import EvaluationOutputs, prefill_checklist, render_report
 
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "rendered_sha256.json"
@@ -169,6 +173,32 @@ def test_the_report_embeds_each_document_as_its_command_writes_it(review):
     table = checklist_md.removeprefix("# Evaluation checklist\n\n")
     assert table.startswith("| consideration | status | evidence | rationale |\n")
     assert report_md.endswith("## Checklist\n\n" + table)
+
+
+# a command that writes its result: (its arguments, the JSON file it writes, the Markdown file and its renderer)
+_RESAMPLE = ("resample", "--input", "d.csv", "--metric", "recall", "--threshold", 0.5)
+ONE_DOCUMENT = {
+    "subsets": (("subsets", "--input", "d.csv", "--attribute", "site", "--threshold", 0.5, "--seed", 1, "--out-dir",
+                 "once"), "subsets_site.json", ("subsets_site.md", robustness.subsets_markdown)),
+    "stability": (("stability", "--input", "d.csv", "--out", "once/stability.json"), "stability.json", None),
+    "resample-bootstrap": ((*_RESAMPLE, "--n", 20, "--out", "once/bootstrap.json"), "bootstrap.json", None),
+    "resample-k_fold": ((*_RESAMPLE, "--scheme", "k_fold", "--n", 4, "--out", "once/k_fold.json"), "k_fold.json", None),
+    "scle-aggregate": (("scle", "aggregate", "--annotations", "annotations.json", "--sample", "scle_sample.json",
+                        "--seed", 3, "--out-dir", "once"), "scle_summary.json",
+                       ("scle_summary.md", scle.summary_markdown)),
+}
+
+
+@pytest.mark.parametrize("command", ONE_DOCUMENT)
+def test_a_command_writes_prints_and_renders_one_document(command, review, monkeypatch):
+    tmp, _, _ = review
+    monkeypatch.chdir(tmp)
+    argv, json_name, markdown = ONE_DOCUMENT[command]
+    printed = json.loads(_run(*argv))
+    assert (tmp / "once" / json_name).read_text(encoding="utf-8") == canonical_json(printed)
+    if markdown:
+        name, render = markdown
+        assert (tmp / "once" / name).read_text(encoding="utf-8") == render(printed)
 
 
 if __name__ == "__main__":

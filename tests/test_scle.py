@@ -452,6 +452,15 @@ class TestAggregate:
         assert proj.projected == pytest.approx(4 * (40 / 10))
         assert proj.ci_low <= proj.projected <= proj.ci_high
 
+    def test_a_repeated_tag_counts_once_per_cell_and_per_subgroup(self):
+        sample = draw_sample(labeled_dataset(), ScleConfig(n_fp=4, n_fn=1, substratify_by=("region",), seed=2))
+        row = next(r for r in sample.rows if r.cell == "FP")
+        tags = (TagCategory.NEVER_EVENT, TagCategory.NEVER_EVENT)
+        summary = aggregate([ScleAnnotation(case_id=row.case_id, reviewer="r", categories=tags)], sample)
+        assert summary.per_cell_tags["FP"]["never_event"].raw_count == 1
+        assert summary.per_subgroup_tags == {"region": {row.strata["region"]: {"never_event": 1}}}
+        assert len(summary.never_events) == 1
+
     def test_unknown_annotation_rejected(self):
         _, sample = self._sample()
         with pytest.raises(InputError, match="not part of the sample"):

@@ -157,7 +157,7 @@ def _cmd_evaluate(args) -> int:
         if args.assumed_prevalence is None:
             raise InputError("cost-based selection needs --assumed-prevalence")
         costs = curves.CostSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
-    seeds = {name: derive_seed(args.seed, f"metrics:{name}") for name in metrics.PROPORTION_METRICS}
+    seeds = {m: derive_seed(args.seed, f"metrics:{m}") for m in (*metrics.PROPORTION_METRICS, "precision_at_k")}
 
     run_config = {key: getattr(args, key) for key in ("format", "threshold", "k", "cost_fp", "cost_fn",
                                                       "assumed_prevalence", "seed")}
@@ -174,7 +174,7 @@ def _cmd_evaluate(args) -> int:
     sweep = pak = None
     threshold = args.threshold  # stays None when the predictions came with the data
     if args.k is not None:
-        pak = metrics.precision_at_k(ds, args.k)
+        pak = metrics.precision_at_k(ds, args.k, seed=seeds["precision_at_k"])
         threshold = pak.threshold
     elif costs_given:
         sweep = curves.pr_curve(ds)
@@ -197,17 +197,19 @@ def _cmd_evaluate(args) -> int:
                        | {"operation": f"metrics.{name}", "seed": seeds[name] if ds.weighted else None}
                        for name in metrics.PROPORTION_METRICS]
     if pak is not None:
-        tie_fields = {key: getattr(pak, key) for key in ("k", "ties_straddle_cut", "n_unlabeled_in_top_k")}
-        outputs.metrics.append(pak.estimate.to_json_dict(f"precision_at_{pak.k}")
-                               | {"operation": "metrics.precision_at_k", "seed": None, **tie_fields})
+        entry = {"operation": "metrics.precision_at_k", "seed": seeds["precision_at_k"] if ds.weighted else None}
+        entry.update((key, getattr(pak, key)) for key in ("k", "ties_straddle_cut", "n_unlabeled_in_top_k"))
+        outputs.metrics.append(pak.estimate.to_json_dict(f"precision_at_{pak.k}") | entry)
 
     value = {entry["metric"]: entry["value"] for entry in outputs.metrics}
     if value["precision"] is not None and value["recall"] is not None:
         outputs.f1_value = metrics.f_beta(value["precision"], value["recall"], 1.0)
 
     out_dir = Path(args.out_dir)
-    scored = not np.isnan(cols.score[cols.evaluable]).any()  # a fully scored dataset gets a sweep
-    if scored:
+    # a fully scored dataset gets a sweep, unless its labelled cases hold one class, which has no curve
+    one_class = (outputs.dataset_summary["n_positive"] == 0) != (outputs.dataset_summary["n_negative"] == 0)
+    swept = not np.isnan(cols.score[cols.evaluable]).any() and not one_class
+    if swept:
         sweep = sweep if sweep is not None else curves.pr_curve(ds)
         outputs.curve_n_points = len(sweep)
         sha256 = write_file(out_dir / CURVE_FILE, curves.curve_csv_chunks(sweep))
@@ -235,7 +237,7 @@ def _cmd_evaluate(args) -> int:
     write_file(out_dir / "report.md", md_text)
     write_file(out_dir / "metrics.json", canonical_json(outputs.metrics))
     write_file(out_dir / "outputs.json", canonical_json(outputs.to_json_dict()))
-    if scored:
+    if swept:
         write_file(out_dir / "warnings.json", canonical_json(outputs.warnings))
 
     print(_metrics_table(outputs.metrics))
@@ -488,9 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap-rate", type=_finite_float)
     p.add_argument("--precision-a", type=_finite_float)
     p.add_argument("--precision-b", type=_finite_float)
-    p.add_argument("--alpha", type=_finite_float, default=0.05)
-    p.add_argument("--replicates", dest="n_replicates", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--replicates", dest="n_replicates", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--target-power", type=_finite_float, help="solve for the smallest adequate sample size")
     p.add_argument("--config", help="JSON or key=value assumptions file; overrides flags")
     p.set_defaults(func=_cmd_size_study)
@@ -506,16 +508,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = scle_sub.add_parser("sample", help="draw a review sample and emit the annotation sheet")
     _add_dataset_args(p)
     p.add_argument("--threshold", type=_finite_float, help="apply this threshold before sampling")
-    p.add_argument("--n-fp", type=int, default=0)
-    p.add_argument("--n-fn", type=int, default=0)
-    p.add_argument("--n-tp", type=int, default=0)
-    p.add_argument("--n-tn", type=int, default=0)
+    p.add_argument("--n-fp", type=int)
+    p.add_argument("--n-fn", type=int)
+    p.add_argument("--n-tp", type=int)
+    p.add_argument("--n-tn", type=int)
     p.add_argument("--substratify-by", help="comma-separated subgroup attributes")
     p.add_argument("--boundary-bins", type=int)
     p.add_argument("--benchmark-mode", action="store_true")
-    p.add_argument("--oversample-factor", dest="disagreement_oversample_factor", type=_finite_float, default=1.0)
+    p.add_argument("--oversample-factor", dest="disagreement_oversample_factor", type=_finite_float)
     p.add_argument("--context-fields", help="comma-separated sheet context columns")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", default=_default_out_dir())
     p.add_argument("--reproducible", action="store_true")
     p.set_defaults(func=_cmd_scle_sample)
@@ -570,15 +572,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="population spec file (JSON or key=value)")
     p.add_argument("--n", type=int)
     p.add_argument("--prevalence", type=_finite_float)
-    p.add_argument("--separation", type=_finite_float, default=2.0)
-    p.add_argument("--spread", type=_finite_float, default=1.0)
-    p.add_argument("--label-noise", type=_finite_float, default=0.0)
+    p.add_argument("--separation", type=_finite_float)
+    p.add_argument("--spread", type=_finite_float)
+    p.add_argument("--label-noise", type=_finite_float)
     p.add_argument("--n-runs", type=int)
-    p.add_argument("--flip-probability", type=_finite_float, default=0.0)
+    p.add_argument("--flip-probability", type=_finite_float)
     p.add_argument("--exact-positive-count", action="store_true")
     p.add_argument("--enrich", action="append", metavar="SELECT:PROB", help="e.g. negative:0.01")
     p.add_argument("--truth-out", help="truth sidecar path (default <out>.truth.json)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("checklist", help="prefill and render the evaluation checklist")
@@ -607,10 +609,14 @@ def main(argv: list[str] | None = None) -> int:
     Called without ``argv`` (``python -m rareval.cli``, the ``rareval``
     script), ``main`` owns the process and freezes the start-up heap, so the
     collections a command triggers skip the objects imports made (numpy's
-    included). In-process callers pass ``argv`` and keep their heap.
+    included), and a closed stdout kills it by ``SIGPIPE``, as it does a Unix
+    filter. In-process callers pass ``argv`` and keep their heap and signals.
     """
     args = build_parser().parse_args(argv)  # --help and a flag error exit here, before numpy loads
     if argv is None:
+        import signal
+        if hasattr(signal, "SIGPIPE"):  # every command prints last, so its files are complete when it is killed
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
         import numpy  # loaded before the freeze, so the frozen heap holds its objects
         gc.freeze()
     try:

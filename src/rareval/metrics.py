@@ -22,9 +22,9 @@ from typing import Mapping
 import numpy as np
 
 from . import datamodel
-from .datamodel import AMBIGUOUS, CELLS, EXCLUDED, NEGATIVE, POSITIVE, Dataset
+from .datamodel import AMBIGUOUS, CELLS, EXCLUDED, Dataset
 from .errors import InputError
-from .provenance import derive_seed, slot_fields
+from .provenance import MOST_ARRAY_VALUES, derive_seed, slot_fields
 
 # metric -> (numerator cell, other denominator cell): the denominator is the
 # numerator cell plus the other cell. Drives the public estimators, the
@@ -220,12 +220,12 @@ class PrecisionAtK:
     threshold: float
 
 
-def precision_at_k(dataset: Dataset, k: int, ci_level: float = 0.95) -> PrecisionAtK:
+def precision_at_k(dataset: Dataset, k: int, ci_level: float = 0.95, seed: int = 0) -> PrecisionAtK:
     """Precision at the highest threshold yielding k predicted positives.
 
     Cases are ranked by descending score; ties at the k-th score break by
-    ascending case_id, deterministically. Weighted tallies are used when a
-    design is present.
+    ascending case_id, deterministically. The k cases, each predicted positive,
+    get :func:`estimate_metric`'s precision, seeded by ``seed`` on a design.
     """
     if k <= 0:
         raise InputError("k must be a positive integer")
@@ -240,15 +240,11 @@ def precision_at_k(dataset: Dataset, k: int, ci_level: float = 0.95) -> Precisio
     cut_score = float(cols.score[top[-1]])
     ties_straddle = k < len(ranked) and bool(cols.score[ranked[k]] == cut_score)
 
-    reference = cols.reference[top]
-    sums = np.bincount(reference, weights=cols.weight[top], minlength=NEGATIVE + 1)
-    tp, fp = float(sums[POSITIVE]), float(sums[NEGATIVE])
-    unlabeled = int(np.count_nonzero(reference == AMBIGUOUS))
-    estimate = _proportion(tp, tp + fp, ci_level, dataset.weighted)
+    top_k = datamodel.apply_threshold(dataset._take(top), cut_score)  # the k cases, each predicted positive
     return PrecisionAtK(
-        estimate=estimate,
+        estimate=estimate_metric(top_k, "precision", ci_level=ci_level, seed=seed),
         k=k,
-        n_unlabeled_in_top_k=unlabeled,
+        n_unlabeled_in_top_k=int(np.count_nonzero(top_k.columns.reference == AMBIGUOUS)),
         ties_straddle_cut=ties_straddle,
         threshold=cut_score,
     )
@@ -331,6 +327,19 @@ def _metric_vector(
         return num / den, den
 
 
+def _case_bootstrap(dataset: Dataset, metric: str, n: int, rng: np.random.Generator) -> tuple[float, float, np.ndarray]:
+    """``metric``'s value and denominator on the evaluable cases, and its value in each of ``n`` resamples of them."""
+    counts, weights, cells = _class_table(dataset)
+    if n < 1:
+        raise InputError("bootstrap needs n >= 1")
+    if n > MOST_ARRAY_VALUES // counts.size:  # the draws hold n rows of one count per class
+        raise InputError(f"bootstrap n must be at most {MOST_ARRAY_VALUES // counts.size}, "
+                         "the most resamples an array can hold")
+    (point,), (den,) = _metric_vector(metric, counts[None, :], weights, cells)
+    draws = rng.multinomial(int(counts.sum()), counts / counts.sum(), size=n)
+    return float(point), float(den), _metric_vector(metric, draws, weights, cells)[0]
+
+
 def bootstrap_metric(
     dataset: Dataset,
     metric: str,
@@ -344,16 +353,11 @@ def bootstrap_metric(
     class tallies that the resamples are drawn from; resamples with
     an undefined metric are dropped from the percentile computation.
     """
-    counts, weights, cells = _class_table(dataset)
-    n = int(counts.sum())
-    points, dens = _metric_vector(metric, counts[None, :], weights, cells)
-    point, n_effective = float(points[0]), float(dens[0])
+    rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{metric}"))
+    point, n_effective, values = _case_bootstrap(dataset, metric, n_resamples, rng)
     if not math.isfinite(point):
         return MetricEstimate(None, None, None, ci_level=ci_level, n_effective=0.0, weighted=dataset.weighted)
 
-    rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{metric}"))
-    draws = rng.multinomial(n, counts / n, size=n_resamples).astype(float)
-    values, _ = _metric_vector(metric, draws, weights, cells)
     values = values[np.isfinite(values)]
     lo, hi = percentile_interval(values, ci_level) if values.size else (0.0, 1.0)
     return MetricEstimate(
@@ -375,9 +379,9 @@ def estimate_metric(
 ) -> MetricEstimate:
     """Metric estimate with the interval appropriate to the design.
 
-    Unweighted datasets get closed-form Wilson intervals; enriched designs
-    get the seeded case-bootstrap, matching the weighted point estimator.
+    Unweighted datasets, and a design without an evaluable case to resample, get closed-form Wilson intervals;
+    enriched designs get the seeded case-bootstrap, matching the weighted point estimator.
     """
-    if dataset.weighted:
+    if dataset.weighted and dataset.columns.evaluable.any():
         return bootstrap_metric(dataset, metric, n_resamples=n_resamples, ci_level=ci_level, seed=seed)
     return metric_from_counts(confusion(dataset), metric, ci_level)

@@ -216,18 +216,20 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-_run_reads: dict | None = None  # in a run: the real path, and (st_dev, st_ino), of each file it read -> the path given
+# in a run: the real path, and (st_dev, st_ino), of each file it read, and the (st_dev, st_ino) of each file it
+# wrote -> (the path given, "reads" or "writes")
+_run_files: dict | None = None
 
 
 @contextlib.contextmanager
 def run_files():
-    """One run's scope, in which :func:`write_file` refuses each file given to :func:`read_file`, by path or link."""
-    global _run_reads
-    _run_reads = {}
+    """One run's scope, in which :func:`write_file` refuses each file read, by path or link, and each file written."""
+    global _run_files
+    _run_files = {}
     try:
         yield
     finally:
-        _run_reads = None
+        _run_files = None
 
 
 def _real(path: str | Path) -> str:
@@ -252,11 +254,11 @@ def read_file(path: str | Path, newline: str | None = None):
     raised there is an :class:`InputError`: ``no such file: <path>``, or else ``<path>: <Type>: <message>``.
     """
     try:
-        if _run_reads is not None:
-            _run_reads[_real(path)] = str(path)
+        if _run_files is not None:
+            _run_files[_real(path)] = str(path), "reads"
         with open(path, encoding="utf-8-sig", newline=newline) as fh:
-            if _run_reads is not None:
-                _run_reads[_identity(fh.fileno())] = str(path)
+            if _run_files is not None:
+                _run_files[_identity(fh.fileno())] = str(path), "reads"
             yield fh
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
@@ -268,18 +270,20 @@ def write_file(path: str | Path, content: str | Iterable[str | bytes]) -> str:
     """Write a text, or chunks of text or bytes as they come, to ``path``: the one writer of files.
 
     Parents are made and text is UTF-8, untranslated; a whole text is encoded before the file is opened. An
-    ``OSError``, a surrogate or a file read in :func:`run_files`, by any path or hard link (refused unopened), is an
-    :class:`InputError` naming the file; a regular file whose write stopped, for any reason, is removed. Returns the
-    sha256 of the bytes written.
+    ``OSError``, a surrogate, or a file that :func:`run_files` read, by any path or hard link, or wrote, by any hard
+    link (both refused unopened), is an :class:`InputError` naming the file; a regular file whose write stopped, for
+    any reason, is removed. Returns the sha256 of the bytes written.
     """
     path, digest, opened = Path(path), hashlib.sha256(), False
-    if _run_reads and (read := _run_reads.get(_real(path)) or _run_reads.get(_identity(path))) is not None:
-        raise InputError(f"{path} would overwrite {read}, which this run reads")
+    if _run_files and (seen := _run_files.get(_real(path)) or _run_files.get(_identity(path))) is not None:
+        raise InputError(f"{path} would overwrite {seen[0]}, which this run {seen[1]}")
     try:
         chunks = [content.encode("utf-8")] if isinstance(content, str) else content
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as fh:
             opened = True
+            if _run_files is not None:
+                _run_files[_identity(fh.fileno())] = str(path), "writes"
             for chunk in chunks:
                 digest.update(chunk := chunk if isinstance(chunk, bytes) else chunk.encode("utf-8"))
                 fh.write(chunk)

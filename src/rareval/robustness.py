@@ -23,8 +23,8 @@ from . import datamodel
 from . import metrics as metrics_mod  # subset_metrics has a parameter named metrics
 from .datamodel import CELLS, EXCLUDED, FN, FP, UNKNOWN_CATEGORY, Dataset
 from .errors import InfeasibleError, InputError
-from .metrics import _class_table, _metric_vector
-from .provenance import MOST_ARRAY_VALUES, derive_seed, markdown_table, replicate_rng, slot_fields
+from .metrics import _case_bootstrap, _metric_vector
+from .provenance import derive_seed, markdown_table, replicate_rng, slot_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,18 +278,13 @@ def resampling_variability(
     the metric inside each of n seeded folds. Deterministic per seed.
     """
     metrics_mod._metric_cells(metric)  # rejects an unknown name
-    counts, weights, cells = _class_table(dataset)
     if scheme == "bootstrap":
-        if n < 1:
-            raise InputError("bootstrap needs n >= 1")
-        if n > MOST_ARRAY_VALUES // counts.size:  # the draws hold n rows of one count per class
-            raise InputError(f"bootstrap n must be at most {MOST_ARRAY_VALUES // counts.size}, "
-                             "the most resamples an array can hold")
-        rng = replicate_rng(derive_seed(seed, "resample-bootstrap"), 0)
-        draws = rng.multinomial(int(counts.sum()), counts / counts.sum(), size=n)
+        _, _, arr = _case_bootstrap(dataset, metric, n, replicate_rng(derive_seed(seed, "resample-bootstrap"), 0))
     elif scheme == "k_fold":
         case_cells = datamodel.confusion_cells(dataset)
         evaluable = np.flatnonzero(case_cells >= 0)
+        if not evaluable.size:
+            raise InputError("dataset has no evaluable cases")
         if n > evaluable.size:
             raise InfeasibleError(f"k_fold with k={n} exceeds the {evaluable.size} evaluable cases")
         if n < 2:
@@ -299,11 +294,10 @@ def resampling_variability(
         weight = dataset.columns.weight
         # one row per fold; bincount adds the fold's weights in fold order
         draws = np.array([np.bincount(case_cells[f], weights=weight[f], minlength=len(CELLS)) for f in folds])
-        weights, cells = np.ones(len(CELLS)), np.arange(len(CELLS))
+        arr, _ = _metric_vector(metric, draws, np.ones(len(CELLS)), np.arange(len(CELLS)))
     else:
         raise InputError(f"unknown scheme {scheme!r} (expected 'bootstrap' or 'k_fold')")
 
-    arr, _ = _metric_vector(metric, draws, weights, cells)
     defined = arr[np.isfinite(arr)]
     n_undefined = int(arr.size - defined.size)
     if defined.size == 0:

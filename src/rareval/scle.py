@@ -131,6 +131,11 @@ class ScleSample:
     cell_sample_sizes: Mapping[str, int]
     shortfalls: Mapping[str, tuple[int, int]]  # cell -> (requested, obtained)
 
+    def __post_init__(self):
+        # no projected count exceeds the row count times the largest weight
+        if len(self.rows) * max((r.sampling_weight for r in self.rows), default=1.0) == math.inf:
+            raise InputError(f"a sampling_weight is too large for {len(self.rows)} rows: projections overflow")
+
     @property
     def config_hash(self) -> str:
         return config_hash(

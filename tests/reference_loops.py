@@ -163,8 +163,8 @@ def select_operating_point(points: list[CurvePoint], costs: CostSpec, assumed_pr
     return min(points, key=lambda p: (expected_cost(p, costs, assumed_prevalence), p.fpr))
 
 
-def precision_at_k_tally(dataset: Dataset, k: int) -> tuple[float, float, int, bool, float]:
-    """(tp, fp, unlabeled, ties_straddle_cut, threshold) of the top k."""
+def precision_at_k_tally(dataset: Dataset, k: int) -> tuple[float, float, int, bool, float, list[EvaluationCase]]:
+    """(tp, fp, unlabeled, ties_straddle_cut, threshold, cases) of the top k, the cases in rank order."""
     scored = [c for c in dataset.cases if c.reference is not ReferenceLabel.EXCLUDED]
     if any(c.score is None for c in scored):
         missing = next(c.case_id for c in scored if c.score is None)
@@ -186,7 +186,7 @@ def precision_at_k_tally(dataset: Dataset, k: int) -> tuple[float, float, int, b
             tp += w
         else:
             fp += w
-    return tp, fp, unlabeled, ties_straddle, cut_score
+    return tp, fp, unlabeled, ties_straddle, cut_score, top
 
 
 def subset_tallies(dataset: Dataset, attribute: str) -> dict[str, tuple[int, int]]:

@@ -1,9 +1,11 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
 import subprocess
 import re
+import signal
 import sys
 from pathlib import Path
 
@@ -539,6 +541,37 @@ class TestEvaluate:
         assert by_name["recall"]["value"] == pytest.approx(0.75)
         assert not (out_dir / "pr_curve.csv").exists()
 
+    @pytest.mark.parametrize("label, metric", [("positive", "recall"), ("negative", "specificity")])
+    def test_a_labelled_set_of_one_class_runs_without_curves(self, label, metric, tmp_path):
+        data = tmp_path / "one.csv"
+        data.write_text("case_id,reference,score\n" + "".join(f"c{i},{label},{i / 10}\n" for i in range(10))
+                        + "a,ambiguous,0.9\n")
+        out_dir = tmp_path / "run"
+        run_cli("evaluate", "--input", data, "--threshold", 0.55, "--out-dir", out_dir, "--reproducible")
+        by_name = {m["metric"]: m for m in json.loads((out_dir / "metrics.json").read_text())}
+        assert by_name[metric]["value"] == pytest.approx(0.4 if label == "positive" else 0.6)
+        assert sorted(p.name for p in out_dir.iterdir()) == ["metrics.json", "outputs.json", "report.json", "report.md"]
+        assert json.loads((out_dir / "report.json").read_text())["curves"]["file"] is None
+
+    def test_a_design_gets_the_bootstrap_interval_of_the_top_k_with_the_derived_seed(self, tmp_path):
+        from rareval import datamodel, metrics
+        from rareval.provenance import derive_seed
+        data = tmp_path / "e.csv"
+        run_cli("synth", "--out", data, "--n", 4000, "--prevalence", 0.05, "--enrich", "negative:0.1", "--seed", 1)
+        run_cli("evaluate", "--input", data, "--k", 60, "--seed", 3, "--out-dir", tmp_path / "run", "--reproducible")
+        entry = json.loads((tmp_path / "run" / "metrics.json").read_text())[-1]
+        seed = derive_seed(3, "metrics:precision_at_k")
+        assert (entry["metric"], entry["seed"]) == ("precision_at_60", seed)
+
+        ds = datamodel.ingest(data)
+        top = sorted(ds.cases, key=lambda c: (-c.score, c.case_id))[:60]
+        top_k = datamodel.Dataset([dataclasses.replace(c, predicted=True) for c in top], ds.design)
+        expected = metrics.estimate_metric(top_k, "precision", seed=seed)
+        assert [entry[key] for key in ("value", "ci_low", "ci_high")] == [expected.value, expected.ci_low,
+                                                                          expected.ci_high]
+        wilson = metrics.precision(metrics.confusion(top_k))  # the interval of the weighted counts
+        assert (entry["ci_low"], entry["ci_high"]) != (wilson.ci_low, wilson.ci_high)
+
 
 class TestScleWorkflow:
     def test_sample_ingest_aggregate_apply(self, synth_dataset, tmp_path):
@@ -715,6 +748,49 @@ def test_program_entries_freeze_the_start_up_heap(entry):
     frozen, numpy_at_freeze = json.loads(proc.stdout.splitlines()[-1])
     assert frozen > 0
     assert numpy_at_freeze == [True]  # the frozen heap holds numpy's objects
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+@pytest.mark.parametrize("command", ["synth", "evaluate"])
+def test_a_closed_stdout_ends_the_run_silently_with_its_files_complete(command, tmp_path):
+    run_cli("synth", "--out", tmp_path / "d.csv", "--n", 500, "--prevalence", 0.1, "--seed", 2)
+    trees = []
+    for name, closed in (("open", False), ("closed", True)):
+        run_dir = tmp_path / name
+        argv = {"synth": ["synth", "--n", 500, "--prevalence", 0.1, "--seed", 2, "--out", run_dir / "s.csv"],
+                "evaluate": ["evaluate", "--input", tmp_path / "d.csv", "--threshold", 0.5, "--reproducible",
+                             "--out-dir", run_dir]}[command]
+        proc = subprocess.Popen([sys.executable, "-m", "rareval.cli", *map(str, argv)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if closed:
+            proc.stdout.close()  # the reader is gone before the command prints
+        _, stderr = proc.communicate()
+        assert (proc.returncode, stderr) == ((-signal.SIGPIPE, b"") if closed else (0, b"")), stderr
+        trees.append({p.relative_to(run_dir): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()})
+    assert trees[0] and trees[1] == trees[0]
+
+
+_MINIMAL_RECORDS = {  # argv of each command that fills a record from its flags, and the record's required fields
+    "size-study": (["size-study", "--sample-size", "100", "--flag-rate-a", "0.1", "--flag-rate-b", "0.1",
+                    "--overlap-rate", "0.5", "--precision-a", "0.9", "--precision-b", "0.8"],
+                   dict(sample_size=100, flag_rate_a=0.1, flag_rate_b=0.1, overlap_rate=0.5, precision_a=0.9,
+                        precision_b=0.8)),
+    "scle sample": (["scle", "sample", "--input", "d.csv", "--n-fp", "1"], dict(n_fp=1)),
+    "synth": (["synth", "--out", "s.csv", "--n", "100", "--prevalence", "0.1"], dict(n=100, prevalence=0.1)),
+}
+
+
+@pytest.mark.parametrize("command", _MINIMAL_RECORDS)
+def test_each_record_field_a_flag_leaves_unset_takes_the_records_default(command):
+    from rareval import cli, design, scle, synth
+    cls = {"size-study": design.PrecisionStudyAssumptions, "scle sample": scle.ScleConfig,
+           "synth": synth.PopulationSpec}[command]
+    argv, required = _MINIMAL_RECORDS[command]
+    args = build_parser().parse_args(argv)
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    # the parser restates no default of the record; a store_true flag left unset is False
+    assert {name: v for name, v in values.items() if v is not None and v is not False} == required
+    assert cli._record(cls, args, {}) == cls.from_dict(required)
 
 
 def test_in_process_main_leaves_the_heap_unfrozen(capsys):

@@ -7,6 +7,7 @@ changed (the resample bootstrap and the permutation screen) are compared in
 distribution, within Monte Carlo error.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from rareval.curves import (
 )
 from rareval.errors import InfeasibleError, InputError
 from rareval.datamodel import CELLS, Dataset, ReferenceLabel, StratumSpec, confusion_cells
-from rareval.metrics import _class_table, _proportion, confusion, precision_at_k
+from rareval.metrics import _class_table, _proportion, confusion, estimate_metric, precision_at_k
 from rareval.provenance import derive_seed
 from rareval.report import summarize_dataset
 from rareval.robustness import _heterogeneity_screen, resampling_variability, subset_metrics
@@ -111,8 +112,12 @@ class TestColumnView:
     @given(st.one_of(datasets(), datasets(scored=True)), st.integers(1, 12))
     def test_precision_at_k_exact(self, ds, k):
         def expected(d):
-            tp, fp, unlabeled, straddle, cut = ref.precision_at_k_tally(d, k)
-            return _proportion(tp, tp + fp, 0.95, d.weighted), unlabeled, straddle, cut
+            tp, fp, unlabeled, straddle, cut, top = ref.precision_at_k_tally(d, k)
+            if not d.weighted:
+                return _proportion(tp, tp + fp, 0.95, False), unlabeled, straddle, cut
+            # a design's interval is its bootstrap over the k cases, each predicted positive
+            top_k = Dataset([dataclasses.replace(c, predicted=True) for c in top], d.design)
+            return estimate_metric(top_k, "precision"), unlabeled, straddle, cut
 
         def got(d):
             r = precision_at_k(d, k)

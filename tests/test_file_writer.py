@@ -15,7 +15,8 @@ A run of the CLI never writes over a file it read: within a run,
 was given, a dataset's design sidecar included even when it is absent, and
 every hard link to a file it opened; the run exits 2 with its inputs unchanged. Every command reads all its inputs
 before its first write, so where the clashing path is that first write,
-nothing is written at all. One clash of two outputs is checked up front:
+nothing is written at all. Nor does a run write over a file it wrote: an existing output that is a hard link to an
+earlier one is refused the same way, and nothing after it is written. One clash of two outputs is checked up front:
 ``synth --truth-out`` naming ``--out`` or its design sidecar. Library callers
 outside a run, and the next run, are not bound by what a run read.
 """
@@ -125,6 +126,24 @@ def test_the_read_check_finds_each_kind_of_read():
             "class TruthSidecar:\n    def read(p):\n        open(p)\n")
     assert _file_reads(ast.parse(code), Path("cli.py")) == [f"cli.py:{line}" for line in (*range(2, 10), 14)]
     assert _file_reads(ast.parse(code), Path("synth.py")) == [f"synth.py:{line}" for line in range(2, 10)]
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name that ``tree`` defines, imports or reads, as a name or as an attribute."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.FunctionDef: "name"}
+    return {getattr(node, fields[type(node)]) for node in ast.walk(tree) if type(node) in fields}
+
+
+def test_only_metrics_references_the_bootstrap_class_table():
+    sites = [path.name for path in sorted((ROOT / "src" / "rareval").glob("*.py"))
+             if "_class_table" in _references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+    assert sites == ["metrics.py"]
+
+
+def test_the_reference_check_finds_each_kind_of_reference():
+    for code in ("_class_table(d)", "from .metrics import _class_table", "metrics._class_table", "def _class_table(): 0"):
+        assert "_class_table" in _references(ast.parse(code))
+    assert "_class_table" not in _references(ast.parse("'_class_table'"))
 
 
 class TestWriteFile:
@@ -453,6 +472,19 @@ def test_an_output_that_would_overwrite_a_file_of_the_run_exits_2_and_writes_not
     after = {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert {path: after.get(path) for path in before} == before
     assert sorted(set(after) - set(before)) == [str(tmp_path / path) for path in written]
+
+
+def test_an_output_that_is_a_hard_link_to_an_earlier_output_exits_2_and_no_later_file_is_written(tmp_path, monkeypatch,
+                                                                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("d.csv").write_text(DATA)
+    Path("ev").mkdir()
+    Path("ev/metrics.json").write_text("")
+    os.link("ev/metrics.json", "ev/report.json")  # evaluate writes report.json before metrics.json
+    argv = ["evaluate", "--input", "d.csv", "--threshold", 0.5, "--out-dir", "ev", "--reproducible"]
+    assert _exit(argv, capsys) == (2, "ev/metrics.json would overwrite ev/report.json, which this run writes")
+    assert sorted(p.name for p in Path("ev").iterdir()) == ["metrics.json", "pr_curve.csv", "report.json", "report.md"]
+    assert json.loads(Path("ev/metrics.json").read_text())["kind"] == "evaluation_report"  # report.json, one file
 
 
 def test_a_run_shares_no_reads_with_the_next_and_a_library_caller_writes_what_it_read(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from rareval.datamodel import Dataset, StratumSpec, apply_threshold
 from rareval.errors import InputError
 from rareval.metrics import (
     ConfusionCounts,
+    MetricEstimate,
     bayes_adjusted_precision,
     bootstrap_metric,
     concordance_and_override,
@@ -22,6 +23,7 @@ from rareval.metrics import (
     specificity,
     wilson_interval,
 )
+from rareval.provenance import MOST_ARRAY_VALUES
 from rareval.synth import EnrichmentRule, PopulationSpec, generate
 
 from conftest import dataset_from_counts, make_case
@@ -292,6 +294,25 @@ class TestPrecisionAtK:
         with pytest.raises(InputError):
             precision_at_k(scored_dataset, 6)
 
+    def test_a_design_gets_the_bootstrap_of_the_k_cases_not_a_wilson_interval_of_their_weights(self):
+        cases = [make_case(f"c{i:03d}", "positive" if i % 3 == 0 else "negative", score=1.0 - i / 200,
+                           stratum_id="neg" if i % 3 else "all") for i in range(200)]
+        ds = Dataset(cases, (StratumSpec("neg", 0.1), StratumSpec("all", 1.0)))
+        got = precision_at_k(ds, 60, seed=7).estimate
+        top = Dataset([make_case(c.case_id, c.reference, predicted=True, stratum_id=c.stratum_id) for c in cases[:60]],
+                      ds.design)
+        assert got == estimate_metric(top, "precision", seed=7)
+        counts = confusion(top)  # 20 positives of weight 1 and 40 negatives of weight 10
+        assert (counts.tp, counts.fp) == (20.0, 400.0)
+        assert (got.ci_low, got.ci_high) != (precision(counts).ci_low, precision(counts).ci_high)
+        assert got != precision_at_k(ds, 60, seed=8).estimate
+
+    def test_a_design_whose_k_cases_are_all_ambiguous_has_an_undefined_precision(self):
+        ds = Dataset([make_case("a", "ambiguous", score=0.9, stratum_id="s"),
+                      make_case("b", "positive", score=0.1, stratum_id="s")], (StratumSpec("s", 0.5),))
+        result = precision_at_k(ds, 1)
+        assert (result.estimate.value, result.estimate.n_effective, result.n_unlabeled_in_top_k) == (None, 0.0, 1)
+
 
 class TestConcordance:
     def test_identical_labels(self, small_dataset):
@@ -367,6 +388,19 @@ class TestWeightedEstimation:
         assert est.weighted is True
         assert est.value == pytest.approx(expected.value, rel=1e-12)
         assert est.n_effective == pytest.approx(expected.n_effective, rel=1e-12)
+
+    @pytest.mark.parametrize("n_resamples, message", [
+        (0, "bootstrap needs n >= 1"), (-1, "bootstrap needs n >= 1"),
+        (MOST_ARRAY_VALUES // 4 + 1, f"bootstrap n must be at most {MOST_ARRAY_VALUES // 4}, "),
+    ])
+    def test_bootstrap_refuses_a_resample_count_outside_one_to_the_array_limit(self, n_resamples, message):
+        ds = dataset_from_counts(tp=3, fp=1, fn=2, tn=4)  # 4 classes, so a resample is a row of 4 counts
+        with pytest.raises(InputError, match=message):
+            bootstrap_metric(ds, "recall", n_resamples=n_resamples)
+
+    def test_a_design_without_an_evaluable_case_has_undefined_metrics(self):
+        ds = Dataset([make_case("a", "ambiguous", predicted=True, stratum_id="s")], (StratumSpec("s", 0.5),))
+        assert estimate_metric(ds, "recall") == MetricEstimate(None, None, None, n_effective=0.0, weighted=True)
 
     def test_bootstrap_deterministic_per_seed(self):
         ds = dataset_from_counts(tp=130, fp=70, fn=40, tn=760)

@@ -241,6 +241,12 @@ class TestResamplingVariability:
         with pytest.raises(InputError, match="n >= 1"):
             resampling_variability(self._threshold_dataset(n=40), "recall", n=n)
 
+    @pytest.mark.parametrize("scheme, n", [("bootstrap", 0), ("k_fold", 5), ("k_fold", 1)])
+    def test_a_set_without_an_evaluable_case_is_refused_before_the_resample_count(self, scheme, n):
+        ds = Dataset([make_case(f"a{i}", "ambiguous", predicted=True) for i in range(3)])
+        with pytest.raises(InputError, match="dataset has no evaluable cases"):
+            resampling_variability(ds, "recall", scheme=scheme, n=n)
+
     def test_kfold_runs_and_is_deterministic(self):
         ds = self._threshold_dataset()
         a = resampling_variability(ds, "recall", scheme="k_fold", n=5, seed=3)

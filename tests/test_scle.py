@@ -504,3 +504,11 @@ class TestSampleSerialization:
         restored = ScleSample.from_json_dict(payload)
         assert restored == sample
         assert restored.config_hash == sample.config_hash
+
+    def test_a_sample_whose_projections_would_overflow_is_refused(self):
+        payload = json.loads(json.dumps(draw_sample(labeled_dataset(), ScleConfig(n_fp=2, n_tp=2)).to_json_dict()))
+        payload["rows"][0]["sampling_weight"] = 1e308  # 4 rows of it project past the largest float
+        with pytest.raises(InputError, match="a sampling_weight is too large for 4 rows: projections overflow"):
+            ScleSample.from_json_dict(payload)
+        payload["rows"][0]["sampling_weight"] = 1e307
+        assert ScleSample.from_json_dict(payload).rows[0].sampling_weight == 1e307

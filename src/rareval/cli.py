@@ -97,7 +97,7 @@ def _load_config_file(path: str) -> dict:
         if text.lstrip().startswith("{"):
             return strict_json(text)
     config, decoder = {}, json.JSONDecoder()
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):  # read_file made every line end "\n"
         key, equals, value = raw_line.partition("=")
         if "#" in key or not equals:  # a comment or a blank line, else no setting
             if raw_line.split("#", 1)[0].strip():

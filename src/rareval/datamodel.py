@@ -602,13 +602,20 @@ def _report_rows(checks: list, numbers: Sequence[int], case_id: Sequence, found:
     problems += _duplicate_ids(passed, numbers[~failed])
 
 
-def _csv_header(path: Path, reader, required: Sequence[str], run_numbers: bool = False) -> list[str]:
-    """The header row of a user's CSV file: it is there, holds every ``required`` column and no column twice.
+def _csv_rows(lines: Iterable[str], first_line: int = 0):
+    """Each CSV row of ``lines`` but a blank line, with the file line it ends on (``first_line`` lines in) appended."""
+    reader = csv.reader(lines)
+    for row in reader:
+        if len(row) > 1 or row and not row[0].isspace():  # a line of only whitespace reads as one field of it
+            row.append(first_line + reader.line_num)  # onto the reader's own list: no (line, row) pair to allocate
+            yield row
 
-    With ``run_numbers``, a ``run_`` column needs a run number, and two with the same number are the same column.
-    """
-    header = next(reader, None)
-    if header is None:
+
+def _csv_header(path: Path, rows, required: Sequence[str], run_numbers: bool = False) -> list[str]:
+    """The first of :func:`_csv_rows`, a header holding every ``required`` column and no column twice. With
+    ``run_numbers``, a ``run_`` column needs a run number, and two with the same number are the same column."""
+    header = next(rows, [])[:-1]
+    if not header:
         raise IngestError([f"{path}: empty file"])
     missing = set(required) - set(header)
     if missing:
@@ -626,22 +633,18 @@ def _csv_header(path: Path, reader, required: Sequence[str], run_numbers: bool =
     return header
 
 
-def _csv_fields(rows: Iterable[list[str]], width: int, numbers: Sequence[int] | None = None):
-    """The width rule: (the fields of the rows of ``width`` fields, one list per column; their file rows; problems).
-
-    Rows are read ``_CHUNK_ROWS`` at a time. ``numbers`` are the rows' file rows, by default 2, 3, ... (a line
-    each after the header); a row of another width is a (file row, message) problem for :func:`_report_rows`.
+def _csv_fields(rows, width: int):
+    """The width rule on :func:`_csv_rows` rows, read ``_CHUNK_ROWS`` at a time: (the fields of the rows of ``width``
+    fields, one list per column; their file lines; the (file line, message) problems of the other rows).
     """
-    lengths, fields, rows = [], [[] for _ in range(width)], iter(rows)
+    fields, found = [[] for _ in range(width + 1)], []  # and a last column, the rows' file lines
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        lengths += map(len, chunk)
-        for column, values in zip(fields, zip(*(row for row in chunk if len(row) == width))):
+        found += [(row[-1], f"row {row[-1]}: expected {width} fields, got {len(row) - 1}")
+                  for row in chunk if len(row) != width + 1]
+        for column, values in zip(fields, zip(*(row for row in chunk if len(row) == width + 1))):
             column += values
-    lengths = np.array(lengths, np.intp)
-    numbers = np.arange(2, len(lengths) + 2) if numbers is None else np.array(numbers, np.intp)
-    wrong = lengths != width
-    found = [(r, f"row {r}: expected {width} fields, got {k}") for r, k in zip(numbers[wrong], lengths[wrong])]
-    return fields, numbers[~wrong], found
+    *fields, numbers = fields
+    return fields, np.array(numbers, np.intp), found
 
 
 def _read_csv(path: Path, problems: list[str]) -> dict:
@@ -653,9 +656,8 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
     first check it fails, in the order a row-by-row reader meets them.
     """
     with read_file(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _csv_header(path, reader, ("case_id", "reference"), run_numbers=True)
-        fields, numbers, found = _csv_fields(reader, len(header))
+        header = _csv_header(path, rows := _csv_rows(fh), ("case_id", "reference"), run_numbers=True)
+        fields, numbers, found = _csv_fields(rows, len(header))
     run_cols = sorted((c for c in header if c.startswith("run_")), key=lambda c: int(c[4:]))
     n, present = len(numbers), dict(zip(header, fields))
     raw = {name: present.get(name, ("",) * n) for name in (*header, *_OPTIONAL_COLUMNS)}

@@ -351,15 +351,22 @@ def bootstrap_metric(
 
     The point estimate and ``n_effective`` come from the full (weighted)
     class tallies that the resamples are drawn from; resamples with
-    an undefined metric are dropped from the percentile computation.
+    an undefined metric are dropped from the percentile computation. At a
+    point of 0 or 1, where every resample equals it, the interval is Wilson's
+    at Kish's effective size of the denominator's cases (Kish 1965).
     """
     rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{metric}"))
     point, n_effective, values = _case_bootstrap(dataset, metric, n_resamples, rng)
     if not math.isfinite(point):
         return MetricEstimate(None, None, None, ci_level=ci_level, n_effective=0.0, weighted=dataset.weighted)
 
-    values = values[np.isfinite(values)]
-    lo, hi = percentile_interval(values, ci_level) if values.size else (0.0, 1.0)
+    if point in (0.0, 1.0):  # every resample is the point: Wilson at Kish's effective size, (sum w)^2 / sum w^2
+        counts, weights, cells = _class_table(dataset)
+        size = n_effective**2 / float(_metric_vector(metric, counts[None, :], weights**2, cells)[1][0])
+        lo, hi = wilson_interval(point * size, size, ci_level)
+    else:
+        values = values[np.isfinite(values)]
+        lo, hi = percentile_interval(values, ci_level) if values.size else (0.0, 1.0)
     return MetricEstimate(
         value=point,
         ci_low=min(lo, point),

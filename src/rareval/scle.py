@@ -14,7 +14,6 @@ they came from: ``apply_verdicts`` produces a new dataset version instead.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import warnings as _warnings
@@ -388,16 +387,15 @@ def ingest_annotations(sheet: str | Path, sample: ScleSample) -> list[ScleAnnota
     # csv reads the lines itself so quoted notes keep their newlines; an oversized field raises in the block
     with provenance.read_file(sheet, newline="") as fh:
         lines = fh.readlines()
-        comments = list(takewhile(lambda line: line.startswith("#"), lines))
+        comments = list(takewhile(lambda line: line.startswith("#") or line.isspace(), lines))
         pairs = (line[1:].partition(":") for line in comments if ":" in line)
         sheet_hash = {key.strip(): value.strip() for key, _, value in pairs}.get("config_hash", "")
         if sheet_hash != sample.config_hash:
             raise InputError(f"sheet config_hash {sheet_hash!r} does not match sample config_hash "
                              f"{sample.config_hash!r}")
-        columns, reader = ("case_id", *SHEET_COLUMNS_FIXED), csv.reader(lines[len(comments):])
-        header = datamodel._csv_header(sheet, reader, columns)
-        numbered = [(len(comments) + reader.line_num, row) for row in reader if row]  # a blank line is no row
-    fields, numbers, found = datamodel._csv_fields([r for _, r in numbered], len(header), [n for n, _ in numbered])
+        columns, rows = ("case_id", *SHEET_COLUMNS_FIXED), datamodel._csv_rows(lines[len(comments):], len(comments))
+        header = datamodel._csv_header(sheet, rows, columns)
+        fields, numbers, found = datamodel._csv_fields(rows, len(header))
     # the cells of the columns read, without surrounding blanks, so that a blank cell is an empty one
     raw = {column: [text.strip() for text in values] for column, values in zip(header, fields) if column in columns}
 

@@ -427,10 +427,13 @@ def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, Evaluat
     cases: list[tuple[int, EvaluationCase]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError([f"{path}: empty file"]) from None
+        numbered = []  # (file line the row ends on, row), without blank lines or lines of only whitespace
+        for row in reader:
+            if row and not (len(row) == 1 and row[0].isspace()):
+                numbered.append((reader.line_num, row))
+        if not numbered:
+            raise IngestError([f"{path}: empty file"])
+        header = numbered[0][1]
         required = {"case_id", "reference"}
         missing = required - set(header)
         if missing:
@@ -443,7 +446,7 @@ def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, Evaluat
                 [f"{path}: repeated-run columns need a run number after 'run_': {run_cols}"]
             ) from None
         sg_cols = [c for c in header if c.startswith("sg_")]
-        for row_number, row in enumerate(reader, start=2):
+        for row_number, row in numbered[1:]:
             if len(row) != len(header):
                 problems.append(f"row {row_number}: expected {len(header)} fields, got {len(row)}")
                 continue

@@ -434,6 +434,23 @@ class TestSynthCommand:
         for suffix in (".csv", ".csv.design.json"):
             assert (tmp_path / f"spec.json{suffix}").read_bytes() == (tmp_path / f"spec.cfg{suffix}").read_bytes()
 
+    def test_a_form_feed_or_line_separator_in_a_comment_or_json_string_does_not_end_the_line(self, tmp_path, capsys):
+        # str.splitlines broke these lines there; a raw form feed is no JSON text, so the string holds U+2028 and NEL
+        enrichment = [{"select": "negative", "inclusion_probability": 0.5, "stratum_id": "neg\u2028one\x85two"}]
+        (tmp_path / "spec.json").write_text(json.dumps({"n": 200, "prevalence": 0.2, "enrichment": enrichment}))
+        (tmp_path / "spec.cfg").write_text(
+            "# assumptions\x0c for the pilot\u2028 study\nn = 200\nprevalence = 0.2\n"
+            f"enrichment = {json.dumps(enrichment, ensure_ascii=False)}  # one rule\x0c of\u2028 two\n",
+            encoding="utf-8",
+        )
+        for name in ("spec.json", "spec.cfg"):
+            assert main(["synth", "--spec", str(tmp_path / name), "--out", str(tmp_path / f"{name}.csv")]) == 0
+            assert json.loads(capsys.readouterr().out.splitlines()[-1])["n_population"] == 200
+        for suffix in (".csv", ".csv.design.json"):
+            assert (tmp_path / f"spec.json{suffix}").read_bytes() == (tmp_path / f"spec.cfg{suffix}").read_bytes()
+        design = json.loads((tmp_path / "spec.cfg.csv.design.json").read_text(encoding="utf-8"))["design"]
+        assert design[0]["stratum_id"] == "neg\u2028one\x85two"
+
     def test_writes_dataset_and_truth_sidecar(self, synth_dataset):
         assert synth_dataset.exists()
         truth = Path(str(synth_dataset) + ".truth.json")

@@ -8,7 +8,8 @@ enrichment justification.
 
 ``provenance.read_file`` reads every user file as UTF-8 with an optional BOM,
 and turns a file that cannot be read or parsed into an input error (exit 2)
-naming the file.
+naming the file. Every line-based file keeps one row rule: a row is named by
+the file line it ends on, and a blank or whitespace-only line is no row.
 
 A run of the CLI never writes over a file it read: within a run,
 ``write_file`` refuses, before it opens anything, every path ``read_file``
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from rareval import datamodel, design, metrics, scle, synth
+from rareval import cli, datamodel, design, metrics, scle, synth
 from rareval.cli import main
 from rareval.datamodel import Dataset, EvaluationCase, ReferenceLabel
 from rareval.errors import IngestError, InputError
@@ -144,6 +145,82 @@ def test_the_reference_check_finds_each_kind_of_reference():
     for code in ("_class_table(d)", "from .metrics import _class_table", "metrics._class_table", "def _class_table(): 0"):
         assert "_class_table" in _references(ast.parse(code))
     assert "_class_table" not in _references(ast.parse("'_class_table'"))
+
+
+def _called(tree: ast.AST, name: str) -> list[int]:
+    """The line of every call in ``tree`` of a function or method named ``name``."""
+    return [node.lineno for node, called, _ in _calls(tree, Path(), set()) if called == name]
+
+
+@pytest.mark.parametrize("name, callers", [("reader", ["datamodel.py"]), ("splitlines", [])])
+def test_one_module_reads_csv_rows_and_none_splits_at_str_splitlines(name, callers):
+    """``datamodel._csv_rows`` is the one ``csv.reader``; ``str.splitlines`` also breaks at a form feed, U+2028 and
+    the like, which are no line ends of a file."""
+    sites = [path.name for path in sorted((ROOT / "src" / "rareval").glob("*.py"))
+             if _called(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), name)]
+    assert sites == callers
+
+
+@pytest.mark.parametrize("name, lines", [("reader", [1, 3]), ("splitlines", [4, 5])])
+def test_the_call_check_finds_each_call_of_a_name(name, lines):
+    code = "csv.reader(f)\nfrom csv import reader\nreader(f)\ntext.splitlines()\n'a'.splitlines(True)\n'reader splitlines'\n"
+    assert _called(ast.parse(code), name) == lines
+
+
+def _row_rule_files(tmp_path: Path) -> dict:
+    """Per line-based reader: (its file's records, a row of them spanning lines when the format has one; the reader,
+    as lists of values; a bad record; the message naming it at file line ``{line}``; a text read with a line break
+    that ``str.splitlines`` would split at)."""
+    cases = [EvaluationCase(f"c{i}", ReferenceLabel.parse("positive" if i % 2 else "negative"), predicted=i % 3 == 0)
+             for i in range(10)]
+    sample = scle.draw_sample(Dataset(cases), scle.ScleConfig(n_fp=2, n_fn=2, n_tp=1, seed=1))
+    sheet = scle.emit_review_sheet(sample, Dataset(cases), path=tmp_path / "emitted.csv").read_text(encoding="utf-8")
+    comments, (header, *rows) = sheet.split("\n")[:3], sheet.split("\n")[3:-1]  # three "#" lines
+    columns, rows = header.split(","), [row.split(",") for row in rows if ",TP," not in row]
+
+    def sheet_row(case_id, note):
+        row = dict(zip(columns, rows[0]), case_id=case_id, note=note)
+        return datamodel._csv_text([[row[c] for c in columns]]).removesuffix("\r\n")
+
+    def dataset(fmt):
+        return lambda path: [(c.case_id, c.reference.value, c.score) for c in datamodel.ingest(path, fmt).cases]
+
+    score = "row {line}: field 'score': not a real number: 'oops'"
+    return {
+        "dataset-csv": (["case_id,reference,score", "a,positive,0.9", '"b\nx",negative,0.2', "f\x0cg,negative,0.3"],
+                        dataset("csv"), "c,negative,oops", score, "f\x0cg"),
+        "review-sheet": ([*comments, "# read\x0c by hand", header, sheet_row(rows[0][0], "one\ntwo"),
+                          sheet_row(rows[1][0], "a\x0cb")],
+                         lambda path: [(a.case_id, a.note) for a in scle.ingest_annotations(path, sample)],
+                         sheet_row("zz", ""), "row {line}: case_id 'zz' is not part of the sample", "a\x0cb"),
+        # a raw form feed is no JSON text, so a record holds two other breaks of str.splitlines
+        "dataset-jsonl": (['{"case_id": "a", "reference": "positive", "score": 0.9}',
+                           '{"case_id": "b\u2028\x85x", "reference": "negative", "score": 0.2}'],
+                          dataset("jsonl"), '{"case_id": "c", "reference": "negative", "score": "oops"}', score,
+                          "b\u2028\x85x"),
+        "config": (["# assumptions\x0c for the pilot\u2028 study", 'name = "a\x0cb"', 'label = "c\u2028d"', "n = 5"],
+                   lambda path: sorted(cli._load_config_file(str(path)).items()), "oops",
+                   "{path}:{line}: expected 'key = value'", "a\x0cb"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["dataset-csv", "review-sheet", "dataset-jsonl", "config"])
+def test_each_line_based_reader_skips_blank_lines_and_names_a_row_by_the_file_line_it_ends_on(kind, tmp_path):
+    records, read, bad, message, kept = _row_rule_files(tmp_path)[kind]
+    path = tmp_path / "file"
+
+    def read_lines(lines):
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        return read(path)
+
+    plain = read_lines(records)
+    assert kept in [value for row in plain for value in row]  # not split at its form feed, U+2028 or NEL
+    blanks = ["", " ", "\t", " \t\r"]  # before the header or first record, between records, at the end
+    spaced = [line for i, record in enumerate(records) for line in (blanks[i % 4], record)] + blanks
+    assert read_lines(spaced) == plain
+    with pytest.raises(InputError) as exc:
+        read_lines([*spaced, bad])
+    assert message.format(path=path, line=len(spaced) + sum(r.count("\n") for r in records) + 1) in str(exc.value)
 
 
 class TestWriteFile:

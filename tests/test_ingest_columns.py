@@ -69,7 +69,8 @@ def csv_files(draw):
 
     Clean rows hold valid fields only; "design" rows are clean except that
     their strata may be mixed or unknown and an id may repeat, so that the
-    dataset-level checks run; dirty rows draw from every pool.
+    dataset-level checks run; dirty rows draw from every pool, and blank or
+    whitespace-only lines come before, between and after them.
     """
     mode = draw(st.sampled_from(["clean", "design", "dirty"]))
     clean = mode != "dirty"
@@ -97,14 +98,13 @@ def csv_files(draw):
         rows.append(row)
     if mode != "clean" and rows and draw(st.booleans()):  # repeat an id
         rows.append(list(draw(st.sampled_from(rows))))
-    buf = io.StringIO()
-    writer = csv.writer(
-        buf,
-        lineterminator=draw(st.sampled_from(["\r\n", "\n"])),
-        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
-    )
-    writer.writerow(header)
-    writer.writerows(rows)
+    buf, end = io.StringIO(), draw(st.sampled_from(["\r\n", "\n"]))
+    writer = csv.writer(buf, lineterminator=end, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    for row in [header, *rows, None]:
+        if mode == "dirty" and draw(st.integers(0, 4)) == 0:  # a blank line, or one of only whitespace, is no row
+            buf.write(draw(st.sampled_from(["", " ", "\t", " \x0c "])) + end)
+        if row is not None:
+            writer.writerow(row)
     design = None
     if "stratum_id" in header and draw(st.booleans()):
         specs = [{"stratum_id": "s1", "inclusion_probability": 0.3, "description": ""},

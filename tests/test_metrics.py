@@ -402,6 +402,26 @@ class TestWeightedEstimation:
         ds = Dataset([make_case("a", "ambiguous", predicted=True, stratum_id="s")], (StratumSpec("s", 0.5),))
         assert estimate_metric(ds, "recall") == MetricEstimate(None, None, None, n_effective=0.0, weighted=True)
 
+    def test_a_weighted_point_of_0_or_1_gets_wilson_at_kish_effective_size(self):
+        # every resample of 0 of 19 positives, or of 58 negatives kept with p = 0.2 all below the threshold, equals
+        # the point, so the percentile interval was [0, 0] and [1, 1]; equal weights make Kish's size the case count
+        spec = PopulationSpec(n=400, prevalence=0.05, enrichment=(EnrichmentRule("negative", 0.2),), seed=1)
+        ds = apply_threshold(generate(spec).dataset, 2.0)
+        recall_, specificity_ = (bootstrap_metric(ds, metric, seed=1) for metric in ("recall", "specificity"))
+        assert (recall_.value, recall_.n_effective, specificity_.value, specificity_.n_effective) == (0.0, 19, 1.0, 290)
+        assert (recall_.ci_low, recall_.ci_high) == pytest.approx(wilson_interval(0, 19), rel=1e-12)
+        assert (specificity_.ci_low, specificity_.ci_high) == pytest.approx(wilson_interval(58, 58), rel=1e-12)
+        assert specificity_.ci_low == pytest.approx(0.9379, abs=1e-4)
+
+    @pytest.mark.parametrize("reference, metric, point", [("positive", "recall", 0.0), ("negative", "specificity", 1.0)])
+    def test_unequal_weights_give_wilson_at_kish_effective_size(self, reference, metric, point):
+        cases = [make_case(f"c{i}", reference, predicted=False, stratum_id="half" if i < 6 else "all") for i in range(10)]
+        ds = Dataset(cases, (StratumSpec("half", 0.5), StratumSpec("all", 1.0)))
+        est = bootstrap_metric(ds, metric, seed=2)
+        kish = (6 * 2.0 + 4) ** 2 / (6 * 2.0**2 + 4)  # 16^2 / 28, below the 10 cases
+        assert (est.value, est.n_effective) == (point, 16.0)
+        assert (est.ci_low, est.ci_high) == pytest.approx(wilson_interval(point * kish, kish), rel=1e-12)
+
     def test_bootstrap_deterministic_per_seed(self):
         ds = dataset_from_counts(tp=130, fp=70, fn=40, tn=760)
         a = bootstrap_metric(ds, "recall", seed=9)

@@ -24,8 +24,8 @@ from pathlib import Path
 # imported as modules, not names: calls go through module attributes, which a
 # test or a tracer may replace.
 from .errors import EvaluationError, InfeasibleError, InputError
-from .provenance import (canonical_json, config_hash, derive_seed, read_file, run_files, strict_json, unicode_text,
-                         write_file, write_record)
+from .provenance import (STRICT_JSON, canonical_json, config_hash, derive_seed, read_file, run_files, strict_json,
+                         unicode_text, write_file, write_record)
 
 
 # The full threshold sweep; reports name it with its sha256 and embed a bounded part.
@@ -96,7 +96,7 @@ def _load_config_file(path: str) -> dict:
         text = fh.read()
         if text.lstrip().startswith("{"):
             return strict_json(text)
-    config, decoder = {}, json.JSONDecoder()
+    config = {}
     for lineno, raw_line in enumerate(text.split("\n"), start=1):  # read_file made every line end "\n"
         key, equals, value = raw_line.partition("=")
         if "#" in key or not equals:  # a comment or a blank line, else no setting
@@ -105,7 +105,7 @@ def _load_config_file(path: str) -> dict:
             continue
         key, value = key.strip(), value.strip()
         try:  # a JSON value, then at most a comment: a "#" inside the value is part of it
-            config[key], end = decoder.raw_decode(value)
+            config[key], end = STRICT_JSON.raw_decode(value)
             if value[end:].strip()[:1] in ("", "#"):
                 continue
         except (ValueError, RecursionError):  # also an over-long integer or too deep a nesting

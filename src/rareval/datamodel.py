@@ -32,8 +32,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import IngestError, InputError
-from .provenance import (SURROGATE, canonical_json, read_file, read_record, show, slot_fields, strict_json, write_file,
-                         write_record)
+from .provenance import (STRICT_JSON, SURROGATE, canonical_json, read_file, read_record, show, slot_fields, strict_json,
+                         write_file, write_record)
 
 DESIGN_SIDECAR_SUFFIX = ".design.json"
 UNKNOWN_CATEGORY = "unknown"  # the category of a case without the subgroup attribute asked for
@@ -156,9 +156,12 @@ class CaseColumns:
         row = dict(zip(self.case_id.tolist(), range(len(self.case_id))))
         return np.fromiter(map(row.get, ids, repeat(-1)), np.intp, len(ids))
 
-    def categories_of(self, attribute: str, missing: str) -> np.ndarray:
-        """Every case's category of subgroup ``attribute`` (object array), ``missing`` where it has none."""
+    def categories_of(self, attribute: str, missing: str, fallback: bool = False) -> np.ndarray:
+        """Every case's category of subgroup ``attribute`` (object array), ``missing`` where it has none. The one
+        rule for an attribute that no case holds: an error, unless ``fallback`` gives every case ``missing``."""
         if attribute not in self.subgroup_names:
+            if not fallback:
+                raise InputError(f"attribute {attribute!r} is absent from every case")
             return np.full(len(self.score), missing, dtype=object)
         j = self.subgroup_names.index(attribute)
         return np.array((*self.subgroup_categories[j], missing), dtype=object)[self.subgroups[:, j]]
@@ -259,28 +262,6 @@ def _build_columns(design: tuple[StratumSpec, ...], case_id: Sequence, stratum_i
     )
 
 
-def _case_fields(case_id, reference, score, predicted, benchmark_predicted, stratum_id, subgroups, repeated_labels):
-    """Checked case values as :func:`_build_columns` arguments (without the design): the one converter to columns.
-
-    Each argument holds one :class:`EvaluationCase` field per case, None where
-    absent, except that ``reference`` holds reference codes and ``subgroups``
-    may be empty when no case has any.
-    """
-    n, width = len(case_id), max(map(len, filter(None, repeated_labels)), default=0)
-    padded = [(*(r or ()), *(-1,) * width)[:width] for r in repeated_labels] if width else []
-    return dict(
-        case_id=case_id,
-        stratum_id=stratum_id,
-        subgroups={name: [s.get(name) for s in subgroups] for name in set().union(*subgroups)},
-        runs=np.array(padded, dtype=np.int8).reshape(n, width),
-        missing=None,
-        score=np.array(score, dtype=float),
-        reference=np.array(reference, dtype=np.int8),
-        predicted=np.array([-1 if p is None else p for p in predicted], dtype=np.int8),
-        benchmark_predicted=np.array([-1 if p is None else p for p in benchmark_predicted], dtype=np.int8),
-    )
-
-
 _CHUNK_ROWS = 4096  # rows read or written at a time, so that their own memory does not grow with the dataset
 
 
@@ -324,28 +305,24 @@ class Dataset:
     """Immutable evaluation dataset: case columns, optional design, metadata.
 
     Every computation reads :attr:`columns`, which a dataset built from cases
-    builds at once. :attr:`cases` is a row view of the columns, built on first
-    use by a dataset read from a file.
+    builds at once from the checked values. :attr:`cases` is a row view of
+    the columns, built on first use.
     """
 
     __slots__ = ("_cases", "_design", "_metadata", "_columns")
 
     def __init__(self, cases: Iterable[EvaluationCase], design: Iterable[StratumSpec] = (),
                  metadata: Mapping[str, object] | None = None):
-        cases = tuple(cases)
-        values = {name: [getattr(c, name) for c in cases] for name in EvaluationCase.__slots__}
-        values["reference"] = list(map(_REFERENCE_CODE.__getitem__, values["reference"]))
-        fields, problems = _case_fields(**values), []
-        empty_runs = np.fromiter((r is not None and not len(r) for r in values["repeated_labels"]), bool, len(cases))
-        checks = _value_checks(fields["case_id"], _of((_NONE,), values["score"]), fields["score"],
-                               fields["predicted"] < 0, empty_runs)
-        _report_rows(checks, range(1, len(cases) + 1), fields["case_id"], [], problems)
+        cases, problems = tuple(cases), []
+        values = {name: [getattr(c, name) for c in cases] for name in _RECORD_KEYS}
+        values["reference"] = [r.value if type(r) is ReferenceLabel else r for r in values["reference"]]
+        fields = _check_records(range(1, len(cases) + 1), [], problems, *values.values())
         if problems:  # the first, as a reader would report it by row
             raise InputError(problems[0])
         self._design = tuple(design)
         self._columns = _build_columns(self._design, **fields)  # runs the design checks
         self._metadata = dict(metadata or {})
-        self._cases: tuple[EvaluationCase, ...] | None = cases
+        self._cases: tuple[EvaluationCase, ...] | None = None
 
     @classmethod
     def _from_columns(cls, columns: CaseColumns, design: tuple[StratumSpec, ...], metadata: Mapping):
@@ -442,6 +419,7 @@ _LABEL = {label.value: code for label, code in _REFERENCE_CODE.items()}
 _BAD = -2
 _OPTIONAL_COLUMNS = ("score", "predicted", "benchmark_predicted", "stratum_id")
 _NO_REFERENCE = object()  # a JSONL record without "reference", which is not "reference": null
+_RECORD_KEYS = EvaluationCase.__slots__  # a case's fields, or a JSONL record's keys, as _check_records takes them
 _NONE, _TEXT = type(None), (str, int, float)  # the JSON values that read as text: strings and numbers
 
 
@@ -694,18 +672,16 @@ def _read_csv(path: Path, problems: list[str]) -> dict:
 def _read_jsonl(path: Path, problems: list[str]) -> dict:
     """The file's fields as :func:`_build_columns` arguments; problems go to ``problems`` as in :func:`_read_csv`.
 
-    Each record's values are appended to one list per key, and the lists are
-    checked as columns in the order a record-by-record reader meets the checks.
+    Each record's values go to one list per :class:`EvaluationCase` field, which :func:`_check_records` checks.
     """
-    found, numbers = [], []
-    ids, references, scores, predicted, benchmark, strata, groups, runs = [[] for _ in range(8)]
+    found, numbers, fields = [], [], [[] for _ in _RECORD_KEYS]
     with read_file(path) as fh:
         for row_number, line in enumerate(fh, start=1):
             if not (line := line.strip()):
                 continue
             try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also an integer of too many digits, or too deep a nesting
+                record = STRICT_JSON.decode(line)
+            except (ValueError, RecursionError) as exc:  # also a non-finite number, too many digits, too deep a nesting
                 found.append((row_number, f"row {row_number}: invalid JSON: {getattr(exc, 'msg', exc)}"))
                 continue
             if not isinstance(record, dict):
@@ -715,15 +691,19 @@ def _read_jsonl(path: Path, problems: list[str]) -> dict:
             if get("kind") == "truth_sidecar":
                 raise IngestError([f"row {row_number}: this is a truth sidecar (oracle data), not an evaluation input"])
             numbers.append(row_number)
-            ids.append(get("case_id"))
-            references.append(get("reference", _NO_REFERENCE))
-            scores.append(get("score"))
-            predicted.append(get("predicted"))
-            benchmark.append(get("benchmark_predicted"))
-            strata.append(get("stratum_id"))
-            groups.append(get("subgroups"))
-            runs.append(get("repeated_labels"))
+            for key, values in zip(_RECORD_KEYS, fields):
+                values.append(get(key, _NO_REFERENCE if key == "reference" else None))
+    return _check_records(numbers, found, problems, *fields)
 
+
+def _check_records(numbers: Sequence[int], found: list, problems: list[str], ids: list, references: list,
+                   scores: list, predicted: list, benchmark: list, strata: list, groups: list, runs: list) -> dict:
+    """The one record rule, of JSONL and ``Dataset(cases)``: the :func:`_build_columns` arguments (no design) of the
+    records at rows ``numbers``, one list per :class:`EvaluationCase` field, a reference as text; {} on a problem.
+
+    Values are checked by exact JSON type, and a number id or subgroup value reads as its text. Problems go to
+    ``problems`` as :func:`_report_rows` reports them, after ``found`` (the lines that are no record).
+    """
     n, no_id, bad_id = len(ids), _of((_NONE,), ids), ~_of((*_TEXT, _NONE), ids)
     no_reference = np.fromiter(map(operator.is_, references, repeat(_NO_REFERENCE)), bool, n)
     ids, texts = (
@@ -732,14 +712,16 @@ def _read_jsonl(path: Path, problems: list[str]) -> dict:
     no_score = _of((_NONE,), scores)
     reference, (score, unreadable) = _codes(texts, _LABEL, _BAD), _reals(scores)
     bad_runs = empty_runs = np.zeros(n, dtype=bool)
-    if runs.count(None) < n:  # some record has repeated labels
-        bad_runs = np.fromiter(
-            (r is not None and (type(r) is not list or any(type(x) is not bool for x in r)) for r in runs), bool, n
-        )
-        empty_runs = np.fromiter(map(operator.eq, runs, repeat([])), bool, n)
+    if any(r is not None for r in runs):  # some record has repeated labels
+        bad_runs = np.fromiter((r is not None and (type(r) not in (list, tuple) or any(type(x) is not bool for x in r))
+                                for r in runs), bool, n)
+        empty_runs = np.fromiter((type(r) in (list, tuple) and not r for r in runs), bool, n)
     not_object = ~_of((dict, _NONE), groups) & np.fromiter(map(bool, groups), bool, n)  # false: no subgroups
     odd = [None] * n  # each record's first subgroup name whose value is neither text nor null
     groups = [g if type(g) is dict else {} for g in groups] if any(groups) else []  # [] when no case has any
+    bad_name = np.zeros(n, dtype=bool)
+    if set(map(type, chain.from_iterable(groups))) - {str}:
+        bad_name = np.fromiter((any(type(k) is not str for k in g) for g in groups), bool, n)
     if set(map(type, chain.from_iterable(map(dict.values, groups)))) - {str}:
         odd = [next((k for k, v in g.items() if type(v) not in (*_TEXT, _NONE)), None) for g in groups]
         groups = [{k: v if type(v) is str else str(v) for k, v in g.items() if v is not None} for g in groups]
@@ -751,18 +733,33 @@ def _read_jsonl(path: Path, problems: list[str]) -> dict:
         (unreadable, lambda i: f"field 'score': not a real number: {show(scores[i])}"),
         (bad_runs, lambda i: "field 'repeated_labels': expected a list of booleans"),
         (not_object, lambda i: "field 'subgroups': expected an object"),
+        (bad_name, lambda i: "field 'subgroups': expected a string name, got "
+                             f"{show(next(k for k in groups[i] if type(k) is not str))}"),
         (~_of((_NONE,), odd), lambda i: f"field 'subgroups': expected a string, a number or null for {odd[i]!r}"),
         (~_of((str, _NONE), strata), lambda i: "field 'stratum_id': expected a string"),
         (~_of((bool, _NONE), predicted), lambda i: "field 'predicted': expected a boolean"),
         (~_of((bool, _NONE), benchmark), lambda i: "field 'benchmark_predicted': expected a boolean"),
         *((_unpaired(texts), lambda i, name=name: f"field {name!r}: not Unicode text (unpaired surrogate)")
           for name, texts in (("case_id", ids), ("stratum_id", strata),
-                              ("subgroups", ["".join(chain(*g.items())) for g in groups] or [""] * n))),
+                              ("subgroups", ["".join(map(str, chain(*g.items()))) for g in groups] or [""] * n))),
         *_value_checks(ids, no_score, score, _of((_NONE,), predicted), empty_runs),
     ]
     _report_rows(checks, numbers, ids, found, problems)
-    # values with problems are not fit to convert, and ingest reports the problems
-    return {} if problems else _case_fields(ids, reference, score, predicted, benchmark, strata, groups, runs)
+    if problems:  # values with problems are not fit to convert
+        return {}
+    width = max(map(len, filter(None, runs)), default=0)
+    padded = [(*(r or ()), *(-1,) * width)[:width] for r in runs] if width else []
+    return dict(
+        case_id=ids,
+        stratum_id=strata,
+        subgroups={name: [g.get(name) for g in groups] for name in set().union(*groups)},
+        runs=np.array(padded, dtype=np.int8).reshape(n, width),
+        missing=None,
+        score=score,
+        reference=reference,
+        predicted=np.array([-1 if p is None else p for p in predicted], dtype=np.int8),
+        benchmark_predicted=np.array([-1 if p is None else p for p in benchmark], dtype=np.int8),
+    )
 
 
 def ingest(path: str | Path, format: str = "csv") -> Dataset:

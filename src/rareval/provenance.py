@@ -71,10 +71,14 @@ def _finite(text: str) -> float:
     return value
 
 
+# the one JSON number rule of every JSON text rareval reads: NaN, (-)Infinity and numbers beyond a float are refused
+STRICT_JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+
+
 def strict_json(text: str):
     """Parse JSON as strict parsers do: NaN, (-)Infinity, numbers beyond a float and deep nesting raise ValueError."""
     try:
-        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+        return STRICT_JSON.decode(text)
     except RecursionError as exc:
         raise ValueError(f"JSON nested too deeply: {exc}") from None
 
@@ -87,8 +91,11 @@ def unicode_text(text: str, name: str) -> str:
 
 
 def show(value) -> str:
-    """A JSON value as messages show it: a string quoted as ``repr`` quotes it, any other value as JSON text."""
-    return repr(value) if isinstance(value, str) else json.dumps(value)
+    """A value as messages show it: a string quoted as ``repr`` quotes it, a JSON value as JSON text, else its repr."""
+    try:
+        return repr(value) if isinstance(value, str) else json.dumps(value)
+    except (TypeError, ValueError):  # no JSON value: a numpy scalar, an object, a list that holds itself
+        return repr(value)
 
 
 def read_record(cls, data, kind: str | None = None, derived: tuple[str, ...] = ()):

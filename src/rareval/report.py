@@ -12,7 +12,6 @@ are omitted so identical inputs yield byte-identical reports.
 from __future__ import annotations
 
 import importlib.resources
-import json
 from dataclasses import dataclass, field
 from typing import TypedDict
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .datamodel import Dataset
 from .errors import InputError
-from .provenance import canonical_json, markdown_table, read_record, slot_fields, unicode_text
+from .provenance import canonical_json, markdown_table, read_record, slot_fields, strict_json, unicode_text
 
 SCHEMA_VERSION = "2"
 
@@ -327,7 +326,7 @@ def prefill_checklist(outputs: EvaluationOutputs) -> list[ChecklistItem]:
 def load_report_schema() -> dict:
     """The published, versioned JSON schema for report documents."""
     ref = importlib.resources.files("rareval").joinpath(f"schemas/report-v{SCHEMA_VERSION}.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    return strict_json(ref.read_text(encoding="utf-8"))
 
 
 def _fmt(value) -> str:

@@ -164,11 +164,7 @@ def subset_metrics(
     evaluable = np.flatnonzero(cols.evaluable)
     if not evaluable.size:
         raise InputError("dataset has no evaluable cases")
-    category_of = cols.categories_of(attribute, None)[evaluable]
-    absent = np.equal(category_of, None)
-    if absent.all():
-        raise InputError(f"attribute {attribute!r} is absent from every case")
-    category_of[absent] = UNKNOWN_CATEGORY  # merges with a real category of that name
+    category_of = cols.categories_of(attribute, UNKNOWN_CATEGORY)[evaluable]  # merges with a category of that name
 
     names, group = np.unique(category_of, return_inverse=True)
     categories: dict[str, dict] = {}

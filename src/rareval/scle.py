@@ -214,9 +214,6 @@ def draw_sample(dataset: Dataset, config: ScleConfig) -> ScleSample:
         # the threshold in effect: the lowest score among predicted positives
         positive = cols.score[(cols.predicted == 1) & ~np.isnan(cols.score)]
         threshold = float(positive.min()) if positive.size else 0.0
-    for attr in config.substratify_by:
-        if attr not in cols.subgroup_names:
-            raise InputError(f"attribute {attr!r} is absent from every case")
 
     if config.benchmark_mode:
         cell_names = by_code = BENCHMARK_CELLS
@@ -362,7 +359,7 @@ def emit_review_sheet(
             return ["" if math.isnan(x) else repr(x) for x in cols.score[rows].tolist()]
         if fieldname == "stratum_id":
             return _decode(cols.stratum[rows], (*(s.stratum_id for s in dataset.design), ""))
-        return cols.categories_of(fieldname, str(metadata.get(fieldname, "")))[rows].tolist()
+        return cols.categories_of(fieldname, str(metadata.get(fieldname, "")), fallback=True)[rows].tolist()
 
     sheet = datamodel._csv_text([header, *(
         [row.case_id, row.cell, row.benchmark_cell or "", *values, *[""] * len(SHEET_COLUMNS_FIXED)]

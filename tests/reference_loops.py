@@ -479,6 +479,13 @@ def _ingest_csv_rows(path: Path, problems: list[str]) -> list[tuple[int, Evaluat
     return cases
 
 
+def _finite_number(text: str) -> float:
+    """A JSON float or constant as strict parsers read it: NaN, (-)Infinity and a float beyond range are not JSON."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"non-finite JSON number {text}")
+    return value
+
+
 def _ingest_jsonl_rows(path: Path, problems: list[str]) -> list[tuple[int, EvaluationCase]]:
     cases: list[tuple[int, EvaluationCase]] = []
     with open(path, encoding="utf-8-sig") as fh:
@@ -487,11 +494,11 @@ def _ingest_jsonl_rows(path: Path, problems: list[str]) -> list[tuple[int, Evalu
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line, parse_float=_finite_number, parse_constant=_finite_number)
             except json.JSONDecodeError as exc:
                 problems.append(f"row {row_number}: invalid JSON: {exc.msg}")
                 continue
-            except (ValueError, RecursionError) as exc:  # an integer of too many digits; too deep a nesting
+            except (ValueError, RecursionError) as exc:  # a non-finite number; too many digits; too deep a nesting
                 problems.append(f"row {row_number}: invalid JSON: {exc}")
                 continue
             if not isinstance(record, dict):
@@ -578,7 +585,7 @@ def subset_metrics(dataset, attribute, names=("recall", "precision", "specificit
     evaluable = [c for c in dataset.cases if c.evaluable]
     if not evaluable:
         raise InputError("dataset has no evaluable cases")
-    if not any(attribute in c.subgroups for c in evaluable):
+    if not any(attribute in c.subgroups for c in dataset.cases):
         raise InputError(f"attribute {attribute!r} is absent from every case")
 
     groups: dict[str, list] = {}

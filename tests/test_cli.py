@@ -451,6 +451,18 @@ class TestSynthCommand:
         design = json.loads((tmp_path / "spec.cfg.csv.design.json").read_text(encoding="utf-8"))["design"]
         assert design[0]["stratum_id"] == "neg\u2028one\x85two"
 
+    @pytest.mark.parametrize("line, message", [
+        ("separation = NaN", "field 'separation': expected a number, got 'NaN'"),
+        ("spread = Infinity", "field 'spread': expected a number, got 'Infinity'"),
+    ])
+    def test_a_non_finite_value_in_a_spec_is_text_and_nothing_is_written(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"n = 50\nprevalence = 0.2\n{line}\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--spec", str(spec), "--out", str(tmp_path / "s.csv")])
+        assert (exc.value.code, json.loads(capsys.readouterr().err)["error"]["message"]) == (2, f"{spec}: {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.cfg"]
+
     def test_writes_dataset_and_truth_sidecar(self, synth_dataset):
         assert synth_dataset.exists()
         truth = Path(str(synth_dataset) + ".truth.json")

@@ -32,8 +32,10 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rareval import cli, datamodel, design, metrics, scle, synth
@@ -165,6 +167,47 @@ def test_one_module_reads_csv_rows_and_none_splits_at_str_splitlines(name, calle
 def test_the_call_check_finds_each_call_of_a_name(name, lines):
     code = "csv.reader(f)\nfrom csv import reader\nreader(f)\ntext.splitlines()\n'a'.splitlines(True)\n'reader splitlines'\n"
     assert _called(ast.parse(code), name) == lines
+
+
+@pytest.mark.parametrize("name, callers", [("loads", []), ("load", []), ("JSONDecoder", ["provenance.py"])])
+def test_one_json_decoder_reads_every_json_text(name, callers):
+    """``provenance.STRICT_JSON`` is the one decoder, so NaN, infinities and numbers beyond a float are refused in
+    every JSON text rareval reads: documents, JSONL lines and the values of ``key = value`` files."""
+    sites = [path.name for path in sorted((ROOT / "src" / "rareval").glob("*.py"))
+             if _called(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), name)]
+    assert sites == callers
+
+
+def test_the_call_check_finds_each_json_decode():
+    tree = ast.parse("json.loads(t)\nfrom json import loads, JSONDecoder\nloads(t)\njson.JSONDecoder()\n"
+                     "JSONDecoder(strict=False)\njson.dumps(t)\njson.load(fh)\n")
+    assert [_called(tree, name) for name in ("loads", "JSONDecoder", "load")] == [[1, 3], [4, 5], [7]]
+
+
+# the code that applies the case value rules: the CSV reader, and the record checker of JSONL and Dataset(cases)
+_VALUE_RULE_OWNERS = {("datamodel.py", "_read_csv"), ("datamodel.py", "_check_records")}
+
+
+def _value_rule_calls(tree: ast.AST, path: Path) -> list[str]:
+    """``file:line`` of every call of ``_value_checks`` in ``tree`` outside the functions that own the value rules."""
+    return [f"{path.name}:{node.lineno}" for node, name, _ in _calls(tree, path, _VALUE_RULE_OWNERS)
+            if name == "_value_checks"]
+
+
+def test_dataset_of_cases_has_no_value_checks_of_its_own():
+    sites = []
+    for path in sorted((ROOT / "src" / "rareval").glob("*.py")):
+        sites += _value_rule_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path)
+    assert sites == []
+    assert len(_called(ast.parse((ROOT / "src" / "rareval" / "datamodel.py").read_text(encoding="utf-8")),
+                       "_value_checks")) == 2
+
+
+def test_the_value_rule_check_finds_a_call_outside_its_owners():
+    tree = ast.parse("class Dataset:\n    def __init__(self):\n        _value_checks()\n"
+                     "def _read_csv():\n    _value_checks()\ndef _check_records():\n    datamodel._value_checks()\n")
+    assert _value_rule_calls(tree, Path("datamodel.py")) == ["datamodel.py:3"]
+    assert sorted(_value_rule_calls(tree, Path("scle.py"))) == ["scle.py:3", "scle.py:5", "scle.py:7"]
 
 
 def _row_rule_files(tmp_path: Path) -> dict:
@@ -299,8 +342,12 @@ def test_each_writer_exits_2_naming_an_unwritable_path_and_leaves_no_file(writer
 
 
 def test_emit_of_cases_whose_id_holds_a_surrogate_leaves_no_file(tmp_path):
-    dataset = Dataset([EvaluationCase("ok", ReferenceLabel.POSITIVE, 0.9),
-                       EvaluationCase("\ud800x", ReferenceLabel.NEGATIVE, 0.1)])
+    cases = [EvaluationCase("ok", ReferenceLabel.POSITIVE, 0.9), EvaluationCase("\ud800x", ReferenceLabel.NEGATIVE, 0.1)]
+    with pytest.raises(InputError, match=re.escape("row 2: field 'case_id': not Unicode text (unpaired surrogate)")):
+        Dataset(cases)
+    # columns that hold the id anyway, as no reader or Dataset(cases) builds them
+    columns = Dataset(cases[:1] + [EvaluationCase("x", ReferenceLabel.NEGATIVE, 0.1)]).columns
+    dataset = Dataset._from_columns(replace(columns, case_id=np.array(["ok", "\ud800x"], dtype=object)), (), {})
     with pytest.raises(InputError, match="UnicodeEncodeError"):
         datamodel.emit(dataset, tmp_path / "d.csv", "csv")
     assert not (tmp_path / "d.csv").exists()

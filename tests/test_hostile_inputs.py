@@ -561,6 +561,18 @@ def test_jsonl_hostile_literals_are_row_problems(tmp_path, score, problem):
     assert code == 2 and json.loads(err)["error"]["message"].startswith(problem), err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("field", ["case_id", "score"])
+def test_a_jsonl_number_that_is_no_finite_float_is_invalid_json(tmp_path, field, literal):
+    record = {"case_id": '"a"', "reference": '"positive"', "score": "0.5", field: literal}
+    path = tmp_path / "d.jsonl"
+    path.write_text("{" + ", ".join(f'"{key}": {value}' for key, value in record.items()) + "}\n", encoding="utf-8")
+    code, err = _exit_code(["evaluate", "--input", path, "--format", "jsonl", "--threshold", "0.5",
+                            "--out-dir", tmp_path / "out"])
+    assert (code, json.loads(err)["error"]["message"]) == (2, f"row 1: invalid JSON: non-finite JSON number {literal}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_csv_score_beyond_float_reads_as_jsonl_does(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(f"case_id,reference,score\na,positive,{_BEYOND_FLOAT}\n", encoding="utf-8")

@@ -26,6 +26,7 @@ from rareval.datamodel import (
     CaseColumns,
     Dataset,
     EvaluationCase,
+    ReferenceLabel,
     StratumSpec,
     apply_threshold,
     emit,
@@ -296,6 +297,118 @@ class TestIngestMatchesRowOracle:
         assert cols.subgroup_categories == (("new", "old"), ("north", "south"))
         assert cols.subgroups.tolist() == [[1, 0], [-1, -1], [-1, 1], [0, -1]]
         assert cols.runs.tolist() == [[0, 1, -1], [1, -1, -1], [-1, -1, -1], [0, 1, 0]]
+
+
+# _JSON_VALUES as Python values may hold them: finite floats only (NaN is no JSON number), ids drawn as numbers,
+# text with an unpaired surrogate (written to a file as a JSON escape), and repeated labels as tuples too
+_CASE_VALUES = {
+    **_JSON_VALUES,
+    "case_id": (_JSON_VALUES["case_id"][0], [*_JSON_VALUES["case_id"][1], "\ud800x"]),
+    "score": (_JSON_VALUES["score"][0], [v for v in _JSON_VALUES["score"][1] if v == v]),
+    "stratum_id": (_JSON_VALUES["stratum_id"][0], [*_JSON_VALUES["stratum_id"][1], "s\udfff"]),
+    "subgroups": (_JSON_VALUES["subgroups"][0], [*_JSON_VALUES["subgroups"][1], {"site\ud800": "n"}, {"a": "\udc00"}]),
+}
+_NUMBERS = st.one_of(st.integers(-(10**20), 10**20), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def case_records(draw):
+    """(records, design sidecar payload or None): JSON records that hold an id and a reference, so that they are
+    at once JSONL lines and the keyword arguments of cases; an absent key is the field's default. Clean files
+    hold valid values only, with a score or a prediction, unique ids and, with a design, a stratum each."""
+    clean, stratified, records = draw(st.booleans()), draw(st.booleans()), []
+    for i in range(draw(st.integers(0, 8))):
+        record = {"case_id": f"r{i}", "reference": "negative"}
+        for key in draw(st.lists(st.sampled_from(sorted(_CASE_VALUES)), unique=True)):
+            valid, invalid = _CASE_VALUES[key]
+            record[key] = draw(st.sampled_from(valid if clean else valid + invalid))
+        if draw(st.integers(0, 3)) == 0:
+            record["case_id"] = i + draw(st.sampled_from([0, 0.5])) if clean else draw(_NUMBERS)
+        elif clean:
+            record["case_id"] = f"r{i}"
+        if type(record.get("repeated_labels")) is list and draw(st.booleans()):
+            record["repeated_labels"] = tuple(record["repeated_labels"])
+        if clean:
+            if record.get("score") is None and record.get("predicted") is None:
+                record["score"] = 0.5
+            record.pop("stratum_id", None)
+            if stratified:
+                record["stratum_id"] = draw(st.sampled_from(["s1", "s2"]))
+        records.append(record)
+    design = None
+    if stratified if clean else draw(st.booleans()):
+        specs = [{"stratum_id": "s1", "inclusion_probability": 0.3, "description": ""},
+                 {"stratum_id": "s2", "inclusion_probability": 1.0, "description": ""}]
+        design = {"kind": "dataset_design", "design": specs, "metadata": {}}
+    return records, design
+
+
+_P, _N = ReferenceLabel.POSITIVE, ReferenceLabel.NEGATIVE
+
+
+class TestDatasetOfCasesKeepsTheRecordRule:
+    """``Dataset(cases)`` applies the JSONL record rule, types included, and its cases are the columns' view."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case_records())
+    @example(([{"case_id": 7, "reference": "positive", "score": 0.5, "subgroups": {"site": 1}},
+               {"case_id": "b", "reference": " Negative", "score": "0.25", "repeated_labels": (True, False)}], None))
+    @example(([{"case_id": "a", "reference": "positive", "predicted": 1},
+               {"case_id": 2.5, "reference": "positive", "score": 0.5, "repeated_labels": ()}], None))
+    def test_cases_read_as_their_records_read_from_jsonl(self, file):
+        records, design = file
+        cases = [EvaluationCase(**record) for record in records]
+        specs = tuple(StratumSpec(**spec) for spec in design["design"]) if design else ()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+            if design is not None:
+                Path(f"{path}.design.json").write_text(canonical_json(design), encoding="utf-8")
+            try:
+                expected = ingest(path, "jsonl")
+            except IngestError as exc:
+                with pytest.raises(InputError) as excinfo:
+                    Dataset(cases, specs)
+                assert str(excinfo.value) == exc.problems[0]
+                return
+        ds = Dataset(cases, specs)
+        assert ds == expected and ds.cases == expected.cases
+
+    @pytest.mark.parametrize("cases, problem", [
+        # a positive whose prediction is 2 was counted in no cell: recall 1.0 from one of two positives
+        ([EvaluationCase("a", _P, predicted=2), EvaluationCase("b", _N, predicted=False),
+          EvaluationCase("c", _P, predicted=True)], "row 1: field 'predicted': expected a boolean"),
+        ([EvaluationCase("a", _P, 0.5, predicted=np.True_)], "row 1: field 'predicted': expected a boolean"),
+        ([EvaluationCase("a", _P, 0.5, subgroups={1: "x"}), EvaluationCase("b", _N, 0.5, subgroups={"s": "y"})],
+         "row 1: field 'subgroups': expected a string name, got 1"),
+        ([EvaluationCase("a", _P, "x")], "row 1: field 'score': not a real number: 'x'"),
+        ([EvaluationCase(None, _P, 0.5)], "row 1: field 'case_id': missing"),
+        ([EvaluationCase("a", _P, 0.5, repeated_labels=(True, 3))],
+         "row 1: field 'repeated_labels': expected a list of booleans"),
+        ([EvaluationCase("a", _P, 0.5, repeated_labels=np.array([True, False]))],
+         "row 1: field 'repeated_labels': expected a list of booleans"),
+        ([EvaluationCase("a", _P, 0.5), EvaluationCase("\ud800x", _N, 0.5)],
+         "row 2: field 'case_id': not Unicode text (unpaired surrogate)"),
+        ([EvaluationCase("a", np.True_, 0.5)], "row 1: field 'reference': unknown reference label np.True_ "
+                                               "(expected one of: positive, negative, ambiguous, excluded)"),
+    ], ids=["predicted-2", "numpy-bool", "number-subgroup-name", "text-score", "null-id", "number-run-label",
+            "numpy-run-labels", "surrogate-id", "numpy-bool-label"])
+    def test_a_value_no_record_may_hold_is_refused_naming_its_row_and_field(self, cases, problem):
+        with pytest.raises(InputError) as excinfo:
+            Dataset(cases)
+        assert str(excinfo.value) == problem
+
+    @pytest.mark.parametrize("case, read", [
+        (EvaluationCase(7, _P, 0.5), EvaluationCase("7", _P, 0.5)),
+        (EvaluationCase("a", "positive", 0.5), EvaluationCase("a", _P, 0.5)),
+        (EvaluationCase("a", _P, 0.5, subgroups={"site": 1}), EvaluationCase("a", _P, 0.5, subgroups={"site": "1"})),
+    ], ids=["number-id", "label-text", "number-subgroup-value"])
+    def test_a_value_a_record_reads_as_text_or_as_a_label_reads_so_in_a_case(self, case, read, tmp_path):
+        other = EvaluationCase("b", _N, 0.2, subgroups={"site": "x"})
+        ds = Dataset([case, other])
+        assert ds.cases == (read, other)
+        emit(ds, tmp_path / "d.jsonl", "jsonl")
+        assert ingest(tmp_path / "d.jsonl", "jsonl").cases == ds.cases
 
 
 class TestDuplicateHeader:

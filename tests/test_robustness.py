@@ -62,6 +62,13 @@ class TestSubsetMetrics:
         with pytest.raises(InputError, match="absent"):
             subset_metrics(Dataset(cases), "ghost")
 
+    def test_an_attribute_only_a_case_outside_the_counts_holds_is_one_unknown_category(self):
+        cases = [make_case("a", "positive", score=0.9, predicted=True), make_case("b", "negative", score=0.2,
+                 predicted=False), make_case("c", "ambiguous", score=0.5, predicted=True, subgroups={"site": "north"})]
+        report = subset_metrics(Dataset(cases), "site")
+        assert list(report.categories) == ["unknown"] and report.categories["unknown"]["n"] == 2
+        assert report.heterogeneity.test.startswith("degenerate")
+
     def test_category_counts_partition_and_recombine(self):
         result = generate(PopulationSpec(n=500, prevalence=0.2, seed=4))
         from rareval.datamodel import apply_threshold

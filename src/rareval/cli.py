@@ -11,6 +11,7 @@ output directory defaults to ``RAREVAL_OUT_DIR``, then the current directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import json
@@ -141,7 +142,6 @@ def _metrics_table(entries: list[dict]) -> str:
 
 
 def _cmd_evaluate(args) -> int:
-    import numpy as np
     from . import curves, datamodel, metrics, report
     # every check that needs only the flags runs before the input is read
     if args.assumed_prevalence is not None and not 0.0 < args.assumed_prevalence < 1.0:
@@ -170,7 +170,6 @@ def _cmd_evaluate(args) -> int:
     outputs.assumed_deployment_prevalence = args.assumed_prevalence
 
     ds = datamodel.ingest(args.input, args.format)
-    cols = ds.columns
     sweep = pak = None
     threshold = args.threshold  # stays None when the predictions came with the data
     if args.k is not None:
@@ -182,7 +181,7 @@ def _cmd_evaluate(args) -> int:
         threshold = point.threshold
         outputs.operating_point = point.to_json_dict()
         outputs.costs = {"cost_fp": args.cost_fp, "cost_fn": args.cost_fn}
-    elif threshold is None and (cols.predicted[cols.evaluable] < 0).any():
+    elif threshold is None and (ds.columns.predicted[ds.columns.evaluable] < 0).any():
         raise InputError("scored dataset without predictions: give --threshold, --k, or costs")
     if threshold is not None:
         ds = datamodel.apply_threshold(ds, threshold)
@@ -206,24 +205,23 @@ def _cmd_evaluate(args) -> int:
         outputs.f1_value = metrics.f_beta(value["precision"], value["recall"], 1.0)
 
     out_dir = Path(args.out_dir)
-    # a fully scored dataset gets a sweep, unless its labelled cases hold one class, which has no curve
-    one_class = (outputs.dataset_summary["n_positive"] == 0) != (outputs.dataset_summary["n_negative"] == 0)
-    swept = not np.isnan(cols.score[cols.evaluable]).any() and not one_class
-    if swept:
-        sweep = sweep if sweep is not None else curves.pr_curve(ds)
+    if sweep is None:
+        with contextlib.suppress(InputError):  # no curve: an unscored labelled case, or fewer than two classes
+            sweep = curves.pr_curve(ds)
+    if sweep is not None:
         outputs.curve_n_points = len(sweep)
         sha256 = write_file(out_dir / CURVE_FILE, curves.curve_csv_chunks(sweep))
         outputs.curve_file = {"path": CURVE_FILE, "sha256": sha256}
         outputs.curve_points = [p.to_json_dict() for p in curves.report_points(sweep, threshold)]
         outputs.auc_value = curves.auc(sweep)
-        warning_list = curves.rare_event_warnings(
-            sweep,
-            args.assumed_prevalence,
-            auc_requested=True,
-            f1_requested=outputs.f1_value is not None,
-            costs_provided=outputs.costs is not None,
-        )
-        outputs.warnings = [w.to_json_dict() for w in warning_list]
+    warning_list = curves.rare_event_warnings(
+        ds,
+        args.assumed_prevalence,
+        auc_requested=outputs.auc_value is not None,
+        f1_requested=outputs.f1_value is not None,
+        costs_provided=outputs.costs is not None,
+    )
+    outputs.warnings = [w.to_json_dict() for w in warning_list]
 
     checklist = report.prefill_checklist(outputs)
     json_text, md_text = report.render_report(
@@ -237,8 +235,7 @@ def _cmd_evaluate(args) -> int:
     write_file(out_dir / "report.md", md_text)
     write_file(out_dir / "metrics.json", canonical_json(outputs.metrics))
     write_file(out_dir / "outputs.json", canonical_json(outputs.to_json_dict()))
-    if swept:
-        write_file(out_dir / "warnings.json", canonical_json(outputs.warnings))
+    write_file(out_dir / "warnings.json", canonical_json(outputs.warnings))
 
     print(_metrics_table(outputs.metrics))
     for w in outputs.warnings:

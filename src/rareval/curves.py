@@ -5,7 +5,7 @@ all-negative extreme; no interpolation is performed, and precision at the
 all-negative extreme is undefined rather than interpolated. One sweep serves
 both the PR and the ROC curve. Weighted tallies are used when the dataset has
 an enrichment design. A sweep is one :class:`Curve` of numpy columns; the
-hull, AUC, operating point, warnings and CSV read those columns, and
+hull, AUC, operating point and CSV read those columns, and
 ``curve[i]`` builds a :class:`CurvePoint` only where a single point is
 wanted. Reports embed only a bounded part of a sweep (:func:`report_points`):
 the vertices of its upper ROC convex hull plus the run's operating point.
@@ -13,7 +13,7 @@ the vertices of its upper ROC convex hull plus the run's operating point.
 The module also emits structured rare-event suitability warnings: composite
 summaries like AUC and F1 integrate over operating regions that carry no
 consequence when positives are rare, and enriched test sets make naive
-precision optimistic.
+precision optimistic. The warnings read the dataset, not a sweep.
 """
 
 from __future__ import annotations
@@ -217,20 +217,15 @@ def select_operating_point(curve: Curve, costs: CostSpec, assumed_prevalence: fl
     return curve[np.lexsort((curve.fpr, expected_cost(curve, costs, assumed_prevalence)))[0]]
 
 
-def test_set_prevalence_from_curve(curve: Curve) -> float | None:
-    """Prevalence among labeled cases (precision of the all-positive, last point)."""
-    return float(curve.precision[-1]) if curve.recall[-1] >= 1.0 else None
-
-
 def rare_event_warnings(
-    curve: Curve,
+    dataset: Dataset,
     assumed_prevalence: float | None,
     auc_requested: bool = False,
     f1_requested: bool = False,
     costs_provided: bool = False,
     config: WarningConfig | None = None,
 ) -> list[RareEventWarning]:
-    """Structured warnings about metric suitability in a rare-event setting."""
+    """Rare-event suitability warnings; enrichment reads the labelled cases' positive share, design-weighted."""
     cfg = config or WarningConfig()
     warnings: list[RareEventWarning] = []
 
@@ -249,7 +244,9 @@ def rare_event_warnings(
             )
         )
 
-    test_prev = test_set_prevalence_from_curve(curve)
+    cols, labeled = dataset.columns, dataset.columns.evaluable  # weights add one at a time, as in the sweep's tallies
+    positives, negatives = np.bincount(cols.reference[labeled], cols.weight[labeled], minlength=2).tolist()
+    test_prev = positives / (positives + negatives) if positives + negatives else None
     if (
         assumed_prevalence is not None
         and test_prev is not None
@@ -257,12 +254,15 @@ def rare_event_warnings(
         and test_prev / assumed_prevalence > cfg.enrichment_ratio_threshold
     ):
         ratio = test_prev / assumed_prevalence
+        share, consequence = (
+            ("design-weighted test-set", "precision-style estimates are optimistic for deployment") if dataset.weighted
+            else ("test-set", "unweighted precision-style estimates are optimistic"))
         warnings.append(
             RareEventWarning(
                 code="enrichment_optimism",
                 message=(
-                    f"test-set prevalence {test_prev:g} is {ratio:.1f}x the assumed deployment "
-                    f"prevalence {assumed_prevalence:g}; unweighted precision-style estimates are optimistic"
+                    f"{share} prevalence {test_prev:g} is {ratio:.1f}x the assumed deployment "
+                    f"prevalence {assumed_prevalence:g}; {consequence}"
                 ),
                 details={
                     "test_set_prevalence": test_prev,

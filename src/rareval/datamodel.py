@@ -528,9 +528,8 @@ def _reals(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _of(types: tuple, values: Sequence) -> np.ndarray:
-    """Mask of the values whose exact type is one of ``types`` (so a JSON ``true`` is not a number)."""
-    absent = not any(values) and values.count(None) == len(values)  # a key no record has: found fastest this way
-    kinds, types = {_NONE} if absent else set(map(type, values)), set(types)
+    """Mask of the values whose exact type is one of ``types`` (so a JSON ``true`` is not a number); reads no truth."""
+    kinds, types = set(map(type, values)), set(types)
     if kinds <= types or kinds.isdisjoint(types):  # one answer for every value
         return np.full(len(values), kinds <= types)
     return np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
@@ -716,15 +715,19 @@ def _check_records(numbers: Sequence[int], found: list, problems: list[str], ids
         bad_runs = np.fromiter((r is not None and (type(r) not in (list, tuple) or any(type(x) is not bool for x in r))
                                 for r in runs), bool, n)
         empty_runs = np.fromiter((type(r) in (list, tuple) and not r for r in runs), bool, n)
-    not_object = ~_of((dict, _NONE), groups) & np.fromiter(map(bool, groups), bool, n)  # false: no subgroups
+    not_object = ~_of((dict, _NONE), groups)  # a false JSON value is no subgroups; an array's truth is never asked
+    not_object[not_object] = [type(g) not in (bool, *_TEXT, list) or bool(g) for g in compress(groups, not_object)]
     odd = [None] * n  # each record's first subgroup name whose value is neither text nor null
-    groups = [g if type(g) is dict else {} for g in groups] if any(groups) else []  # [] when no case has any
+    groups = [] if _of((_NONE,), groups).all() else [g if type(g) is dict else {} for g in groups]
     bad_name = np.zeros(n, dtype=bool)
     if set(map(type, chain.from_iterable(groups))) - {str}:
         bad_name = np.fromiter((any(type(k) is not str for k in g) for g in groups), bool, n)
     if set(map(type, chain.from_iterable(map(dict.values, groups)))) - {str}:
         odd = [next((k for k, v in g.items() if type(v) not in (*_TEXT, _NONE)), None) for g in groups]
         groups = [{k: v if type(v) is str else str(v) for k, v in g.items() if v is not None} for g in groups]
+    group_texts = [""] * n  # one search of every subgroup name and value; a text per row only if it finds a surrogate
+    if SURROGATE.search("".join(map(str, chain.from_iterable(map(chain.from_iterable, map(dict.items, groups)))))):
+        group_texts = ["".join(map(str, chain(*g.items()))) for g in groups]
     checks = [
         (no_id | _blank(ids), lambda i: "field 'case_id': missing"),
         (bad_id, lambda i: "field 'case_id': expected a string or a number"),
@@ -740,8 +743,7 @@ def _check_records(numbers: Sequence[int], found: list, problems: list[str], ids
         (~_of((bool, _NONE), predicted), lambda i: "field 'predicted': expected a boolean"),
         (~_of((bool, _NONE), benchmark), lambda i: "field 'benchmark_predicted': expected a boolean"),
         *((_unpaired(texts), lambda i, name=name: f"field {name!r}: not Unicode text (unpaired surrogate)")
-          for name, texts in (("case_id", ids), ("stratum_id", strata),
-                              ("subgroups", ["".join(map(str, chain(*g.items()))) for g in groups] or [""] * n))),
+          for name, texts in (("case_id", ids), ("stratum_id", strata), ("subgroups", group_texts))),
         *_value_checks(ids, no_score, score, _of((_NONE,), predicted), empty_runs),
     ]
     _report_rows(checks, numbers, ids, found, problems)

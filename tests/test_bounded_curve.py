@@ -200,7 +200,8 @@ def test_unscored_run_writes_no_curve(tmp_path):
         + "".join(f"n{i},negative,{int(i < 1)}\n" for i in range(6))
     )
     assert main(["evaluate", "--input", str(data), "--out-dir", str(out), "--reproducible"]) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["metrics.json", "outputs.json", "report.json", "report.md"]
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.json", "outputs.json", "report.json", "report.md",
+                                                     "warnings.json"]
     curves = json.loads((out / "report.json").read_text())["curves"]
     assert (curves["file"], curves["n_points"], curves["points"]) == (None, 0, [])
     outputs = json.loads((out / "outputs.json").read_text())

@@ -579,8 +579,69 @@ class TestEvaluate:
         run_cli("evaluate", "--input", data, "--threshold", 0.55, "--out-dir", out_dir, "--reproducible")
         by_name = {m["metric"]: m for m in json.loads((out_dir / "metrics.json").read_text())}
         assert by_name[metric]["value"] == pytest.approx(0.4 if label == "positive" else 0.6)
-        assert sorted(p.name for p in out_dir.iterdir()) == ["metrics.json", "outputs.json", "report.json", "report.md"]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["metrics.json", "outputs.json", "report.json", "report.md",
+                                                             "warnings.json"]
         assert json.loads((out_dir / "report.json").read_text())["curves"]["file"] is None
+
+    @staticmethod
+    def _appraise(tmp_path, text, *selector):
+        """Run evaluate in process at an assumed prevalence of 0.001 on a CSV of ``text``; its output directory."""
+        data, out_dir = tmp_path / "data.csv", tmp_path / "run"
+        data.write_text(text)
+        argv = ["evaluate", "--input", str(data), *selector, "--assumed-prevalence", "0.001", "--out-dir", str(out_dir)]
+        assert main([*argv, "--reproducible"]) == 0
+        return out_dir
+
+    def test_a_predictions_only_file_is_appraised_against_the_deployment_prevalence(self, tmp_path):
+        out_dir = self._appraise(tmp_path, "case_id,reference,predicted\n"
+                                 + "".join(f"p{i},positive,{int(i < 250)}\n" for i in range(300))
+                                 + "".join(f"n{i},negative,{int(i < 48)}\n" for i in range(700)))
+        warnings = json.loads((out_dir / "warnings.json").read_text())
+        assert [w["code"] for w in warnings] == ["enrichment_optimism", "f1_without_costs"]
+        assert warnings[0]["details"]["ratio"] == 300.0
+        checklist = json.loads((out_dir / "report.json").read_text())["checklist"]
+        assert next(row for row in checklist if row["consideration"] == "precision")["status"] == "partial"
+
+    def test_a_set_of_positives_alone_warns_of_its_prevalence(self, tmp_path):
+        out_dir = self._appraise(tmp_path, "case_id,reference,score\na,positive,0.9\nb,positive,0.2\n",
+                                 "--threshold", "0.5")
+        warnings = json.loads((out_dir / "warnings.json").read_text())
+        assert [w["details"] for w in warnings if w["code"] == "enrichment_optimism"] == [
+            {"assumed_prevalence": 0.001, "ratio": 1000.0, "test_set_prevalence": 1.0, "threshold": 10.0}
+        ]
+
+    def test_a_file_without_positive_or_negative_cases_runs_with_every_metric_undefined(self, tmp_path):
+        out_dir = self._appraise(tmp_path, "case_id,reference,score\na,ambiguous,0.9\nb,ambiguous,0.2\n",
+                                 "--threshold", "0.5")
+        assert [m["value"] for m in json.loads((out_dir / "metrics.json").read_text())] == [None] * 4
+        assert not (out_dir / "pr_curve.csv").exists()
+        assert json.loads((out_dir / "warnings.json").read_text()) == []
+
+    @pytest.mark.parametrize("kind, curve", [("scored", True), ("enriched", True), ("one class", False),
+                                             ("no labelled case", False), ("predictions only", False)])
+    def test_every_run_writes_its_warnings_and_a_curve_file_exactly_when_it_has_a_curve(self, kind, curve, tmp_path):
+        from rareval.datamodel import emit
+        from rareval.synth import EnrichmentRule, PopulationSpec, generate
+        def scored(*labels):
+            rows = (f"c{i},{labels[i % len(labels)]},{i / 10}\n" for i in range(10))
+            return "case_id,reference,score\n" + "".join(rows)
+
+        if kind == "enriched":  # its design goes beside the input the run reads
+            spec = PopulationSpec(n=400, prevalence=0.05, enrichment=(EnrichmentRule("negative", 0.3),), seed=2)
+            emit(generate(spec).dataset, tmp_path / "enriched.csv")
+            (tmp_path / "enriched.csv.design.json").rename(tmp_path / "data.csv.design.json")
+        text = {
+            "scored": scored("positive", "negative"),
+            "one class": scored("positive"),
+            "no labelled case": scored("ambiguous"),
+            "predictions only": "case_id,reference,predicted\np,positive,1\nn,negative,0\n",
+        }.get(kind) or (tmp_path / "enriched.csv").read_text()
+        out_dir = self._appraise(tmp_path, text, *([] if kind == "predictions only" else ["--threshold", "0.5"]))
+        files = {"metrics.json", "outputs.json", "report.json", "report.md", "warnings.json"}
+        assert {p.name for p in out_dir.iterdir()} == files | ({"pr_curve.csv"} if curve else set())
+        warnings = json.loads((out_dir / "warnings.json").read_text())
+        assert json.loads((out_dir / "report.json").read_text())["warnings"] == warnings
+        assert json.loads((out_dir / "outputs.json").read_text())["warnings"] == warnings
 
     def test_a_design_gets_the_bootstrap_interval_of_the_top_k_with_the_derived_seed(self, tmp_path):
         from rareval import datamodel, metrics

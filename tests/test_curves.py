@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_loops as ref
 from rareval.curves import (
     CostSpec,
     WarningConfig,
@@ -12,11 +16,38 @@ from rareval.curves import (
     roc_curve,
     select_operating_point,
 )
-from rareval.datamodel import Dataset
+from rareval.datamodel import Dataset, StratumSpec
 from rareval.errors import InputError
 from rareval.synth import EnrichmentRule, PopulationSpec, generate
 
 from conftest import make_case
+
+
+_LABELS = st.sampled_from(["positive", "negative", "ambiguous", "excluded"])
+_DESIGN = (StratumSpec("s0", 1.0), StratumSpec("s1", 0.3), StratumSpec("s2", 0.07))
+
+
+@st.composite
+def labelled_sets(draw):
+    """(scored set with both classes, whether each class carries one weight): unweighted, one stratum per class,
+    or strata drawn per case."""
+    layout = draw(st.sampled_from(["unweighted", "by_class", "mixed"]))
+    labels = ["positive", "negative", *draw(st.lists(_LABELS, max_size=40))]
+    strata = {
+        "unweighted": lambda label: None,
+        "by_class": lambda label: "s1" if label == "positive" else "s2",
+        "mixed": lambda label: draw(st.sampled_from(_DESIGN)).stratum_id,
+    }[layout]
+    cases = [make_case(f"c{i}", label, score=draw(st.sampled_from([0.1, 0.5, 0.5, 0.9])), stratum_id=strata(label))
+             for i, label in enumerate(labels)]
+    return Dataset(cases, () if layout == "unweighted" else _DESIGN), layout != "mixed"
+
+
+def _warned_prevalence(dataset):
+    """``details.test_set_prevalence`` of the enrichment warning, which a ratio threshold of 0 always gives."""
+    warnings = rare_event_warnings(dataset, 0.01, config=WarningConfig(enrichment_ratio_threshold=0.0))
+    (warning,) = [w for w in warnings if w.code == "enrichment_optimism"]
+    return warning.details["test_set_prevalence"]
 
 
 def pairwise_auc_oracle(dataset):
@@ -182,35 +213,70 @@ class TestOperatingPoint:
 
 class TestWarnings:
     @staticmethod
-    def _curve(prevalence=0.5, n=400, seed=9):
-        result = generate(PopulationSpec(n=n, prevalence=prevalence, seed=seed))
-        return pr_curve(result.dataset)
+    def _dataset(prevalence=0.5, n=400, seed=9):
+        return generate(PopulationSpec(n=n, prevalence=prevalence, seed=seed)).dataset
 
     def test_auc_warning_fires_below_threshold(self):
-        warnings = rare_event_warnings(self._curve(), 0.0007, auc_requested=True)
+        warnings = rare_event_warnings(self._dataset(), 0.0007, auc_requested=True)
         assert any(w.code == "auc_low_prevalence" for w in warnings)
 
     def test_enrichment_warning_cites_ratio(self):
-        curve = self._curve(prevalence=0.5)
-        warnings = rare_event_warnings(curve, 0.01)
+        warnings = rare_event_warnings(self._dataset(prevalence=0.5), 0.01)
         enrichment = [w for w in warnings if w.code == "enrichment_optimism"]
         assert len(enrichment) == 1
         assert enrichment[0].details["ratio"] == pytest.approx(50.0, rel=0.15)
 
     def test_f1_without_costs(self):
-        warnings = rare_event_warnings(self._curve(prevalence=0.4), 0.4, f1_requested=True)
+        warnings = rare_event_warnings(self._dataset(prevalence=0.4), 0.4, f1_requested=True)
         assert [w.code for w in warnings] == ["f1_without_costs"]
         assert not rare_event_warnings(
-            self._curve(prevalence=0.4), 0.4, f1_requested=True, costs_provided=True
+            self._dataset(prevalence=0.4), 0.4, f1_requested=True, costs_provided=True
         )
 
     def test_matched_prevalence_no_requests_is_empty(self):
-        assert rare_event_warnings(self._curve(prevalence=0.4), 0.4) == []
+        assert rare_event_warnings(self._dataset(prevalence=0.4), 0.4) == []
 
     def test_thresholds_are_configurable(self):
         config = WarningConfig(auc_prevalence_threshold=0.5, enrichment_ratio_threshold=1e9)
-        warnings = rare_event_warnings(self._curve(prevalence=0.5), 0.2, auc_requested=True, config=config)
+        warnings = rare_event_warnings(self._dataset(prevalence=0.5), 0.2, auc_requested=True, config=config)
         assert [w.code for w in warnings] == ["auc_low_prevalence"]
+
+    def test_a_design_names_the_design_weighted_prevalence_it_compares(self):
+        spec = PopulationSpec(n=3000, prevalence=0.05, enrichment=(EnrichmentRule("negative", 0.3),), seed=12)
+        dataset = generate(spec).dataset
+        (warning,) = rare_event_warnings(dataset, 0.002)
+        positive, labelled = (dataset.columns.reference == 0), dataset.columns.evaluable
+        share = dataset.columns.weight[positive].sum() / dataset.columns.weight[labelled].sum()
+        assert warning.details["test_set_prevalence"] == pytest.approx(share, rel=1e-12)
+        assert warning.message == (
+            f"design-weighted test-set prevalence {share:g} is {share / 0.002:.1f}x the assumed deployment "
+            "prevalence 0.002; precision-style estimates are optimistic for deployment"
+        )
+        unweighted = Dataset(dataclasses.replace(c, stratum_id=None) for c in dataset.cases)
+        (warning,) = rare_event_warnings(unweighted, 0.002)
+        share = np.mean(unweighted.columns.reference[labelled] == 0)
+        assert warning.message == (
+            f"test-set prevalence {share:g} is {share / 0.002:.1f}x the assumed deployment "
+            "prevalence 0.002; unweighted precision-style estimates are optimistic"
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_sets())
+    def test_the_warned_prevalence_is_the_oracle_sweeps_last_precision(self, drawn):
+        dataset, one_weight_per_class = drawn
+        oracle = ref.pr_curve(dataset)[-1].precision
+        if one_weight_per_class:
+            assert _warned_prevalence(dataset) == oracle
+        else:
+            assert _warned_prevalence(dataset) == pytest.approx(oracle, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_LABELS, st.booleans()), max_size=40))
+    def test_the_warned_prevalence_of_predictions_alone_is_the_positive_share(self, rows):
+        rows = [("positive", True), *rows]
+        dataset = Dataset(make_case(f"c{i}", label, predicted=p) for i, (label, p) in enumerate(rows))
+        n_pos, n_neg = (sum(label == name for label, _ in rows) for name in ("positive", "negative"))
+        assert _warned_prevalence(dataset) == n_pos / (n_pos + n_neg)
 
 
 class TestCsvEmission:

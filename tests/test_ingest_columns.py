@@ -398,6 +398,28 @@ class TestDatasetOfCasesKeepsTheRecordRule:
             Dataset(cases)
         assert str(excinfo.value) == problem
 
+    @pytest.mark.parametrize("field, problem", [
+        ("score", "row 1: field 'score': not a real number: array([0.1, 0.2])"),
+        ("predicted", "row 1: field 'predicted': expected a boolean"),
+        ("benchmark_predicted", "row 1: field 'benchmark_predicted': expected a boolean"),
+        ("subgroups", "row 1: field 'subgroups': expected an object"),
+        ("stratum_id", "row 1: field 'stratum_id': expected a string"),
+        ("case_id", "row 1: field 'case_id': expected a string or a number"),
+    ])
+    def test_an_array_in_a_field_is_refused_by_its_type_before_its_truth_is_asked(self, field, problem):
+        # numpy raised "the truth value of an array ... is ambiguous" for an array in the first case
+        array = np.array([0.1, 0.2]) if field == "score" else np.array([True, False])
+        with pytest.raises(InputError) as excinfo:
+            Dataset([EvaluationCase(**{"case_id": "a", "reference": _P, "score": 0.5, field: array})])
+        assert str(excinfo.value) == problem
+
+    def test_an_array_of_subgroups_in_a_later_case_is_refused(self):
+        cases = [EvaluationCase("a", _P, 0.5, subgroups={"site": "x"}),
+                 EvaluationCase("b", _N, 0.5, subgroups=np.array([1, 2]))]
+        with pytest.raises(InputError) as excinfo:
+            Dataset(cases)
+        assert str(excinfo.value) == "row 2: field 'subgroups': expected an object"
+
     @pytest.mark.parametrize("case, read", [
         (EvaluationCase(7, _P, 0.5), EvaluationCase("7", _P, 0.5)),
         (EvaluationCase("a", "positive", 0.5), EvaluationCase("a", _P, 0.5)),

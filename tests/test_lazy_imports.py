@@ -34,6 +34,12 @@ class TestPublicApi:
         for name, home in GOLDEN["home"].items():
             assert getattr(rareval, name) is getattr(importlib.import_module(f"rareval.{home}"), name), name
 
+    def test_each_public_function_keeps_its_signature(self):
+        # classes are left out: enum and exception constructors print differently across Python versions
+        public = {name: getattr(rareval, name) for name in rareval.__all__}
+        signatures = {name: str(inspect.signature(f)) for name, f in public.items() if inspect.isfunction(f)}
+        assert signatures == GOLDEN["signatures"]
+
     def test_star_import_binds_every_name_and_dir_lists_them(self):
         namespace: dict = {}
         exec("from rareval import *", namespace)

@@ -251,12 +251,12 @@ def build_outputs_from_dataset(seed, with_curves, with_threshold):
         sweep = curves_mod.pr_curve(ds)
         outputs.curve_points = [p.to_json_dict() for p in sweep]
         outputs.auc_value = curves_mod.auc(sweep)
-        outputs.warnings = [
-            w.to_json_dict()
-            for w in curves_mod.rare_event_warnings(
-                sweep, outputs.assumed_deployment_prevalence, auc_requested=True, f1_requested=True
-            )
-        ]
+    outputs.warnings = [
+        w.to_json_dict()
+        for w in curves_mod.rare_event_warnings(
+            ds, outputs.assumed_deployment_prevalence, auc_requested=with_curves, f1_requested=True
+        )
+    ]
     return outputs
 
 

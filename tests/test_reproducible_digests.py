@@ -5,9 +5,12 @@ column, one enriched with negatives kept at p=0.3, so its weights are
 inexact) go through the commands the benchmark runs: ``evaluate`` (threshold
 and cost runs), ``subsets``, ``resample`` (k-fold and bootstrap) and
 ``scle sample``. A third input carries ``benchmark_predicted`` labels for
-``scle sample --benchmark-mode``. ``synth`` writes a CSV with repeated runs
-(read back by ``stability``) and an enriched JSONL, and ``scle apply`` writes
-both formats from a fixed annotations document. Every file written is hashed
+``scle sample --benchmark-mode``. Three inputs made from the plain one have
+no curve, and ``evaluate`` appraises each: its cases with predictions and no
+scores, its positive cases alone, and its cases all marked ambiguous.
+``synth`` writes a CSV with repeated runs (read back by ``stability``) and
+an enriched JSONL, and ``scle apply`` writes both formats from a fixed
+annotations document. Every file written is hashed
 and compared with ``tests/golden/reproducible_sha256.json``. A speed-up must
 leave these bytes alone; a deliberate change to an output updates the golden
 file and says why.
@@ -46,6 +49,15 @@ COMMANDS = {
     "evaluate-enriched-cost": [
         "evaluate", "--input", "enriched.csv", "--cost-fp", "1", "--cost-fn", "100",
         "--assumed-prevalence", "0.002", "--reproducible",
+    ],
+    "evaluate-predictions-only": [
+        "evaluate", "--input", "predicted.csv", "--assumed-prevalence", "0.001", "--reproducible",
+    ],
+    "evaluate-one-class": [
+        "evaluate", "--input", "positives.csv", "--threshold", "0.8", "--assumed-prevalence", "0.001", "--reproducible",
+    ],
+    "evaluate-no-labelled-case": [
+        "evaluate", "--input", "ambiguous.csv", "--threshold", "0.8", "--assumed-prevalence", "0.001", "--reproducible",
     ],
     "subsets": ["subsets", "--input", "plain.csv", "--attribute", "site", "--threshold", "0.8"],
     "resample-kfold": [
@@ -99,6 +111,13 @@ def _write_inputs(work: Path) -> None:
         for c, s in zip(plain.cases, site)
     )
     datamodel.emit(plain, work / "plain.csv")
+    EvaluationCase, ReferenceLabel = datamodel.EvaluationCase, datamodel.ReferenceLabel
+    for name, cases in (
+        ("predicted", (EvaluationCase(c.case_id, c.reference, predicted=c.score >= 0.8) for c in plain.cases)),
+        ("positives", (c for c in plain.cases if c.reference is ReferenceLabel.POSITIVE)),
+        ("ambiguous", (EvaluationCase(c.case_id, ReferenceLabel.AMBIGUOUS, c.score) for c in plain.cases)),
+    ):
+        datamodel.emit(datamodel.Dataset(cases), work / f"{name}.csv")
     spec = synth.PopulationSpec(
         n=6000, prevalence=0.05, enrichment=(synth.EnrichmentRule("negative", 0.3),), seed=12
     )

@@ -188,7 +188,7 @@ def _cmd_evaluate(args) -> int:
         outputs.threshold = None if threshold == math.inf else threshold  # inf: nothing is predicted positive
 
     outputs.dataset_summary = report.summarize_dataset(ds)
-    outputs.test_set_prevalence = outputs.dataset_summary["prevalence"]
+    outputs.test_set_prevalence = curves.prevalence_of(ds)
     outputs.enrichment_accounted = ds.weighted
     outputs.benchmark_present = bool((ds.columns.benchmark_predicted >= 0).any())
 

@@ -217,6 +217,13 @@ def select_operating_point(curve: Curve, costs: CostSpec, assumed_prevalence: fl
     return curve[np.lexsort((curve.fpr, expected_cost(curve, costs, assumed_prevalence)))[0]]
 
 
+def prevalence_of(dataset: Dataset) -> float | None:
+    """The test-set prevalence: the labelled cases' positive share, design-weighted; None without a labelled case."""
+    cols, labeled = dataset.columns, dataset.columns.evaluable  # weights add one at a time, as in the sweep's tallies
+    positives, negatives = np.bincount(cols.reference[labeled], cols.weight[labeled], minlength=2).tolist()
+    return positives / (positives + negatives) if positives + negatives else None
+
+
 def rare_event_warnings(
     dataset: Dataset,
     assumed_prevalence: float | None,
@@ -225,7 +232,7 @@ def rare_event_warnings(
     costs_provided: bool = False,
     config: WarningConfig | None = None,
 ) -> list[RareEventWarning]:
-    """Rare-event suitability warnings; enrichment reads the labelled cases' positive share, design-weighted."""
+    """Rare-event suitability warnings; enrichment compares :func:`prevalence_of` with the assumed prevalence."""
     cfg = config or WarningConfig()
     warnings: list[RareEventWarning] = []
 
@@ -244,9 +251,7 @@ def rare_event_warnings(
             )
         )
 
-    cols, labeled = dataset.columns, dataset.columns.evaluable  # weights add one at a time, as in the sweep's tallies
-    positives, negatives = np.bincount(cols.reference[labeled], cols.weight[labeled], minlength=2).tolist()
-    test_prev = positives / (positives + negatives) if positives + negatives else None
+    test_prev = prevalence_of(dataset)
     if (
         assumed_prevalence is not None
         and test_prev is not None

@@ -436,8 +436,7 @@ def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
     design_record = _Sidecar(design, dataset.metadata)  # its checks run before any file is written
     chunks = _chunks(len(dataset))
     if format == "csv":
-        header = ["case_id", "reference", "score", "predicted", "benchmark_predicted", "stratum_id"]
-        header += [f"sg_{name}" for name in cols.subgroup_names]
+        header = [*_RECORD_KEYS[:2], *_OPTIONAL_COLUMNS, *(f"sg_{name}" for name in cols.subgroup_names)]
         header += [f"run_{k + 1}" for k in range(cols.runs.shape[1])]
         labels = tuple(label.value for label in ReferenceLabel)
         strata = (*(s.stratum_id for s in design), "")
@@ -454,7 +453,7 @@ def emit(dataset: Dataset, path: str | Path, format: str = "csv") -> list[Path]:
             *(_decode(codes, _FLAG_TEXT) for codes in cols.runs[rows].T),
         )) for rows in chunks))
     elif format == "jsonl":
-        optional = ("score", "predicted", "benchmark_predicted", "stratum_id", "subgroups", "repeated_labels")
+        optional = _RECORD_KEYS[2:]  # every field but case_id and reference
 
         def lines(rows: slice) -> str:
             records = [{"case_id": case_id, "reference": reference.value, **{

@@ -15,7 +15,7 @@ never silent zeros or NaNs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Mapping
 
@@ -28,7 +28,7 @@ from .provenance import MOST_ARRAY_VALUES, derive_seed, slot_fields
 
 # metric -> (numerator cell, other denominator cell): the denominator is the
 # numerator cell plus the other cell. Drives the public estimators, the
-# bootstrap vectors and their n_effective.
+# bootstrap vectors and their Kish size.
 _METRIC_CELLS = {
     "recall": ("tp", "fn"),
     "precision": ("tp", "fp"),
@@ -70,7 +70,8 @@ class MetricEstimate:
     """A proportion estimate with its confidence interval.
 
     ``value`` is None when the denominator is empty (undefined, not zero).
-    ``n_effective`` is the denominator mass behind the estimate.
+    ``n_effective`` is the denominator's size: its case count, or on a design
+    its weight sum, the population its cases stand for.
     """
 
     value: float | None
@@ -327,17 +328,18 @@ def _metric_vector(
         return num / den, den
 
 
-def _case_bootstrap(dataset: Dataset, metric: str, n: int, rng: np.random.Generator) -> tuple[float, float, np.ndarray]:
-    """``metric``'s value and denominator on the evaluable cases, and its value in each of ``n`` resamples of them."""
+def _case_bootstrap(dataset: Dataset, metric: str, n: int, rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """Kish's size of ``metric``'s denominator on the evaluable cases, and its value in each of ``n`` resamples."""
     counts, weights, cells = _class_table(dataset)
     if n < 1:
         raise InputError("bootstrap needs n >= 1")
     if n > MOST_ARRAY_VALUES // counts.size:  # the draws hold n rows of one count per class
         raise InputError(f"bootstrap n must be at most {MOST_ARRAY_VALUES // counts.size}, "
                          "the most resamples an array can hold")
-    (point,), (den,) = _metric_vector(metric, counts[None, :], weights, cells)
+    # Kish (1965): (sum w)^2 / sum w^2 over the denominator's cases
+    (den,), (den_sq,) = (_metric_vector(metric, counts[None, :], w, cells)[1] for w in (weights, weights**2))
     draws = rng.multinomial(int(counts.sum()), counts / counts.sum(), size=n)
-    return float(point), float(den), _metric_vector(metric, draws, weights, cells)[0]
+    return float(den**2 / den_sq) if den_sq else 0.0, _metric_vector(metric, draws, weights, cells)[0]
 
 
 def bootstrap_metric(
@@ -349,32 +351,22 @@ def bootstrap_metric(
 ) -> MetricEstimate:
     """Seeded nonparametric case-bootstrap percentile interval.
 
-    The point estimate and ``n_effective`` come from the full (weighted)
-    class tallies that the resamples are drawn from; resamples with
-    an undefined metric are dropped from the percentile computation. At a
-    point of 0 or 1, where every resample equals it, the interval is Wilson's
-    at Kish's effective size of the denominator's cases (Kish 1965).
+    The point estimate, ``n_effective`` and ``weighted`` are :func:`confusion`'s, as on every path; the
+    bootstrap supplies only the interval. Resamples with an undefined metric are dropped from the percentile
+    computation. At a point of 0 or 1, where every resample equals it, the interval is Wilson's at Kish's
+    effective size of the denominator's cases (Kish 1965).
     """
     rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{metric}"))
-    point, n_effective, values = _case_bootstrap(dataset, metric, n_resamples, rng)
-    if not math.isfinite(point):
-        return MetricEstimate(None, None, None, ci_level=ci_level, n_effective=0.0, weighted=dataset.weighted)
-
-    if point in (0.0, 1.0):  # every resample is the point: Wilson at Kish's effective size, (sum w)^2 / sum w^2
-        counts, weights, cells = _class_table(dataset)
-        size = n_effective**2 / float(_metric_vector(metric, counts[None, :], weights**2, cells)[1][0])
+    size, values = _case_bootstrap(dataset, metric, n_resamples, rng)
+    estimate = metric_from_counts(confusion(dataset), metric, ci_level)
+    if (point := estimate.value) is None:
+        return estimate
+    if point in (0.0, 1.0):  # every resample is the point
         lo, hi = wilson_interval(point * size, size, ci_level)
     else:
         values = values[np.isfinite(values)]
         lo, hi = percentile_interval(values, ci_level) if values.size else (0.0, 1.0)
-    return MetricEstimate(
-        value=point,
-        ci_low=min(lo, point),
-        ci_high=max(hi, point),
-        ci_level=ci_level,
-        n_effective=n_effective,
-        weighted=dataset.weighted,
-    )
+    return replace(estimate, ci_low=min(lo, point), ci_high=max(hi, point))
 
 
 def estimate_metric(
@@ -387,7 +379,7 @@ def estimate_metric(
     """Metric estimate with the interval appropriate to the design.
 
     Unweighted datasets, and a design without an evaluable case to resample, get closed-form Wilson intervals;
-    enriched designs get the seeded case-bootstrap, matching the weighted point estimator.
+    enriched designs get the seeded case-bootstrap. The point is :func:`confusion`'s on every design.
     """
     if dataset.weighted and dataset.columns.evaluable.any():
         return bootstrap_metric(dataset, metric, n_resamples=n_resamples, ci_level=ci_level, seed=seed)

@@ -275,7 +275,7 @@ def resampling_variability(
     """
     metrics_mod._metric_cells(metric)  # rejects an unknown name
     if scheme == "bootstrap":
-        _, _, arr = _case_bootstrap(dataset, metric, n, replicate_rng(derive_seed(seed, "resample-bootstrap"), 0))
+        _, arr = _case_bootstrap(dataset, metric, n, replicate_rng(derive_seed(seed, "resample-bootstrap"), 0))
     elif scheme == "k_fold":
         case_cells = datamodel.confusion_cells(dataset)
         evaluable = np.flatnonzero(case_cells >= 0)

@@ -643,6 +643,25 @@ class TestEvaluate:
         assert json.loads((out_dir / "report.json").read_text())["warnings"] == warnings
         assert json.loads((out_dir / "outputs.json").read_text())["warnings"] == warnings
 
+    def test_an_enriched_cost_run_reports_confusions_metrics_and_the_prevalence_it_warns_of(self, tmp_path):
+        # the golden enriched input: negatives kept with p = 0.3 weigh an inexact 1/0.3, where the bootstrap's own
+        # class-table point once differed from confusion's in the last digits, and test_set_prevalence was unweighted
+        from rareval import datamodel, metrics
+        from rareval.synth import EnrichmentRule, PopulationSpec, generate
+        spec = PopulationSpec(n=6000, prevalence=0.05, enrichment=(EnrichmentRule("negative", 0.3),), seed=12)
+        datamodel.emit(generate(spec).dataset, data := tmp_path / "enriched.csv")
+        argv = ["evaluate", "--input", str(data), "--cost-fp", "1", "--cost-fn", "100", "--assumed-prevalence", "0.002"]
+        assert main([*argv, "--out-dir", str(out_dir := tmp_path / "run"), "--reproducible"]) == 0
+        outputs = json.loads((out_dir / "outputs.json").read_text())
+        counts = metrics.confusion(datamodel.apply_threshold(datamodel.ingest(data), outputs["threshold"]))
+        assert counts.weighted
+        keys = ("metric", "value", "n_effective", "weighted")
+        expected = [metrics.metric_from_counts(counts, m).to_json_dict(m) for m in metrics.PROPORTION_METRICS]
+        assert [[entry[key] for key in keys] for entry in json.loads((out_dir / "metrics.json").read_text())] == [
+            [entry[key] for key in keys] for entry in expected]
+        warning = next(w for w in outputs["warnings"] if w["code"] == "enrichment_optimism")
+        assert outputs["test_set_prevalence"] == warning["details"]["test_set_prevalence"] == 0.05692926969522764
+
     def test_a_design_gets_the_bootstrap_interval_of_the_top_k_with_the_derived_seed(self, tmp_path):
         from rareval import datamodel, metrics
         from rareval.provenance import derive_seed

@@ -24,7 +24,10 @@ from rareval.curves import (
 )
 from rareval.errors import InfeasibleError, InputError
 from rareval.datamodel import CELLS, Dataset, ReferenceLabel, StratumSpec, confusion_cells
-from rareval.metrics import _class_table, _proportion, confusion, estimate_metric, precision_at_k
+from rareval.metrics import (
+    PROPORTION_METRICS, _class_table, _proportion, bootstrap_metric, confusion, estimate_metric, metric_from_counts,
+    precision_at_k,
+)
 from rareval.provenance import derive_seed
 from rareval.report import summarize_dataset
 from rareval.robustness import _heterogeneity_screen, resampling_variability, subset_metrics
@@ -107,6 +110,19 @@ class TestColumnView:
     @given(st.one_of(datasets(), datasets(scored=True)))
     def test_pr_curve_points_exact(self, ds):
         assert outcome(lambda d: list(pr_curve(d)), ds) == outcome(ref.pr_curve, ds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(datasets(predicted=True))
+    def test_every_estimate_has_confusions_point_bit_for_bit(self, ds):
+        # the bootstrap chooses only the interval: its point and n_effective are confusion's on every design
+        def point(estimate):
+            return repr((estimate.value, estimate.n_effective, estimate.weighted))
+
+        for metric in PROPORTION_METRICS:
+            expected = outcome(lambda d: point(metric_from_counts(confusion(d), metric)), ds)
+            assert outcome(lambda d: point(estimate_metric(d, metric)), ds) == expected
+            got = outcome(lambda d: point(bootstrap_metric(d, metric, n_resamples=50)), ds)
+            assert got == (expected if ds.columns.evaluable.any() else ("InputError", "dataset has no evaluable cases"))
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(datasets(), datasets(scored=True)), st.integers(1, 12))

@@ -374,8 +374,8 @@ class TestWeightedEstimation:
 
     @pytest.mark.parametrize("metric", ["recall", "precision", "specificity", "npv"])
     def test_bootstrap_point_and_n_effective_match_confusion(self, metric):
-        # inclusion probability 0.3: 1/p is not exactly representable, so the
-        # class-table sums may differ from the per-case sums in the last ulp
+        # inclusion probability 0.3: 1/p is not exactly representable, so count x weight per class differs from
+        # confusion's per-case sums in the last ulp; the bootstrap takes confusion's point and n_effective
         cases = [
             make_case(f"c{i}", "positive" if i % 7 == 0 else "negative", predicted=i % 3 == 0,
                       stratum_id="neg" if i % 2 else "all")
@@ -385,9 +385,18 @@ class TestWeightedEstimation:
         reference = {"recall": recall, "precision": precision, "specificity": specificity, "npv": npv}
         expected = reference[metric](confusion(ds))
         est = bootstrap_metric(ds, metric, n_resamples=50, seed=3)
-        assert est.weighted is True
-        assert est.value == pytest.approx(expected.value, rel=1e-12)
-        assert est.n_effective == pytest.approx(expected.n_effective, rel=1e-12)
+        assert (est.value, est.n_effective, est.weighted) == (expected.value, expected.n_effective, True)
+
+    def test_bootstrap_builds_the_class_table_once(self, monkeypatch):
+        # a weighted point of 0 (no positive predicted) once built a second table for Kish's size
+        import rareval.metrics as metrics_mod
+
+        tables = []
+        real = metrics_mod._class_table
+        monkeypatch.setattr(metrics_mod, "_class_table", lambda d: tables.append(d) or real(d))
+        cases = [make_case(f"c{i}", "positive", predicted=False, stratum_id="p") for i in range(6)]
+        est = bootstrap_metric(Dataset(cases, (StratumSpec("p", 0.3),)), "recall", n_resamples=20, seed=1)
+        assert (est.value, len(tables)) == (0.0, 1)
 
     @pytest.mark.parametrize("n_resamples, message", [
         (0, "bootstrap needs n >= 1"), (-1, "bootstrap needs n >= 1"),

@@ -238,7 +238,7 @@ def build_outputs_from_dataset(seed, with_curves, with_threshold):
     outputs = EvaluationOutputs(
         dataset_summary=summary,
         metrics=metrics,
-        test_set_prevalence=summary["prevalence"],
+        test_set_prevalence=curves_mod.prevalence_of(ds),
         assumed_deployment_prevalence=0.01 if seed % 2 else None,
         threshold=0.5,
         seed=seed,

@@ -170,9 +170,15 @@ def test_reproducible_outputs_match_golden_digests():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     with pytest.warns(UserWarning, match=r"cell model\+/benchmark-: only 9 of 10 requested cases available"):
         digests = output_digests()
-    assert digests.keys() == golden.keys()
-    for name in golden:
-        assert digests[name] == golden[name], name
+    # every (command, file) whose digest is missing, extra or different, and every missing or extra command, so
+    # that a deliberate change shows its whole footprint in one run
+    moved = sorted(
+        (name, path)
+        for name in digests.keys() | golden.keys()
+        for path in digests.get(name, {}).keys() | golden.get(name, {}).keys()
+        if digests.get(name, {}).get(path) != golden.get(name, {}).get(path)
+    )
+    assert (moved, sorted(digests.keys() ^ golden.keys())) == ([], [])
 
 
 if __name__ == "__main__":
